@@ -20,8 +20,9 @@ import numpy as np
 
 from .opq1d import (
     RecurrenceCoeffs,
+    divided_difference,
     eval_orthonormal,
-    eval_orthonormal_deriv,
+    gauss_pairs,
     gauss_rule,
 )
 from .rules import CubatureRule2D, WeightSpec
@@ -93,22 +94,7 @@ def eval_koornwinder(
             return np.sqrt(2.0) * pn1 * pn2
         return pn1 * pk2 + pn2 * pk1
     if gamma == 0.5:
-        diff = x1 - x2
-        out = np.empty_like(diff)
-        near = np.abs(diff) ** 2 < 1e-10
-        far = ~near
-        if np.any(far):
-            a1 = eval_orthonormal(rc, n + 1, x1[far])
-            b2 = eval_orthonormal(rc, k, x2[far])
-            a2 = eval_orthonormal(rc, n + 1, x2[far])
-            b1 = eval_orthonormal(rc, k, x1[far])
-            out[far] = (a1 * b2 - a2 * b1) / diff[far]
-        if np.any(near):
-            xm = 0.5 * (x1[near] + x2[near])
-            pn, dn = eval_orthonormal_deriv(rc, n + 1, xm)
-            pk, dk = eval_orthonormal_deriv(rc, k, xm)
-            out[near] = dn * pk - pn * dk
-        return out
+        return divided_difference(rc, n + 1, k, x1, x2)
     raise ValueError("gamma restricted to -1/2 and +1/2")
 
 
@@ -126,35 +112,20 @@ def gauss_cubature_biangle(
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = WeightSpec("biangle-gamma", rc=rc, gamma=gamma)
+    q = gauss_rule(rc, n + 1 if gamma == 0.5 else n)
+    J, K, weights = gauss_pairs(q, gamma == 0.5)
+    t = q.nodes
     if gamma == -0.5:
-        q = gauss_rule(rc, n)
-        t, lam = q.nodes, q.weights
-        nodes = []
-        weights = []
-        for jj in range(n):
-            for kk in range(jj, n):
-                u1 = t[jj] + t[kk]
-                u2 = t[jj] * t[kk]
-                if kk == jj:
-                    nodes.append((u1, u2))
-                    weights.append(0.5 * lam[jj] * lam[jj])
-                else:
-                    nodes.append((u1, u2))
-                    weights.append(lam[jj] * lam[kk])
-    elif gamma == 0.5:
-        q = gauss_rule(rc, n + 1)
-        t, lam = q.nodes, q.weights
-        nodes = []
-        weights = []
-        for jj in range(n + 1):
-            for kk in range(jj + 1, n + 1):
-                nodes.append((t[jj] + t[kk], t[jj] * t[kk]))
-                weights.append(lam[jj] * lam[kk] * (t[jj] - t[kk]) ** 2)
+        weights[J == K] *= 0.5
     else:
-        raise ValueError("gamma restricted to -1/2 and +1/2")
+        # square each gap with libm pow, element by element, as the scalar
+        # formula lam_j lam_k (t_j - t_k)**2 does: numpy's vectorized square
+        # differs from pow in the last bit for some gaps, and rule files
+        # must stay byte-identical
+        weights = weights * np.array([gap**2 for gap in (t[J] - t[K]).tolist()])
     return CubatureRule2D(
-        nodes=np.array(nodes, dtype=float),
-        weights=np.array(weights, dtype=float),
+        nodes=np.column_stack([t[J] + t[K], t[J] * t[K]]),
+        weights=weights,
         degree=2 * n - 1,
         domain="biangle",
         spec=spec,

@@ -1,9 +1,10 @@
 """Command-line surface: build rules, export node files, verify exactness,
 print node-count bounds, and draw SVG scatter plots.
 
-Exit codes: 0 success, 1 invalid arguments or unreadable input, 2 rule
-construction failure, 3 verification failure, 4 file cannot be verified
-(no metadata, or a family no oracle covers).
+Exit codes: 0 success, 1 invalid arguments or unreadable or malformed
+input, 2 rule construction failure, 3 verification failure (including a
+node outside the domain), 4 file cannot be verified (no metadata, a family
+no oracle covers, or an oracle failure).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .opq1d import EigensolverError, jacobi_recurrence
 from .oracle import (
     BiangleMomentOracle,
     ComposedMomentOracle,
+    DomainError,
     OracleConvergenceError,
     SquareMomentOracle,
     certify,
@@ -36,6 +38,9 @@ EXIT_VERIFICATION = 3
 EXIT_UNVERIFIABLE = 4
 
 CSV_HEADER = "x1,x2,weight"
+
+# reading a rule file: unreadable, malformed, or a number beyond float range
+_READ_ERRORS = (OSError, ValueError, OverflowError)
 
 _JSON_FIELDS = (
     "family",
@@ -63,15 +68,7 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def _sorted_nodes(
-    nodes: np.ndarray, weights: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((nodes[:, 1], nodes[:, 0]))
-    return nodes[order], weights[order]
-
-
 def rule_to_csv(nodes: np.ndarray, weights: np.ndarray) -> str:
-    nodes, weights = _sorted_nodes(nodes, weights)
     lines = [CSV_HEADER]
     for (x1, x2), w in zip(nodes, weights):
         lines.append(
@@ -99,12 +96,19 @@ def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
 
 
 def rule_to_json(meta: Dict[str, object], nodes: np.ndarray, weights: np.ndarray) -> str:
-    nodes, weights = _sorted_nodes(nodes, weights)
     obj: Dict[str, object] = {k: meta[k] for k in _JSON_FIELDS}
     obj["nodes"] = [
         [float(x1), float(x2), float(w)] for (x1, x2), w in zip(nodes, weights)
     ]
     return json.dumps(obj) + "\n"
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # JSON true/false parse to bool, a subclass of int
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
 
 
 def parse_rule_file(
@@ -113,23 +117,36 @@ def parse_rule_file(
     """Read a rule file in either format.
 
     Returns (nodes, weights, metadata); metadata is None for CSV, which
-    carries none.  Raises ValueError on malformed content.
+    carries none.  Raises ValueError on malformed content, including JSON
+    whose fields or node rows do not match the schema.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        missing = [k for k in _JSON_FIELDS if k not in obj]
-        if missing or "nodes" not in obj:
-            raise ValueError("rule JSON missing fields: %s" % (missing + ["nodes"] if "nodes" not in obj else missing,))
+        missing = [k for k in _JSON_FIELDS + ("nodes",) if k not in obj]
+        if missing:
+            raise ValueError("rule JSON missing fields: %s" % (missing,))
+        for k in ("param_n_or_m", "degree", "node_count"):
+            if not _is_int(obj[k]):
+                raise ValueError("%s must be an integer" % k)
+        for k in ("alpha", "beta", "gamma"):
+            if obj[k] is not None and not (_is_number(obj[k]) and math.isfinite(obj[k])):
+                raise ValueError("%s must be a finite number or null" % k)
+        ell = obj["ell"]
+        if not (_is_int(ell) or ell is None and obj["family"] != "composed"):
+            raise ValueError("ell must be an integer (null only off the composed family)")
         rows = obj["nodes"]
-        nodes = np.array([[r[0], r[1]] for r in rows], dtype=float).reshape(-1, 2)
-        weights = np.array([r[2] for r in rows], dtype=float)
-        if int(obj["node_count"]) != len(rows):
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == 3 and all(map(_is_number, r))
+            for r in rows
+        ):
+            raise ValueError("nodes must be a list of [x1, x2, weight] numbers")
+        if obj["node_count"] != len(rows):
             raise ValueError("node_count does not match the node list")
-        meta = {k: obj[k] for k in _JSON_FIELDS}
-        return nodes, weights, meta
+        arr = np.array(rows, dtype=float).reshape(-1, 3)
+        return arr[:, :2], arr[:, 2], {k: obj[k] for k in _JSON_FIELDS}
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError("unrecognized rule file format")
@@ -282,7 +299,7 @@ def oracle_for(meta: Dict[str, object], max_degree: int):
         spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
         return SquareMomentOracle(float(alpha), float(beta), float(gamma)), spec, "square"
     if fam == "composed":
-        ell = int(meta["ell"])
+        ell = meta["ell"]
         spec = WeightSpec(
             "square-W-ell", alpha=alpha, beta=beta, gamma=-0.5, ell=ell
         )
@@ -293,16 +310,19 @@ def oracle_for(meta: Dict[str, object], max_degree: int):
 def cmd_verify(args) -> int:
     try:
         nodes, weights, meta = parse_rule_file(args.rule_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except _READ_ERRORS as exc:
         return _fail("cannot read rule file: %s" % exc, EXIT_USAGE)
     if meta is None:
         return _fail(
             "CSV files carry no weight-family metadata; nothing to verify against",
             EXIT_UNVERIFIABLE,
         )
-    declared = int(meta["degree"])
+    declared = meta["degree"]
     max_degree = args.max_degree if args.max_degree is not None else declared
-    picked = oracle_for(meta, max_degree)
+    try:
+        picked = oracle_for(meta, max_degree)
+    except ValueError as exc:
+        return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
     if picked is None:
         return _fail(
             "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE
@@ -315,15 +335,17 @@ def cmd_verify(args) -> int:
             degree=declared,
             domain=domain,
             spec=spec,
-            param=int(meta["param_n_or_m"]),
+            param=meta["param_n_or_m"],
             family=str(meta["family"]),
         )
     except (ConstructionError, ValueError) as exc:
         return _fail("rule file fails basic validation: %s" % exc, EXIT_USAGE)
     try:
         report = certify(rule, oracle, max_degree, rel_tol=args.tol)
-    except OracleConvergenceError as exc:
-        return _fail("moment oracle did not converge: %s" % exc, EXIT_UNVERIFIABLE)
+    except DomainError as exc:
+        return _fail("rule fails verification: %s" % exc, EXIT_VERIFICATION)
+    except (OracleConvergenceError, EigensolverError, OverflowError) as exc:
+        return _fail("moment oracle failed: %s" % exc, EXIT_UNVERIFIABLE)
 
     ok = report.certified_degree >= declared
     if args.report is not None:
@@ -439,7 +461,7 @@ def render_svg(
 def cmd_plot(args) -> int:
     try:
         nodes, _, meta = parse_rule_file(args.rule_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except _READ_ERRORS as exc:
         return _fail("cannot read rule file: %s" % exc, EXIT_USAGE)
     if len(nodes) == 0:
         return _fail("rule file has no nodes; nothing to plot", EXIT_USAGE)

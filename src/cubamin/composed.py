@@ -14,12 +14,18 @@ the degree 4m-1 rule for the base family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .opq1d import RecurrenceCoeffs, eval_orthonormal, gauss_rule, jacobi_recurrence
+from .opq1d import (
+    RecurrenceCoeffs,
+    eval_orthonormal,
+    fold_panel_angles,
+    gauss_pairs,
+    gauss_rule,
+)
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
 from .squaremin import _pow_with_sentinel, merge_close_nodes
 
@@ -103,39 +109,6 @@ def orbit_sets(ell: int, theta: float, phi: float) -> Tuple[OrbitSet, OrbitSet]:
     return both[0], both[1]
 
 
-def _pair_orbit_union(ell: int, theta_j: float, theta_k: float) -> np.ndarray:
-    """Union of the four orbit sets generated by the half-angle pair, with
-    both slot orders, deduplicated."""
-    th = 0.5 * abs(theta_j - theta_k)
-    ph = 0.5 * (theta_j + theta_k)
-    blocks = []
-    for a, b in ((th, ph), (ph, th)):
-        xm, xp = orbit_sets(ell, a, b)
-        blocks.append(xm.points)
-        blocks.append(xp.points)
-    pts = np.vstack(blocks)
-    keep, _ = merge_close_nodes(pts, np.zeros(len(pts)))
-    return keep
-
-
-def _panel_preimage_cosines(ell: int, target: float) -> np.ndarray:
-    """Cosines of the one preimage per panel of the angular target under
-    the degree-ell fold, listed with multiplicity: panel-junction targets
-    (0 or pi) repeat across adjacent panels, and the repeats carry real
-    weight downstream."""
-    u = np.empty(ell)
-    for nu in range(ell):
-        if nu % 2 == 0:
-            u[nu] = (nu * math.pi + target) / ell
-        else:
-            u[nu] = ((nu + 1) * math.pi - target) / ell
-    c = np.cos(u)
-    # quarter-circle preimages leave ~1e-17 dust; structurally these are
-    # exact zeros and downstream parity cancellations need them exact
-    c[np.abs(c) < 1e-14] = 0.0
-    return c
-
-
 def composed_rule(
     rc: RecurrenceCoeffs, ell: int, m: int, alpha: float, beta: float
 ) -> CubatureRule2D:
@@ -153,37 +126,40 @@ def composed_rule(
         raise ValueError("ell and m must be >= 1")
     spec = WeightSpec("square-W-ell", alpha=alpha, beta=beta, gamma=-0.5, ell=ell)
     q = gauss_rule(rc, m)
+    J, K, share = gauss_pairs(q, False)
+    share = share / (2.0 * ell * ell)
+    share[J == K] *= 0.5
     theta = np.arccos(q.nodes)
+    th = 0.5 * np.abs(theta[J] - theta[K])
+    ph = 0.5 * (theta[J] + theta[K])
+    # the four angular orbit images of each pair, one axis at a time, and
+    # the cosines of their panel preimages: shape (pairs, 4, ell)
+    first = np.column_stack([th, ph, math.pi - th, math.pi - ph])
+    second = np.column_stack([ph, th, math.pi - ph, math.pi - th])
+    x1, x2 = (
+        np.cos(np.moveaxis(fold_panel_angles(ell, a), 0, -1)) for a in (first, second)
+    )
+    # quarter-circle preimages leave ~1e-17 dust; structurally these are
+    # exact zeros and downstream parity cancellations need them exact.
+    # Panel-junction preimages repeat across adjacent panels, and the
+    # repeats carry real weight in the merge below.
+    for c in (x1, x2):
+        c[np.abs(c) < 1e-14] = 0.0
+    # every panel pair of every image: shape (pairs, 4 * ell * ell, 2)
+    X1, X2 = np.broadcast_arrays(x1[..., :, None], x2[..., None, :])
+    blocks = np.stack([X1, X2], axis=-1).reshape(len(J), -1, 2)
     pts: List[np.ndarray] = []
     wts: List[np.ndarray] = []
-    for j in range(m):
-        for k in range(j, m):
-            th = 0.5 * abs(theta[j] - theta[k])
-            ph = 0.5 * (theta[j] + theta[k])
-            share = q.weights[j] * q.weights[k] / (2.0 * ell * ell)
-            if j == k:
-                share *= 0.5
-            block_p: List[np.ndarray] = []
-            for (a1, a2) in (
-                (th, ph),
-                (ph, th),
-                (math.pi - th, math.pi - ph),
-                (math.pi - ph, math.pi - th),
-            ):
-                x1 = _panel_preimage_cosines(ell, a1)
-                x2 = _panel_preimage_cosines(ell, a2)
-                X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-                block_p.append(np.column_stack([X1.ravel(), X2.ravel()]))
-            block = np.vstack(block_p)
-            orbit, ow = merge_close_nodes(block, np.full(len(block), share))
-            want = 2 * ell * (ell + 1) if j == k else 4 * ell * ell
-            if len(orbit) != want:
-                raise ConstructionError(
-                    "orbit of pair (%d,%d) has %d points, expected %d"
-                    % (j, k, len(orbit), want)
-                )
-            pts.append(orbit)
-            wts.append(ow)
+    for j, k, block, s in zip(J, K, blocks, share):
+        orbit, ow = merge_close_nodes(block, np.full(len(block), s))
+        want = 2 * ell * (ell + 1) if j == k else 4 * ell * ell
+        if len(orbit) != want:
+            raise ConstructionError(
+                "orbit of pair (%d,%d) has %d points, expected %d"
+                % (j, k, len(orbit), want)
+            )
+        pts.append(orbit)
+        wts.append(ow)
     nodes, weights = merge_close_nodes(np.vstack(pts), np.concatenate(wts))
     expected = 2 * ell * ell * m * m + 2 * ell * m
     if len(nodes) != expected:
@@ -237,14 +213,9 @@ def composed_op_identity_check(
     q = gauss_rule(rc, grid)
     psi = np.arccos(q.nodes)
     core = q.weights * eval_orthonormal(rc, m, q.nodes)
+    ang = fold_panel_angles(ell, psi)
     worst = 0.0
     for k in range(ell * m):
-        total = 0.0
-        for nu in range(ell):
-            if nu % 2 == 0:
-                ang = (nu * math.pi + psi) / ell
-            else:
-                ang = ((nu + 1) * math.pi - psi) / ell
-            total += float(np.sum(core * np.cos(k * ang)))
+        total = float(np.sum(np.cos(k * ang) @ core))
         worst = max(worst, abs(total / ell))
     return worst

@@ -5,6 +5,10 @@ classically normalized Jacobi polynomials, Gauss rules via an in-house
 Golub-Welsch (implicit-shift QL on the symmetrized tridiagonal matrix),
 and the even quasi-orthogonal combinations whose zeros supply the
 diagonal / anti-diagonal nodes of the odd-degree minimal square rules.
+
+Also the pieces every explicit 2-D family shares: the unordered pairs of
+Gauss nodes with their product weights, the divided difference of
+orthonormal products, and the panel map of the degree-ell cosine fold.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ __all__ = [
     "eval_jacobi_standard",
     "eval_jacobi_standard_deriv",
     "gauss_rule",
+    "gauss_pairs",
+    "divided_difference",
+    "fold_panel_angles",
     "quasi_S",
     "diagonal_zero_set",
     "EigensolverError",
@@ -151,6 +158,34 @@ def _orthonormal_series(rc: RecurrenceCoeffs, n: int, t, want_deriv: bool = Fals
     return p, None
 
 
+def divided_difference(rc: RecurrenceCoeffs, hi: int, lo: int, x1, x2) -> np.ndarray:
+    """(p_hi(x1) p_lo(x2) - p_hi(x2) p_lo(x1)) / (x1 - x2) for the
+    orthonormal family of rc.
+
+    Where |x1 - x2| < 1e-5 the quotient is replaced by its limit
+    p_hi' p_lo - p_hi p_lo' at the midpoint, so coincident arguments (the
+    parabolic arc, the edges of the square) evaluate without cancellation.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    diff = x1 - x2
+    out = np.empty_like(diff)
+    near = np.abs(diff) < 1e-5
+    far = ~near
+    if np.any(far):
+        a, b = x1[far], x2[far]
+        out[far] = (
+            eval_orthonormal(rc, hi, a) * eval_orthonormal(rc, lo, b)
+            - eval_orthonormal(rc, hi, b) * eval_orthonormal(rc, lo, a)
+        ) / diff[far]
+    if np.any(near):
+        c = 0.5 * (x1[near] + x2[near])
+        p_hi, d_hi = eval_orthonormal_deriv(rc, hi, c)
+        p_lo, d_lo = eval_orthonormal_deriv(rc, lo, c)
+        out[near] = d_hi * p_lo - p_hi * d_lo
+    return out
+
+
 def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
     """Jacobi polynomial with P_n^{(alpha,beta)}(1) = binom(n+alpha, n)."""
     if alpha <= -1.0 or beta <= -1.0:
@@ -273,6 +308,29 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
     if np.any(np.diff(nodes) <= 0.0):
         raise EigensolverError("Gauss nodes not strictly increasing")
     return QuadratureRule1D(nodes=nodes, weights=weights, m=m)
+
+
+def gauss_pairs(q: QuadratureRule1D, strict: bool):
+    """Unordered index pairs j <= k (j < k when strict) of the rule's nodes
+    in row-major upper-triangle order, with the product weights
+    lam_j lam_k.  Every explicit 2-D family pushes these pairs through its
+    own point map."""
+    J, K = np.triu_indices(q.m, k=1 if strict else 0)
+    return J, K, q.weights[J] * q.weights[K]
+
+
+def fold_panel_angles(ell: int, theta) -> np.ndarray:
+    """One preimage per panel of the angles theta in [0, pi] under the
+    degree-ell fold phi -> ell*phi, along a new leading axis of length ell.
+
+    Panel nu covers [nu pi/ell, (nu+1) pi/ell]; odd panels run in reverse,
+    so cos(ell*phi) = cos(theta) on every panel.
+    """
+    theta = np.asarray(theta, dtype=float)
+    nu = np.arange(ell).reshape((ell,) + (1,) * theta.ndim)
+    odd = nu % 2
+    # even panels: (nu pi + theta) / ell; odd: ((nu+1) pi - theta) / ell
+    return ((nu + odd) * math.pi + (1 - 2 * odd) * theta) / ell
 
 
 def quasi_S(alpha: float, beta: float, m: int, sign: str, t):

@@ -17,11 +17,13 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .opq1d import gauss_rule, jacobi_recurrence
+from .biangle import biangle_moment, in_omega
+from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
 from .rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 __all__ = [
     "OracleConvergenceError",
+    "DomainError",
     "angular_moments",
     "angular_moment_ladder",
     "square_moment",
@@ -42,6 +44,15 @@ class OracleConvergenceError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+
+class DomainError(ValueError):
+    """A rule node lies outside the closed domain of its weight."""
+
+
+# absolute slack of the domain test in certify: admits the last-bit
+# rounding of nodes built on the boundary, nothing visibly outside
+_DOMAIN_SLACK = 1e-12
 
 
 def chebyshev_moment_1d(i: int) -> float:
@@ -245,14 +256,7 @@ def _folded_h(ell: int, i: int, j: int):
     """
 
     def axis(theta, p):
-        acc = np.zeros_like(theta)
-        for nu in range(ell):
-            if nu % 2 == 0:
-                ang = (nu * math.pi + theta) / ell
-            else:
-                ang = ((nu + 1) * math.pi - theta) / ell
-            acc += np.cos(ang) ** p
-        return acc
+        return np.sum(np.cos(fold_panel_angles(ell, theta)) ** p, axis=0)
 
     def h(t1, t2):
         return axis(t1, i) * axis(t2, j) / (ell * ell)
@@ -360,8 +364,6 @@ class BiangleMomentOracle:
     """Moment source for the curved-domain family (exact tensor route)."""
 
     def __init__(self, rc, gamma: float):
-        from .biangle import biangle_moment
-
         self._fn = lambda a, b: biangle_moment(rc, gamma, a, b)
         self._cache: Dict[Tuple[int, int], float] = {}
 
@@ -391,14 +393,28 @@ def certify(
     The per-monomial relative error is |rule - moment| divided by
     max(|moment|, mass * scale) with scale the sup of |x^i y^j| over the
     node set, so zero moments are handled without blowups.
+
+    Raises DomainError, before any moment is computed, when a node lies
+    outside the rule's closed domain by more than 1e-12: such a
+    node would inflate the scale and hide its own error.
     """
+    x = rule.nodes[:, 0]
+    y = rule.nodes[:, 1]
+    if rule.domain == "square":
+        inside = np.maximum(np.abs(x), np.abs(y)) <= 1.0 + _DOMAIN_SLACK
+    else:
+        inside = in_omega(x, y, _DOMAIN_SLACK)
+    if not np.all(inside):
+        bad = int(np.argmin(inside))
+        raise DomainError(
+            "node %d at (%r, %r) lies outside the %s domain"
+            % (bad, float(x[bad]), float(y[bad]), rule.domain)
+        )
     pairs = [
         (i, d - i) for d in range(max_degree + 1) for i in range(d + 1)
     ]
     ref = moments.moments(pairs)
     mass = moments.mass
-    x = rule.nodes[:, 0]
-    y = rule.nodes[:, 1]
     deg_max = max_degree
     xp = np.vander(x, deg_max + 1, increasing=True)
     yp = np.vander(y, deg_max + 1, increasing=True)

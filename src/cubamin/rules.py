@@ -72,6 +72,8 @@ class CubatureRule2D:
             raise ValueError("declared degree must be odd and positive")
         if len(self.weights) != len(nodes):
             raise ValueError("node/weight length mismatch")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(self.weights))):
+            raise ValueError("non-finite node or weight")
         if np.any(self.weights <= 0.0):
             raise ConstructionError("nonpositive cubature weight")
         if self.domain not in ("biangle", "square"):

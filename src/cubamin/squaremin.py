@@ -12,7 +12,6 @@ degrees 4m+1 add points on the diagonal (g = -1/2) or anti-diagonal
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +20,9 @@ from . import oracle as _oracle
 from .opq1d import (
     RecurrenceCoeffs,
     diagonal_zero_set,
+    divided_difference,
     eval_orthonormal,
-    eval_orthonormal_deriv,
+    gauss_pairs,
     gauss_rule,
     jacobi_recurrence,
 )
@@ -85,8 +85,9 @@ def weight_W(spec: WeightSpec, x1, x2):
     return out
 
 
-def half_angle_orbit(c_j: float, c_k: float) -> List[Tuple[float, float]]:
-    """The four sign-and-swap images of the half-angle point.
+def half_angle_orbit(c_j, c_k) -> np.ndarray:
+    """The four sign-and-swap images of the half-angle points, as an array
+    of shape c_j.shape + (4, 2) in the order (s,t), (t,s), (-s,-t), (-t,-s).
 
     Takes the plain cosines c = cos(theta) and forms
     s = cos((theta_j - theta_k)/2), t = cos((theta_j + theta_k)/2)
@@ -95,14 +96,15 @@ def half_angle_orbit(c_j: float, c_k: float) -> List[Tuple[float, float]]:
     gives the boundary orbit (1, c_j), and c_k == -c_j gives t == 0.0
     bit for bit, which downstream zero-sum cancellations rely on.
     """
-    if c_j == c_k:
-        s, t = 1.0, c_j
-    else:
-        p = math.sqrt((1.0 + c_j) * (1.0 + c_k))
-        q = math.sqrt((1.0 - c_j) * (1.0 - c_k))
-        s = 0.5 * (p + q)
-        t = 0.5 * (p - q)
-    return [(s, t), (t, s), (-s, -t), (-t, -s)]
+    c_j = np.asarray(c_j, dtype=float)
+    c_k = np.asarray(c_k, dtype=float)
+    p = np.sqrt((1.0 + c_j) * (1.0 + c_k))
+    q = np.sqrt((1.0 - c_j) * (1.0 - c_k))
+    same = c_j == c_k
+    s = np.where(same, 1.0, 0.5 * (p + q))
+    t = np.where(same, c_j, 0.5 * (p - q))
+    images = [(s, t), (t, s), (-s, -t), (-t, -s)]
+    return np.stack([np.stack(im, axis=-1) for im in images], axis=-2)
 
 
 def merge_close_nodes(
@@ -150,28 +152,16 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
     if spec.family != "square-W":
         raise ValueError("minimal_rule_even needs a square-W spec")
     g = spec.gamma
-    pts: List[Tuple[float, float]] = []
-    wts: List[float] = []
+    size = m + 1 if g == 0.5 else m
+    q = gauss_rule(_spec_recurrence(spec, size), size)
+    J, K, w4 = gauss_pairs(q, g == 0.5)
     if g == -0.5:
-        q = gauss_rule(_spec_recurrence(spec, m), m)
-        for j in range(m):
-            for k in range(j, m):
-                w4 = q.weights[j] * q.weights[k] / (2.0 if j != k else 4.0)
-                for p in half_angle_orbit(q.nodes[j], q.nodes[k]):
-                    pts.append(p)
-                    wts.append(w4)
-    elif g == 0.5:
-        q = gauss_rule(_spec_recurrence(spec, m + 1), m + 1)
-        for j in range(m + 1):
-            for k in range(j + 1, m + 1):
-                gap = q.nodes[j] - q.nodes[k]
-                w4 = q.weights[j] * q.weights[k] * gap * gap / 8.0
-                for p in half_angle_orbit(q.nodes[j], q.nodes[k]):
-                    pts.append(p)
-                    wts.append(w4)
+        w4 = w4 / np.where(J == K, 4.0, 2.0)
     else:
-        raise ValueError("gamma restricted to -1/2 and +1/2")
-    nodes, weights = merge_close_nodes(pts, wts)
+        gap = q.nodes[J] - q.nodes[K]
+        w4 = w4 * gap * gap / 8.0
+    pts = half_angle_orbit(q.nodes[J], q.nodes[K]).reshape(-1, 2)
+    nodes, weights = merge_close_nodes(pts, np.repeat(w4, 4))
     expected = 2 * m * (m + 1)
     if len(nodes) != expected:
         raise ConstructionError(
@@ -223,28 +213,20 @@ def minimal_rule_odd(
         raise ValueError("gamma restricted to -1/2 and +1/2")
     spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
 
-    classes: List[np.ndarray] = []
-    multip: List[int] = []
     if gamma == -0.5:
-        zeros = gauss_rule(jacobi_recurrence(alpha + 1.0, beta, m), m).nodes
-        for j in range(m):
-            for k in range(j, m):
-                classes.append(np.array(half_angle_orbit(zeros[j], zeros[k])))
-        xi = diagonal_zero_set(alpha, beta, m, "-")
-        pos = xi[xi > 0.0]
-        classes.append(np.array([[0.0, 0.0]]))
-        for x in pos:
-            classes.append(np.array([[x, x], [-x, -x]]))
+        zeros = gauss_rule(jacobi_recurrence(alpha + 1.0, beta, m), m)
+        line = diagonal_zero_set(alpha, beta, m, "-")
     else:
-        zeros = gauss_rule(jacobi_recurrence(alpha, beta + 1.0, m + 1), m + 1).nodes
-        for j in range(m + 1):
-            for k in range(j + 1, m + 1):
-                classes.append(np.array(half_angle_orbit(zeros[j], zeros[k])))
-        eta = diagonal_zero_set(alpha, beta, m, "+")
-        pos = eta[eta > 0.0]
-        classes.append(np.array([[0.0, 0.0]]))
-        for x in pos:
-            classes.append(np.array([[x, -x], [-x, x]]))
+        zeros = gauss_rule(jacobi_recurrence(alpha, beta + 1.0, m + 1), m + 1)
+        line = diagonal_zero_set(alpha, beta, m, "+")
+    J, K, _ = gauss_pairs(zeros, gamma == 0.5)
+    classes = list(half_angle_orbit(zeros.nodes[J], zeros.nodes[K]))
+    # the extra line nodes: the origin, then mirror pairs on the diagonal
+    # (gamma = -1/2) or the anti-diagonal (gamma = +1/2)
+    classes.append(np.array([[0.0, 0.0]]))
+    for x in line[line > 0.0]:
+        y = x if gamma == -0.5 else -x
+        classes.append(np.array([[x, y], [-x, -y]]))
     multip = [len(c) for c in classes]
 
     deg = 4 * m + 1
@@ -300,39 +282,6 @@ def fold_to_biangle(x1, x2):
     return 2.0 * x1 * x2, x1 * x1 + x2 * x2 - 1.0
 
 
-def _cos_sum_diff(x1: np.ndarray, x2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    root = np.sqrt(np.maximum(1.0 - x1 * x1, 0.0) * np.maximum(1.0 - x2 * x2, 0.0))
-    cm = np.clip(x1 * x2 + root, -1.0, 1.0)
-    cp = np.clip(x1 * x2 - root, -1.0, 1.0)
-    return cm, cp
-
-
-def _pair_product(
-    rc: RecurrenceCoeffs, gamma: float, big: int, k: int, cm: np.ndarray, cp: np.ndarray
-) -> np.ndarray:
-    """Symmetrized (g = -1/2) or divided-difference (g = +1/2) product of
-    the 1-D orthonormal family at the two folded arguments."""
-    if gamma == -0.5:
-        return eval_orthonormal(rc, big, cm) * eval_orthonormal(rc, k, cp) + eval_orthonormal(
-            rc, k, cm
-        ) * eval_orthonormal(rc, big, cp)
-    diff = cm - cp
-    out = np.empty_like(diff)
-    near = np.abs(diff) < 1e-5
-    far = ~near
-    if np.any(far):
-        out[far] = (
-            eval_orthonormal(rc, big + 1, cm[far]) * eval_orthonormal(rc, k, cp[far])
-            - eval_orthonormal(rc, big + 1, cp[far]) * eval_orthonormal(rc, k, cm[far])
-        ) / diff[far]
-    if np.any(near):
-        c = 0.5 * (cm[near] + cp[near])
-        out[near] = eval_orthonormal_deriv(rc, big + 1, c) * eval_orthonormal(
-            rc, k, c
-        ) - eval_orthonormal(rc, big + 1, c) * eval_orthonormal_deriv(rc, k, c)
-    return out
-
-
 def eval_Q_basis(
     alpha: float,
     beta: float,
@@ -360,7 +309,9 @@ def eval_Q_basis(
     x2 = np.asarray(x2, dtype=float)
     if np.any(np.abs(x1) > 1.0) or np.any(np.abs(x2) > 1.0):
         raise ValueError("points must lie in [-1,1]^2")
-    cm, cp = _cos_sum_diff(x1, x2)
+    root = np.sqrt(np.maximum(1.0 - x1 * x1, 0.0) * np.maximum(1.0 - x2 * x2, 0.0))
+    cm = np.clip(x1 * x2 + root, -1.0, 1.0)
+    cp = np.clip(x1 * x2 - root, -1.0, 1.0)
     half, rem = divmod(n, 2)
     if rem == 0:
         if branch == 1:
@@ -381,4 +332,9 @@ def eval_Q_basis(
         raise ValueError("index k out of range for this degree and branch")
     size = big + 3
     rc = jacobi_recurrence(alpha + da, beta + db, size)
-    return factor * _pair_product(rc, gamma, big, k, cm, cp)
+    if gamma == -0.5:
+        return factor * (
+            eval_orthonormal(rc, big, cm) * eval_orthonormal(rc, k, cp)
+            + eval_orthonormal(rc, k, cm) * eval_orthonormal(rc, big, cp)
+        )
+    return factor * divided_difference(rc, big + 1, k, cm, cp)

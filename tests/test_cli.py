@@ -1,11 +1,18 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
+import copy
 import filecmp
+import hashlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubamin.cli as cli
 from cubamin.cli import main, parse_rule_file
@@ -253,6 +260,163 @@ def test_parse_rule_file_rejects_malformed(tmp_path):
     short_row.write_text("x1,x2,weight\n0.1,0.2\n")
     with pytest.raises(ValueError):
         parse_rule_file(str(short_row))
+
+
+def _edit_and_verify(path, capsys, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return run(capsys, "verify", str(path))
+
+
+def test_verify_rejects_nan_weights(tmp_path, capsys):
+    def edit(doc):
+        for row in doc["nodes"]:
+            row[2] = math.nan
+
+    code, stdout, err = _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit)
+    assert code == 1
+    assert "basic validation" in err and stdout == ""
+
+
+def test_verify_rejects_an_infinite_node(tmp_path, capsys):
+    def edit(doc):
+        doc["nodes"][0][0] = math.inf
+
+    code, stdout, err = _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit)
+    assert code == 1
+    assert "basic validation" in err and stdout == ""
+
+
+def test_verify_rejects_a_node_outside_the_square(tmp_path, capsys):
+    def edit(doc):
+        doc["nodes"].append([3.0, 3.0, 1e-11])
+        doc["node_count"] += 1
+
+    code, stdout, err = _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit)
+    assert code == 3
+    assert stdout == ""
+    assert err.count("\n") == 1 and "outside the square" in err
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _short_row(doc):
+    doc["nodes"][1] = doc["nodes"][1][:2]
+
+
+@pytest.mark.parametrize("edit", [
+    _short_row,
+    _set("node_count", None),
+    _set("nodes", None),
+    _set("degree", 7.5),
+    _set("degree", "7"),
+    _set("param_n_or_m", None),
+    _set("alpha", "0.5"),
+], ids=["short-row", "null-node-count", "null-nodes", "float-degree",
+        "string-degree", "null-param", "string-alpha"])
+def test_verify_rejects_schema_violations(tmp_path, capsys, edit):
+    path = build_small_even(tmp_path, capsys)
+    code, stdout, err = _edit_and_verify(path, capsys, edit)
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1
+    assert "cannot read rule file" in err
+    with pytest.raises(ValueError):
+        parse_rule_file(str(path))
+
+
+def test_verify_rejects_a_composed_file_without_ell(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    code, _, _ = run(capsys, "build", "composed", "--ell", "2", "--m", "1",
+                     "--alpha", "-0.5", "--beta", "-0.5", "--out", str(path))
+    assert code == 0
+    code, _, err = _edit_and_verify(path, capsys, _set("ell", None))
+    assert code == 1
+    assert "ell" in err and err.count("\n") == 1
+
+
+_JUNK = st.sampled_from([None, True, -3, 0, 2, 3, 7, -1.5, 0.25, 2.5, 1e300,
+                         math.nan, math.inf, "x", [], [0.5], {}])
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The rule document with one to three fields or node rows broken."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        rows = doc.get("nodes")
+        if isinstance(rows, list) and rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            how = draw(st.sampled_from(("drop", "junk", "short", "long", "entry")))
+            row = rows[i]
+            if how == "drop":
+                del rows[i]
+            elif how == "junk" or not (isinstance(row, list) and row):
+                rows[i] = draw(_JUNK)
+            elif how == "short":
+                rows[i] = row[:-1]
+            elif how == "long":
+                rows[i] = row + [draw(_JUNK)]
+            else:
+                row[draw(st.integers(0, len(row) - 1))] = draw(_JUNK)
+        else:
+            key = draw(st.sampled_from(cli._JSON_FIELDS + ("nodes",)))
+            if draw(st.booleans()):
+                doc.pop(key, None)
+            else:
+                doc[key] = draw(_JUNK)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def odd_m1_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("odd") / "odd1.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "square-odd", "--alpha", "0.5", "--beta", "-0.5",
+                     "--gamma", "0.5", "--m", "1", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_verify_fuzzed_rule_files_exit_with_documented_codes(
+    odd_m1_doc, tmp_path_factory, data
+):
+    doc = data.draw(_mutated(odd_m1_doc))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 1, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("key", [
+    "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 20",
+    "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 12",
+    "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 3",
+    "composed --alpha -0.5 --beta -0.5 --ell 2 --m 6",
+    # weights lam_j lam_k (t_j - t_k)^2 whose last bit depends on how the
+    # square is taken
+    "biangle --alpha -0.5 --beta 0.5 --gamma 0.5 --n 20",
+    "square-even --alpha -0.5 --beta 0.0 --gamma 0.5 --m 200",
+])
+def test_build_reproduces_the_recorded_rule_bytes(tmp_path, capsys, key):
+    out = tmp_path / "rule.json"
+    code, _, err = run(capsys, "build", *key.split(), "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
 
 
 def test_plot_biangle_outline_and_markers(tmp_path, capsys):

@@ -12,12 +12,13 @@ from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
     ComposedMomentOracle,
+    DomainError,
     ExactnessReport,
     SquareMomentOracle,
     certify,
     chebyshev_moment_1d,
 )
-from cubamin.rules import WeightSpec
+from cubamin.rules import CubatureRule2D, WeightSpec
 from cubamin.squaremin import minimal_rule_even
 
 PI = math.pi
@@ -207,3 +208,41 @@ def test_certify_reports_worst_relative_error():
     rep = certify(rule, orc, rule.degree, rel_tol=1e-11)
     assert rep.certified_degree == rule.degree
     assert 0.0 <= rep.worst_rel_error < 1e-11
+
+
+def _with_nodes(rule, nodes, weights):
+    return CubatureRule2D(nodes=nodes, weights=weights, degree=rule.degree,
+                          domain=rule.domain, spec=rule.spec, param=rule.param,
+                          family=rule.family)
+
+
+def test_rules_reject_non_finite_values():
+    spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
+    rule = minimal_rule_even(spec, 2)
+    with pytest.raises(ValueError):
+        _with_nodes(rule, rule.nodes, np.full(rule.node_count, np.nan))
+    bad = rule.nodes.copy()
+    bad[0, 0] = np.inf
+    with pytest.raises(ValueError):
+        _with_nodes(rule, bad, rule.weights)
+
+
+def test_certify_rejects_a_node_outside_the_square():
+    """A far node inflates the error scale of every monomial; without the
+    domain test it hides its own weight and the rule still certifies."""
+    spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
+    rule = minimal_rule_even(spec, 2)
+    far = _with_nodes(rule, np.vstack([rule.nodes, [3.0, 3.0]]),
+                      np.append(rule.weights, 1e-11))
+    with pytest.raises(DomainError, match="outside the square"):
+        certify(far, SquareMomentOracle(-0.5, -0.5, -0.5), far.degree)
+
+
+def test_certify_rejects_a_node_outside_the_curved_domain():
+    rc = jacobi_recurrence(0.5, -0.5, 6)
+    rule = gauss_cubature_biangle(rc, 4, 0.5)
+    # (0, 0.5) lies above the parabola u2 = u1^2 / 4
+    off = _with_nodes(rule, np.vstack([rule.nodes, [0.0, 0.5]]),
+                      np.append(rule.weights, 1e-11))
+    with pytest.raises(DomainError, match="outside the biangle"):
+        certify(off, BiangleMomentOracle(rc, 0.5), off.degree)

@@ -92,7 +92,7 @@ def test_weight_function_diagonal_zero():
 
 
 def test_half_angle_orbit_generic():
-    orbit = half_angle_orbit(0.3, -0.8)
+    orbit = half_angle_orbit(np.array([0.3]), np.array([-0.8]))[0]
     assert len(orbit) == 4
     pts = {(round(a, 14), round(b, 14)) for a, b in orbit}
     for a, b in list(pts):
@@ -101,16 +101,25 @@ def test_half_angle_orbit_generic():
 
 
 def test_half_angle_orbit_equal_args_hits_the_corner_exactly():
-    orbit = half_angle_orbit(0.5, 0.5)
-    assert orbit[0] == (1.0, 0.5)
-    assert (-1.0, -0.5) in orbit
+    orbit = half_angle_orbit(np.array([0.5]), np.array([0.5]))[0]
+    assert tuple(orbit[0]) == (1.0, 0.5)
+    assert (-1.0, -0.5) in map(tuple, orbit)
 
 
 def test_half_angle_orbit_opposite_args_is_exactly_axial():
-    orbit = half_angle_orbit(0.5, -0.5)
+    orbit = half_angle_orbit(np.array([0.5]), np.array([-0.5]))[0]
     a, b = orbit[0]
     assert b == 0.0
     assert a == pytest.approx(math.sqrt(3) / 2, rel=1e-15)
+
+
+def test_half_angle_orbit_rows_follow_the_pairs():
+    c_j = np.array([0.3, 0.5, 0.5])
+    c_k = np.array([-0.8, 0.5, -0.5])
+    batch = half_angle_orbit(c_j, c_k)
+    assert batch.shape == (3, 4, 2)
+    for row, cj, ck in zip(batch, c_j, c_k):
+        assert np.array_equal(row, half_angle_orbit(np.array([cj]), np.array([ck]))[0])
 
 
 def test_merge_close_nodes_sums_weights():
@@ -203,6 +212,26 @@ def test_q_basis_validation():
         eval_Q_basis(-0.5, -0.5, -0.5, 4, 1, -1, 0.1, 0.2)
     with pytest.raises(ValueError):
         eval_Q_basis(-0.5, -0.5, -0.5, 4, 1, 0, 1.5, 0.2)
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.5])
+def test_q_basis_is_finite_on_the_boundary(g):
+    """Edge points make the folded arguments coincide, which takes the
+    divided difference into its derivative limit; just inside, its
+    quotient form applies, and the two must agree."""
+    a, b = 0.5, -0.5
+    inner = 1.0 - 1e-8  # |cm - cp| ~ 1e-4 here: the quotient branch
+    for t in (-0.7, 0.0, 0.4):
+        for edge, near_edge in (((1.0, t), (inner, t)), ((-1.0, t), (-inner, t)),
+                                ((t, 1.0), (t, inner)), ((t, -1.0), (t, -inner))):
+            for n in range(1, 5):
+                for branch in (1, 2):
+                    big = n // 2 - 1 if (n % 2 == 0 and branch == 2) else n // 2
+                    for k in range(big + 1):
+                        on = float(eval_Q_basis(a, b, g, n, branch, k, *edge))
+                        off = float(eval_Q_basis(a, b, g, n, branch, k, *near_edge))
+                        assert math.isfinite(on)
+                        assert abs(on - off) <= 1e-3 * max(1.0, abs(off))
 
 
 def test_weight_spec_validation():
