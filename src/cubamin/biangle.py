@@ -16,6 +16,8 @@ n(n+1)/2 positive-weight nodes inside the closed domain.
 
 from __future__ import annotations
 
+from typing import Dict, Iterable, Tuple
+
 import numpy as np
 
 from .opq1d import (
@@ -33,7 +35,7 @@ __all__ = [
     "in_omega",
     "eval_koornwinder",
     "gauss_cubature_biangle",
-    "biangle_moment",
+    "biangle_moments",
 ]
 
 
@@ -134,29 +136,38 @@ def gauss_cubature_biangle(
     ).sorted_rule()
 
 
-def biangle_moment(rc: RecurrenceCoeffs, gamma: float, a: int, b: int) -> float:
-    """Reference moment of u1^a u2^b, by exact tensor Gauss quadrature.
+def biangle_moments(
+    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], float]:
+    """Reference moments of u1^a u2^b, by exact tensor Gauss quadrature.
 
     The pulled-back integrand is a polynomial of per-variable degree at
     most a+b (+2 when gamma = +1/2), so a fixed-size Gauss rule computes
-    the moment to machine accuracy with no convergence ladder.
+    each moment to machine accuracy with no convergence ladder.  Pairs
+    that need the same rule size share one Gauss rule.
     """
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative")
     if gamma not in (-0.5, 0.5):
         raise ValueError("gamma restricted to -1/2 and +1/2")
-    # structural zeros for an even 1-D weight: odd a dies by reflecting
-    # both coordinates; a = 0 with odd b and no coupling factor leaves
-    # the lone separable term mu_b^2 with an odd 1-D moment
-    if np.all(rc.a == 0.0) and (
-        a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)
-    ):
-        return 0.0
-    npts = (a + b) // 2 + 2
-    q = gauss_rule(rc, npts)
-    t, lam = q.nodes, q.weights
-    X1, X2 = np.meshgrid(t, t, indexing="ij")
-    vals = (X1 + X2) ** a * (X1 * X2) ** b
-    if gamma == 0.5:
-        vals = vals * (X1 - X2) ** 2
-    return 0.5 * float(lam @ vals @ lam)
+    even = bool(np.all(rc.a == 0.0))
+    rules: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    out: Dict[Tuple[int, int], float] = {}
+    for (a, b) in pairs:
+        if a < 0 or b < 0:
+            raise ValueError("exponents must be nonnegative")
+        # structural zeros for an even 1-D weight: odd a dies by reflecting
+        # both coordinates; a = 0 with odd b and no coupling factor leaves
+        # the lone separable term mu_b^2 with an odd 1-D moment
+        if even and (a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)):
+            out[(a, b)] = 0.0
+            continue
+        npts = (a + b) // 2 + 2
+        if npts not in rules:
+            q = gauss_rule(rc, npts)
+            X1, X2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
+            rules[npts] = (q.weights, X1, X2)
+        lam, X1, X2 = rules[npts]
+        vals = (X1 + X2) ** a * (X1 * X2) ** b
+        if gamma == 0.5:
+            vals = vals * (X1 - X2) ** 2
+        out[(a, b)] = 0.5 * float(lam @ vals @ lam)
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
-from .opq1d import EigensolverError, jacobi_recurrence
+from .opq1d import EigensolverError, ZeroCountError, jacobi_recurrence
 from .oracle import (
     BiangleMomentOracle,
     ComposedMomentOracle,
@@ -41,6 +41,10 @@ CSV_HEADER = "x1,x2,weight"
 
 # reading a rule file: unreadable, malformed, or a number beyond float range
 _READ_ERRORS = (OSError, ValueError, OverflowError)
+# building a rule; extreme Jacobi parameters overflow the recurrence mass,
+# lose a zero, or keep an odd-rule oracle ladder from settling
+_BUILD_ERRORS = (ConstructionError, EigensolverError, ValueError, OverflowError,
+                 ZeroCountError, OracleConvergenceError)
 
 _JSON_FIELDS = (
     "family",
@@ -257,7 +261,7 @@ def cmd_build(args) -> int:
         else:
             rc = jacobi_recurrence(args.alpha, args.beta, args.m + 1)
             rule = composed_rule(rc, args.ell, args.m, args.alpha, args.beta)
-    except (ConstructionError, EigensolverError, ValueError) as exc:
+    except _BUILD_ERRORS as exc:
         # nothing has been opened for writing yet, so no partial file
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
 

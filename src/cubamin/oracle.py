@@ -8,6 +8,10 @@ collapsed onto the unit square by a Duffy substitution; every algebraic
 boundary factor is absorbed exactly into Gauss-Jacobi weights, so the
 remaining integrand is smooth (analytic on the half-integer parameter
 grid).  A doubling ladder certifies convergence.
+
+Every square-family moment is a contraction of per-axis feature rows
+(powers of cos theta, cos k theta, or folded panel sums) against that one
+kernel, and one cached MomentOracle class serves every family.
 """
 
 from __future__ import annotations
@@ -17,21 +21,22 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .biangle import biangle_moment, in_omega
+from .biangle import biangle_moments, in_omega
 from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
 from .rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 __all__ = [
     "OracleConvergenceError",
     "DomainError",
-    "angular_moments",
     "angular_moment_ladder",
     "square_moment",
     "square_moments",
     "composed_moment",
     "composed_moments",
+    "cos_basis_moments",
     "chebyshev_moment_1d",
     "certify",
+    "MomentOracle",
     "SquareMomentOracle",
     "ComposedMomentOracle",
     "BiangleMomentOracle",
@@ -85,42 +90,28 @@ def _panel_theta(a: np.ndarray, b: np.ndarray, left: bool):
     return A, B, u, v
 
 
-def angular_moments(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    hfuncs: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    rtol: float = 1e-13,
-    max_doublings: int = 12,
-    n0: int = 24,
-    min_levels: int = 2,
-) -> np.ndarray:
-    """Batched integrals over [0,pi]^2 of h(theta1,theta2) K(theta1,theta2)
-    where K = |cos t1 - cos t2|^{2a+1} |cos t1 + cos t2|^{2b+1}
-    (sin t1 sin t2)^{2g+1}.
-
-    Each h must be vectorized and smooth; since K is symmetric the result
-    equals the full-square integral for arbitrary h (the fold only needs
-    the symmetric part, which is formed internally).
-    """
-    levels = angular_moment_ladder(
-        alpha, beta, gamma, hfuncs, rtol, max_doublings, n0, min_levels
-    )
-    return levels[-1]
-
-
 def angular_moment_ladder(
     alpha: float,
     beta: float,
     gamma: float,
-    hfuncs: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    pairs: Sequence[Tuple[int, int]],
+    row: Callable[[np.ndarray, int], np.ndarray],
     rtol: float = 1e-13,
     max_doublings: int = 12,
     n0: int = 24,
     min_levels: int = 2,
 ) -> List[np.ndarray]:
-    """Like angular_moments but returns every ladder level (for convergence
-    diagnostics); the final entry is the converged batch."""
+    """Batched integrals over [0,pi]^2 of f_i(theta1) f_j(theta2)
+    K(theta1,theta2), one per pair (i, j), where
+    K = |cos t1 - cos t2|^{2a+1} |cos t1 + cos t2|^{2b+1}
+    (sin t1 sin t2)^{2g+1}.
+
+    row(theta, p) evaluates the smooth feature f_p on a grid of angles.
+    Since K is symmetric the result equals the full-square integral (the
+    fold only needs the symmetric part, which is formed internally).
+    Returns every ladder level (for convergence diagnostics); the final
+    entry is the converged batch.
+    """
     if alpha <= -1.0 or beta <= -1.0:
         raise ValueError("weight parameters must exceed -1")
     if gamma not in (-0.5, 0.5):
@@ -131,17 +122,21 @@ def angular_moment_ladder(
     ea = 2.0 * alpha + 1.0
     eb = 2.0 * beta + 1.0
 
-    # the kernel mass rides along as a final batch entry: it anchors the
-    # convergence scale so structurally zero moments cannot stall the
-    # ladder, and certification tolerances are mass-relative anyway
-    batch = list(hfuncs) + [lambda t1, t2: 0.5 * np.ones_like(t1)]
+    # pairs of even exponents first, then odd ones, each by descending
+    # larger exponent: for a triangle i + j <= d of even total degree at
+    # most about d/4 rows per coordinate are alive at once
+    order = sorted(range(len(pairs)), key=lambda idx: (pairs[idx][0] % 2, -max(pairs[idx])))
+    last_use = {p: pos for pos, idx in enumerate(order) for p in pairs[idx]}
 
     levels: List[np.ndarray] = []
     n = n0
     for level in range(max_doublings + 1):
         a_nodes, a_w = _unit_gauss_jacobi(pa, qa, n)
         b_nodes, b_w = _unit_gauss_jacobi(pb, 0.0, n)
-        total = np.zeros(len(batch))
+        # the kernel mass rides along as a final entry: it anchors the
+        # convergence scale so structurally zero moments cannot stall the
+        # ladder, and certification tolerances are mass-relative anyway
+        total = np.zeros(len(pairs) + 1)
         for left in (True, False):
             A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
             t1 = u + v
@@ -154,9 +149,23 @@ def angular_moment_ladder(
             if gamma == 0.5:
                 core = core * (np.sin(t1) * np.sin(t2)) ** 2
             wmat = np.outer(a_w, b_w) * core
-            for idx, h in enumerate(batch):
-                hv = h(t1, t2) + h(t2, t1)
-                total[idx] += float(np.sum(wmat * hv))
+            # each feature row is evaluated once per panel, at its first
+            # use, and dropped after its last; one weighted sum per pair
+            # rather than (f1 * wmat) @ f2.T, since a matrix product sums
+            # in another order and the odd-rule right-hand sides taken
+            # from here would move the last bits of their rule files
+            f1: Dict[int, np.ndarray] = {}
+            f2: Dict[int, np.ndarray] = {}
+            for pos, idx in enumerate(order):
+                i, j = pairs[idx]
+                for p in (i, j):
+                    if p not in f1:
+                        f1[p], f2[p] = row(t1, p), row(t2, p)
+                total[idx] += float(np.sum(wmat * (f1[i] * f2[j] + f2[i] * f1[j])))
+                for p in {i, j}:
+                    if last_use[p] == pos:
+                        del f1[p], f2[p]
+            total[-1] += float(np.sum(wmat))
         levels.append(total)
         if level >= 1 and len(levels) >= min_levels:
             prev = levels[-2]
@@ -173,64 +182,62 @@ def angular_moment_ladder(
     )
 
 
-def _monomial_h(i: int, j: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def h(t1, t2):
-        return np.cos(t1) ** i * np.cos(t2) ** j
-
-    return h
-
-
-def _cosbasis_h(i: int, j: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def h(t1, t2):
-        return np.cos(i * t1) * np.cos(j * t2)
-
-    return h
-
-
-def square_moments(
-    spec: WeightSpec, pairs: Iterable[Tuple[int, int]], **ladder_kw
+def _symmetric_moments(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    pairs: Iterable[Tuple[int, int]],
+    row: Callable[[np.ndarray, int], np.ndarray],
+    reflect: bool,
 ) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j against the square weight, batched over pairs.
+    """Moments of x1^i x2^j for a swap-symmetric weight through one ladder.
 
-    Odd total degree is zero by central symmetry; (i,j) and (j,i) coincide.
+    Odd total degree is zero by central symmetry, and odd-odd too when
+    the weight survives single-axis reflection (reflect); (i,j) and (j,i)
+    coincide.  row(theta, p) is the feature row of the exponent p.
     """
-    if spec.family != "square-W":
-        raise ValueError("square_moments needs a square-W spec")
     pairs = list(pairs)
 
     def structural_zero(i: int, j: int) -> bool:
-        # central symmetry kills odd total degree; with alpha == beta the
-        # weight also survives single-axis reflection, killing odd-odd
-        if (i + j) % 2 == 1:
-            return True
-        return spec.alpha == spec.beta and i % 2 == 1
+        return (i + j) % 2 == 1 or (reflect and i % 2 == 1)
 
-    need: List[Tuple[int, int]] = []
+    need: Dict[Tuple[int, int], None] = {}
     for (i, j) in pairs:
         if i < 0 or j < 0:
             raise ValueError("exponents must be nonnegative")
-        key = (min(i, j), max(i, j))
-        if not structural_zero(i, j) and key not in need:
-            need.append(key)
+        if not structural_zero(i, j):
+            need[(min(i, j), max(i, j))] = None
     got: Dict[Tuple[int, int], float] = {}
     if need:
-        vals = angular_moments(
-            spec.alpha,
-            spec.beta,
-            spec.gamma,
-            [_monomial_h(i, j) for (i, j) in need],
-            **ladder_kw,
-        )
-        got = {key: float(v) for key, v in zip(need, vals)}
+        keys = list(need)
+        vals = angular_moment_ladder(alpha, beta, gamma, keys, row)[-1]
+        got = {key: float(v) for key, v in zip(keys, vals)}
     return {
         (i, j): 0.0 if structural_zero(i, j) else got[(min(i, j), max(i, j))]
         for (i, j) in pairs
     }
 
 
-def square_moment(spec: WeightSpec, i: int, j: int, **ladder_kw) -> float:
+def square_moments(
+    spec: WeightSpec, pairs: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], float]:
+    """Moments of x1^i x2^j against the square weight, batched over pairs.
+
+    With alpha == beta the weight also survives single-axis reflection,
+    which kills odd-odd exponents.
+    """
+    if spec.family != "square-W":
+        raise ValueError("square_moments needs a square-W spec")
+    return _symmetric_moments(
+        spec.alpha, spec.beta, spec.gamma, pairs,
+        lambda theta, p: np.cos(theta) ** p,
+        reflect=spec.alpha == spec.beta,
+    )
+
+
+def square_moment(spec: WeightSpec, i: int, j: int) -> float:
     """Single moment of x1^i x2^j against the square weight family."""
-    return square_moments(spec, [(i, j)], **ladder_kw)[(i, j)]
+    return square_moments(spec, [(i, j)])[(i, j)]
 
 
 def cos_basis_moments(
@@ -238,30 +245,12 @@ def cos_basis_moments(
     beta: float,
     gamma: float,
     pairs: Sequence[Tuple[int, int]],
-    **ladder_kw,
 ) -> np.ndarray:
     """Integrals of cos(i t1) cos(j t2) (symmetrized) against the angular
     kernel; the right-hand sides of the odd-rule moment systems."""
-    return angular_moments(
-        alpha, beta, gamma, [_cosbasis_h(i, j) for (i, j) in pairs], **ladder_kw
-    )
-
-
-def _folded_h(ell: int, i: int, j: int):
-    """h for composed moments: x^i x^j folded through the degree-ell cosine
-    map.  Substituting psi = ell*phi splits [0, ell*pi] into ell panels;
-    parametrizing odd panels in reverse keeps cos(psi) = +cos(theta) on
-    every panel, so all panel pairs see the same angular kernel and one
-    batched call suffices.
-    """
-
-    def axis(theta, p):
-        return np.sum(np.cos(fold_panel_angles(ell, theta)) ** p, axis=0)
-
-    def h(t1, t2):
-        return axis(t1, i) * axis(t2, j) / (ell * ell)
-
-    return h
+    return angular_moment_ladder(
+        alpha, beta, gamma, pairs, lambda theta, p: np.cos(p * theta)
+    )[-1]
 
 
 def composed_moments(
@@ -269,116 +258,80 @@ def composed_moments(
     alpha: float,
     beta: float,
     pairs: Iterable[Tuple[int, int]],
-    **ladder_kw,
 ) -> Dict[Tuple[int, int], float]:
     """Moments of x1^i x2^j against the degree-ell composed weight
     (gamma = -1/2 family). For the Chebyshev base this reduces to product
-    Chebyshev moments, which the tests cross-check."""
+    Chebyshev moments, which the tests cross-check.
+
+    The fold substitutes psi = ell*phi and splits [0, ell*pi] into ell
+    panels; odd panels run in reverse so that cos(psi) = +cos(theta) on
+    every panel, all panel pairs see the same angular kernel, and the
+    panel sum is one feature row.  Folded arguments flip sign under
+    x -> -x only for odd ell, so the single-axis reflection symmetry needs
+    even ell or alpha == beta.
+    """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    pairs = list(pairs)
 
-    def structural_zero(i: int, j: int) -> bool:
-        # folded arguments flip sign under x -> -x only for odd ell, so
-        # the single-axis reflection symmetry needs even ell or alpha ==
-        # beta; central symmetry holds either way
-        if (i + j) % 2 == 1:
-            return True
-        return (ell % 2 == 0 or alpha == beta) and i % 2 == 1
+    def row(theta, p):
+        return np.sum(np.cos(fold_panel_angles(ell, theta)) ** p, axis=0) / ell
 
-    need: List[Tuple[int, int]] = []
-    for (i, j) in pairs:
-        key = (min(i, j), max(i, j))
-        if not structural_zero(i, j) and key not in need:
-            need.append(key)
-    got: Dict[Tuple[int, int], float] = {}
-    if need:
-        vals = angular_moments(
-            alpha,
-            beta,
-            -0.5,
-            [_folded_h(ell, i, j) for (i, j) in need],
-            **ladder_kw,
-        )
-        got = {key: float(v) for key, v in zip(need, vals)}
-    return {
-        (i, j): 0.0 if structural_zero(i, j) else got[(min(i, j), max(i, j))]
-        for (i, j) in pairs
-    }
+    return _symmetric_moments(
+        alpha, beta, -0.5, pairs, row, reflect=ell % 2 == 0 or alpha == beta
+    )
 
 
 def composed_moment(
-    ell: int, i: int, j: int, alpha: float = -0.5, beta: float = -0.5, **kw
+    ell: int, i: int, j: int, alpha: float = -0.5, beta: float = -0.5
 ) -> float:
     """Moment of the composed family; defaults to the Chebyshev base."""
-    return composed_moments(ell, alpha, beta, [(i, j)], **kw)[(i, j)]
+    return composed_moments(ell, alpha, beta, [(i, j)])[(i, j)]
 
 
-class SquareMomentOracle:
-    """Moment source for the square weight family, with batch caching."""
+class MomentOracle:
+    """Cached moment source: compute(pairs) returns {(i, j): moment} for a
+    batch of exponent pairs, and each pair is computed once."""
+
+    def __init__(
+        self, compute: Callable[[List[Tuple[int, int]]], Dict[Tuple[int, int], float]]
+    ):
+        self._compute = compute
+        self._cache: Dict[Tuple[int, int], float] = {}
+
+    def moments(self, pairs: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], float]:
+        missing = [p for p in pairs if p not in self._cache]
+        if missing:
+            self._cache.update(self._compute(missing))
+        return {p: self._cache[p] for p in pairs}
+
+    def moment(self, i: int, j: int) -> float:
+        return self.moments([(i, j)])[(i, j)]
+
+    @property
+    def mass(self) -> float:
+        return self.moment(0, 0)
+
+
+class SquareMomentOracle(MomentOracle):
+    """Moment source for the square weight family."""
 
     def __init__(self, alpha: float, beta: float, gamma: float):
         self.spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
-        self._cache: Dict[Tuple[int, int], float] = {}
-
-    def moments(self, pairs: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], float]:
-        missing = [p for p in pairs if p not in self._cache]
-        if missing:
-            self._cache.update(square_moments(self.spec, missing))
-        return {p: self._cache[p] for p in pairs}
-
-    def moment(self, i: int, j: int) -> float:
-        return self.moments([(i, j)])[(i, j)]
-
-    @property
-    def mass(self) -> float:
-        return self.moment(0, 0)
+        super().__init__(lambda pairs: square_moments(self.spec, pairs))
 
 
-class ComposedMomentOracle:
+class ComposedMomentOracle(MomentOracle):
     """Moment source for the composed family."""
 
     def __init__(self, ell: int, alpha: float, beta: float):
-        self.ell = ell
-        self.alpha = alpha
-        self.beta = beta
-        self._cache: Dict[Tuple[int, int], float] = {}
-
-    def moments(self, pairs: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], float]:
-        missing = [p for p in pairs if p not in self._cache]
-        if missing:
-            self._cache.update(
-                composed_moments(self.ell, self.alpha, self.beta, missing)
-            )
-        return {p: self._cache[p] for p in pairs}
-
-    def moment(self, i: int, j: int) -> float:
-        return self.moments([(i, j)])[(i, j)]
-
-    @property
-    def mass(self) -> float:
-        return self.moment(0, 0)
+        super().__init__(lambda pairs: composed_moments(ell, alpha, beta, pairs))
 
 
-class BiangleMomentOracle:
+class BiangleMomentOracle(MomentOracle):
     """Moment source for the curved-domain family (exact tensor route)."""
 
     def __init__(self, rc, gamma: float):
-        self._fn = lambda a, b: biangle_moment(rc, gamma, a, b)
-        self._cache: Dict[Tuple[int, int], float] = {}
-
-    def moments(self, pairs: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], float]:
-        for p in pairs:
-            if p not in self._cache:
-                self._cache[p] = self._fn(*p)
-        return {p: self._cache[p] for p in pairs}
-
-    def moment(self, i: int, j: int) -> float:
-        return self.moments([(i, j)])[(i, j)]
-
-    @property
-    def mass(self) -> float:
-        return self.moment(0, 0)
+        super().__init__(lambda pairs: biangle_moments(rc, gamma, pairs))
 
 
 def certify(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubamin.biangle import (
-    biangle_moment,
+    biangle_moments,
     eval_koornwinder,
     gauss_cubature_biangle,
     in_omega,
@@ -79,19 +79,32 @@ def test_reference_moments_match_symbolic_values(key):
     rc = jacobi_recurrence(a_p, b_p, 12)
     mass = BIANGLE_MOMENTS[key][(0, 0)]
     for (a, b), ref in BIANGLE_MOMENTS[key].items():
-        got = biangle_moment(rc, g, a, b)
+        got = biangle_moments(rc, g, [(a, b)])[(a, b)]
         assert got == pytest.approx(ref, rel=5e-14, abs=5e-14 * abs(mass))
 
 
 def test_structural_zero_moments_are_exact():
     # odd power of the sum coordinate dies by symmetry, bit-exactly
     rc = jacobi_recurrence(-0.5, -0.5, 10)
-    assert biangle_moment(rc, -0.5, 3, 2) == 0.0
-    assert biangle_moment(rc, -0.5, 1, 0) == 0.0
+    assert biangle_moments(rc, -0.5, [(3, 2)])[(3, 2)] == 0.0
+    assert biangle_moments(rc, -0.5, [(1, 0)])[(1, 0)] == 0.0
     # product-coordinate odd moments with a = 0 die only without coupling
-    assert biangle_moment(rc, -0.5, 0, 3) == 0.0
-    assert biangle_moment(rc, 0.5, 0, 3) != 0.0
-    assert biangle_moment(rc, -0.5, 2, 1) == pytest.approx(PI2 / 4, rel=1e-14)
+    assert biangle_moments(rc, -0.5, [(0, 3)])[(0, 3)] == 0.0
+    assert biangle_moments(rc, 0.5, [(0, 3)])[(0, 3)] != 0.0
+    assert biangle_moments(rc, -0.5, [(2, 1)])[(2, 1)] == pytest.approx(PI2 / 4, rel=1e-14)
+
+
+@pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.5, -0.5)])
+@pytest.mark.parametrize("g", [-0.5, 0.5])
+def test_moment_batch_equals_single_requests(ab, g):
+    """Pairs that share a Gauss rule size share one rule in a batch; each
+    moment must still come out bit for bit as when requested alone."""
+    rc = jacobi_recurrence(*ab, 14)
+    pairs = [(a, d - a) for d in range(21) for a in range(d + 1)]
+    batch = biangle_moments(rc, g, pairs)
+    assert list(batch) == pairs
+    for p in pairs:
+        assert batch[p] == biangle_moments(rc, g, [p])[p]
 
 
 @pytest.mark.parametrize("g", [-0.5, 0.5])

@@ -411,12 +411,36 @@ GOLDEN = json.loads(
     # square is taken
     "biangle --alpha -0.5 --beta 0.5 --gamma 0.5 --n 20",
     "square-even --alpha -0.5 --beta 0.0 --gamma 0.5 --m 200",
+    # odd rules whose class weights solve against oracle right-hand sides
+    "square-odd --alpha -0.5 --beta 0.0 --gamma -0.5 --m 8",
+    "square-odd --alpha 0.5 --beta 0.0 --gamma 0.5 --m 10",
 ])
 def test_build_reproduces_the_recorded_rule_bytes(tmp_path, capsys, key):
     out = tmp_path / "rule.json"
     code, _, err = run(capsys, "build", *key.split(), "--out", str(out))
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("alpha", ["300", "1000"])
+@pytest.mark.parametrize("family", [
+    "biangle --gamma -0.5 --n 3",
+    "square-even --gamma -0.5 --m 3",
+    "square-odd --gamma -0.5 --m 3",
+    "square-odd --gamma 0.5 --m 3",
+    "composed --ell 2 --m 3",
+])
+def test_build_with_extreme_jacobi_parameters_fails_cleanly(tmp_path, capsys,
+                                                            family, alpha):
+    """Large alpha overflows the recurrence mass or loses zeros: the build
+    either succeeds or exits 2 with one line, never a traceback."""
+    out = tmp_path / "rule.json"
+    code, _, err = run(capsys, "build", *family.split(), "--alpha", alpha,
+                       "--beta", "0", "--out", str(out))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert err.count("\n") <= 1
+    assert out.exists() == (code == 0)
 
 
 def test_plot_biangle_outline_and_markers(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cubamin.oracle as oracle_mod
-from cubamin.biangle import biangle_moment, gauss_cubature_biangle
+from cubamin.biangle import biangle_moments, gauss_cubature_biangle
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
@@ -117,8 +117,8 @@ def test_moments_batch_agrees_with_single_calls():
 
 
 def test_refinement_ladder_contracts_until_roundoff():
-    h = [lambda t1, t2: np.cos(t1) ** 2 * np.cos(t2) ** 2]
-    levels = oracle_mod.angular_moment_ladder(0.5, -0.5, -0.5, h,
+    levels = oracle_mod.angular_moment_ladder(0.5, -0.5, -0.5, [(2, 2)],
+                                              lambda t, p: np.cos(t) ** p,
                                               n0=4, min_levels=5)
     vals = [float(level[0]) for level in levels]
     floor = 1e-13 * abs(vals[-1])
@@ -126,6 +126,22 @@ def test_refinement_ladder_contracts_until_roundoff():
     for prev, nxt in zip(diffs, diffs[1:]):
         # successive corrections shrink fast, then sit at roundoff
         assert nxt <= max(0.5 * prev, floor)
+
+
+def test_ladder_moments_do_not_depend_on_the_batch():
+    """Within a panel each feature row lives from its first use to its last;
+    a pair's moment must come out bit for bit as when it is alone."""
+    pairs = [(i, d - i) for d in range(9) for i in range(d + 1)]
+
+    def ladder(batch):
+        # two fixed levels, so every batch stops at the same depth
+        return oracle_mod.angular_moment_ladder(
+            0.5, 0.0, 0.5, batch, lambda t, p: np.cos(t) ** p,
+            rtol=math.inf, max_doublings=1)[-1]
+
+    together = ladder(pairs)
+    for k, pair in enumerate(pairs):
+        assert together[k] == ladder([pair])[0]
 
 
 @pytest.mark.parametrize("params", [(-0.5, -0.5, -0.5), (0.5, -0.5, 0.5),
@@ -151,7 +167,7 @@ def test_folding_connects_square_and_curved_moments(params):
                     via_square += c * oracle_mod.square_moment(
                         spec, a + 2 * r, a + 2 * (k - r))
             via_square *= 2.0 ** a
-            direct = biangle_moment(rc, g, a, b)
+            direct = biangle_moments(rc, g, [(a, b)])[(a, b)]
             denom = max(abs(direct), abs(mass))
             assert abs(via_square - 4.0 ** (-g) * direct) <= 1e-12 * denom
 
