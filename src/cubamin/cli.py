@@ -74,10 +74,8 @@ def format_float(v: float) -> str:
 
 def rule_to_csv(nodes: np.ndarray, weights: np.ndarray) -> str:
     lines = [CSV_HEADER]
-    for (x1, x2), w in zip(nodes, weights):
-        lines.append(
-            "%s,%s,%s" % (format_float(x1), format_float(x2), format_float(w))
-        )
+    for row in np.column_stack([nodes, weights]).tolist():
+        lines.append(",".join(map(format_float, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -101,9 +99,7 @@ def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
 
 def rule_to_json(meta: Dict[str, object], nodes: np.ndarray, weights: np.ndarray) -> str:
     obj: Dict[str, object] = {k: meta[k] for k in _JSON_FIELDS}
-    obj["nodes"] = [
-        [float(x1), float(x2), float(w)] for (x1, x2), w in zip(nodes, weights)
-    ]
+    obj["nodes"] = np.column_stack([nodes, weights]).tolist()
     return json.dumps(obj) + "\n"
 
 

@@ -27,7 +27,7 @@ from .opq1d import (
     gauss_rule,
 )
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
-from .squaremin import _pow_with_sentinel, merge_close_nodes
+from .squaremin import _merge_runs, _pow_with_sentinel, merge_close_nodes
 
 __all__ = [
     "OrbitSet",
@@ -145,22 +145,25 @@ def composed_rule(
     # repeats carry real weight in the merge below.
     for c in (x1, x2):
         c[np.abs(c) < 1e-14] = 0.0
-    # every panel pair of every image: shape (pairs, 4 * ell * ell, 2)
+    # every panel pair of every image, 4 * ell * ell points per pair; each
+    # pair's orbit is merged on its own, in one scan over all pairs
     X1, X2 = np.broadcast_arrays(x1[..., :, None], x2[..., None, :])
-    blocks = np.stack([X1, X2], axis=-1).reshape(len(J), -1, 2)
-    pts: List[np.ndarray] = []
-    wts: List[np.ndarray] = []
-    for j, k, block, s in zip(J, K, blocks, share):
-        orbit, ow = merge_close_nodes(block, np.full(len(block), s))
-        want = 2 * ell * (ell + 1) if j == k else 4 * ell * ell
-        if len(orbit) != want:
-            raise ConstructionError(
-                "orbit of pair (%d,%d) has %d points, expected %d"
-                % (j, k, len(orbit), want)
-            )
-        pts.append(orbit)
-        wts.append(ow)
-    nodes, weights = merge_close_nodes(np.vstack(pts), np.concatenate(wts))
+    block = 4 * ell * ell
+    pts, wts, orbit = _merge_runs(
+        np.stack([X1, X2], axis=-1).reshape(-1, 2),
+        np.repeat(share, block),
+        np.repeat(np.arange(len(J)), block),
+    )
+    got = np.bincount(orbit, minlength=len(J))
+    want = np.where(J == K, 2 * ell * (ell + 1), block)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = bad[0]
+        raise ConstructionError(
+            "orbit of pair (%d,%d) has %d points, expected %d"
+            % (J[i], K[i], got[i], want[i])
+        )
+    nodes, weights = merge_close_nodes(pts, wts)
     expected = 2 * ell * ell * m * m + 2 * ell * m
     if len(nodes) != expected:
         raise ConstructionError(

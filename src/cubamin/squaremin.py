@@ -114,20 +114,39 @@ def merge_close_nodes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sum weights of coordinate-coincident points (within tol per axis)."""
     pts = np.asarray(points, dtype=float)
+    nodes, wts, _ = _merge_runs(pts, weights, np.zeros(len(pts), dtype=int), tol)
+    return nodes, wts
+
+
+def _merge_runs(
+    pts: np.ndarray, weights: Sequence[float], group: np.ndarray, tol: float = 1e-12
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scan over the points sorted by group, then x, then y.  A point
+    within tol per axis of the first point of the current run, and in its
+    group, adds its weight to the run; any other point starts a run.
+    Returns the run points, their summed weights and their groups.
+
+    The scan reads Python floats: per element that is several times faster
+    than numpy scalars, with the same sums bit for bit.
+    """
     wts = np.asarray(weights, dtype=float)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts, wts = pts[order], wts[order]
-    keep_pts: List[np.ndarray] = []
+    order = np.lexsort((pts[:, 1], pts[:, 0], group))
+    keep_pts: List[List[float]] = []
     keep_wts: List[float] = []
-    for p, w in zip(pts, wts):
-        if keep_pts and abs(p[0] - keep_pts[-1][0]) <= tol and abs(
-            p[1] - keep_pts[-1][1]
-        ) <= tol:
+    keep_grp: List[int] = []
+    for p, w, g in zip(pts[order].tolist(), wts[order].tolist(), group[order].tolist()):
+        if (
+            keep_pts
+            and g == keep_grp[-1]
+            and abs(p[0] - keep_pts[-1][0]) <= tol
+            and abs(p[1] - keep_pts[-1][1]) <= tol
+        ):
             keep_wts[-1] += w
         else:
             keep_pts.append(p)
             keep_wts.append(w)
-    return np.array(keep_pts), np.array(keep_wts)
+            keep_grp.append(g)
+    return np.array(keep_pts), np.array(keep_wts), np.array(keep_grp, dtype=int)
 
 
 def _spec_recurrence(spec: WeightSpec, size: int) -> RecurrenceCoeffs:

@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +444,29 @@ def test_build_with_extreme_jacobi_parameters_fails_cleanly(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.count("\n") <= 1
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("family", [
+    "biangle --gamma -0.5 --n 3",
+    "square-even --gamma -0.5 --m 3",
+    "square-odd --gamma -0.5 --m 3",
+    "composed --ell 2 --m 3",
+])
+def test_build_overflow_writes_one_stderr_line(tmp_path, family):
+    """At alpha = 1000 the Gauss weight products overflow.  Run as a child
+    process, where no test harness captures numpy warnings, the build still
+    writes its one diagnostic line and nothing else."""
+    out = tmp_path / "rule.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "cubamin.cli", "build", *family.split(),
+         "--alpha", "1000", "--beta", "0", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 2
+    assert child.stderr.startswith("cubamin: construction failed: ")
+    assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
+    assert child.stdout == ""
+    assert not out.exists()
 
 
 def test_plot_biangle_outline_and_markers(tmp_path, capsys):

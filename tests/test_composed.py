@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cubamin.composed as composed
 from cubamin.composed import (
     composed_op_identity_check,
     composed_rule,
@@ -15,7 +16,7 @@ from cubamin.composed import (
 )
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import ComposedMomentOracle, certify
-from cubamin.rules import WeightSpec
+from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import minimal_rule_even, moller_bound
 
 # ell = 2 folded Legendre moments, computed by direct symbolic integration
@@ -161,3 +162,19 @@ def test_composed_rule_parameter_validation():
         composed_rule(rc, 2, 0, -0.5, -0.5)
     with pytest.raises(ValueError):
         composed_rule(rc, 2, 8, -0.5, -0.5)
+
+
+def test_a_malformed_orbit_names_its_pair(monkeypatch):
+    """Nudging one panel-junction preimage of the diagonal pair (1,1) off
+    its twin splits a merged point; the per-orbit count check names it."""
+    exact = composed.fold_panel_angles
+
+    def nudged(ell, theta):
+        out = exact(ell, theta)
+        out[0, 3, 2] += 1e-6  # pair 3 of m = 3 is (1,1); image 2 is pi - th
+        return out
+
+    monkeypatch.setattr(composed, "fold_panel_angles", nudged)
+    rc = jacobi_recurrence(-0.5, -0.5, 4)
+    with pytest.raises(ConstructionError, match=r"orbit of pair \(1,1\) has \d+ points, expected 12"):
+        composed_rule(rc, 2, 3, -0.5, -0.5)

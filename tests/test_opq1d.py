@@ -1,5 +1,6 @@
 """Tests for the 1D recurrence / Gauss quadrature layer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -224,3 +225,88 @@ def test_diagonal_zero_set_rejects_bad_sign():
         diagonal_zero_set(0.0, 0.0, 2, "x")
     with pytest.raises(ValueError):
         quasi_S(0.0, 0.0, 2, "0", np.array(0.5))
+
+
+# sha256 of nodes.tobytes() + weights.tobytes() of the m-point Gauss rule of
+# jacobi_recurrence(alpha, beta, m), keyed by (alpha, beta, m) and recorded
+# before the QL sweeps moved from numpy scalars to Python floats: an edit to
+# the eigensolver that moves a last bit fails here.  First the oracle
+# ladder's rules, (2b+1, 4a+3) and (0, 2a+1) for a, b in {-1/2, 0, 1/2} at
+# n = 24 and 96; then the explicit builders' sizes m = 1, 2, 21 and 401.
+GAUSS_RULE_SHA256 = {
+    (0.0, 1.0, 24):
+        "a6e60b412e9c8767cf4ac971c3758820f2dd6769068e195650a7e91261ded91f",
+    (0.0, 1.0, 96):
+        "f48ebcb927f9b4db79d230f4adf4f901e8b900c23d389aeaa2252bb807432e41",
+    (1.0, 1.0, 24):
+        "0ca36611ae0129664f83904d57c41a8f1e8e94e9126469c0cc77d1747b4151e6",
+    (1.0, 1.0, 96):
+        "629dec11848cb0c4b1e2fdd45e022a3e1b56dd6cd9caac50ebb2d8b432048b1d",
+    (2.0, 1.0, 24):
+        "758fd23b9ede4c9ae912ba914360935072c9623833f75bfc6acdb7bc69afea04",
+    (2.0, 1.0, 96):
+        "10e2bb3b2b99ef188d895c5639a43a82ae705239e680497616bc432bf0ec8418",
+    (0.0, 3.0, 24):
+        "83822c295842ad3ebd9c5fef8421c60901e2e775b3d71eb0dae0b345795f5ad1",
+    (0.0, 3.0, 96):
+        "046a9891a9cc9270407afcb0ed750c2012b33d0b5e09e8f4c5a10f700a2b8dae",
+    (1.0, 3.0, 24):
+        "036da647a341a4702949b330cf4c1ef4f92af1508ab490c7a0ff51e732191839",
+    (1.0, 3.0, 96):
+        "31216e2474e9adaf296c38f55c5a332bf291863212a942174faa72f58f572816",
+    (2.0, 3.0, 24):
+        "01ca1fa850576ad3cc4f5dc976253043173917819ee994b3c402dd257cdd6c23",
+    (2.0, 3.0, 96):
+        "0417c01e9227998ce35678e1a09a0e3450ab71eddea6de5ce4be80ff01b419b6",
+    (0.0, 5.0, 24):
+        "4924d20c8fdd85e24b9f01802dd18736e2c07d05a029ac0e750e91986d0c5398",
+    (0.0, 5.0, 96):
+        "2805051a595ded96c6d5db47f58eb284b88566bb5558ab045f3d5c8139ecb45f",
+    (1.0, 5.0, 24):
+        "81591ea3478c2e5e32d77dfc85d674c164fe98a057fda085f7d5963048bb61c0",
+    (1.0, 5.0, 96):
+        "1c00d767c65cdef703118d25d4426f30ac8347213e1f48f24bbf314a6335d6ae",
+    (2.0, 5.0, 24):
+        "c8cc033be32261043bb4dd8596d88de472743831c3e243ded63e4f565df4e445",
+    (2.0, 5.0, 96):
+        "f70f0a30ce88340bf792d7e7a32d365d0a40ebe9528370cd6ffbd027535aebc6",
+    (0.0, 0.0, 24):
+        "4500bc1d276eef875c87ec549fe959655834697283b5a26d51fa0a55095040ff",
+    (0.0, 0.0, 96):
+        "2f6b920b1628634358723737e6de2ada4299f16418ee318bbf1b1f46cc3e28ae",
+    (0.0, 2.0, 24):
+        "98a52bf6b233d7dcbc52c7a21fa0bd2be94c61119ae7a63bd7d9e7db5817da33",
+    (0.0, 2.0, 96):
+        "81261388a84cde2d0a56dd64f677f98f776edff9251a12daf90a6d74ea937008",
+    (-0.5, -0.5, 1):
+        "7d03c68836d4070336e48a6ea670382fdcc5018609060c86a19eb10b21e8efb5",
+    (-0.5, -0.5, 2):
+        "bc384fe334f8050b4d3d906e0513e980fe37399ca091c42924aa5096034f78c5",
+    (-0.5, -0.5, 21):
+        "bd1f37f5e33078f5d91a3e68f50f2c3a5bcce01770e6ea3d0734c6e4307ec55b",
+    (-0.5, -0.5, 401):
+        "519883b7a463bc8202b15c4f75f829a5d8839d1f9a13f4f0e15121241ebc3945",
+    (0.0, 0.5, 1):
+        "14f996b2db0cef5daa41e4ea6775625fd3f9eb136cfb0d00d8fbd47e3bd62144",
+    (0.0, 0.5, 2):
+        "a7446417e06afc9ca008e4e45d08425483694423f12483c12022ef69fed425c4",
+    (0.0, 0.5, 21):
+        "1eeb12ccb51ee934ab211d08119830a325fb1133fd276e7e554e28fbfd7e17fa",
+    (0.0, 0.5, 401):
+        "1b5bcc10bcefbd23456c10da02a8535c6e376293fca15e6c15b5892880278c2d",
+    (1.5, -0.5, 1):
+        "d050a167da5ad520a45948eb6efdee4119cd32b37f6854a05a8e146aed6e8086",
+    (1.5, -0.5, 2):
+        "7ebccf1872015c03f75305bf5e3bb3a706e46d9fc4ab84873852903ad1652c43",
+    (1.5, -0.5, 21):
+        "4209daa24c7fdcdcc88866ed94ebed36921b773e1e0db4150ffc28a2dbc254ab",
+    (1.5, -0.5, 401):
+        "917a9b59e9192df95ae4243396102a4ec733fd5d0f19e83d6f29a7c672867e2f",
+}
+
+
+@pytest.mark.parametrize("alpha, beta, m", list(GAUSS_RULE_SHA256))
+def test_gauss_rules_are_bit_identical(alpha, beta, m):
+    q = gauss_rule(jacobi_recurrence(alpha, beta, m), m)
+    digest = hashlib.sha256(q.nodes.tobytes() + q.weights.tobytes()).hexdigest()
+    assert digest == GAUSS_RULE_SHA256[(alpha, beta, m)]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubamin.oracle import SquareMomentOracle, certify
 from cubamin.rules import WeightSpec
@@ -128,6 +130,66 @@ def test_merge_close_nodes_sums_weights():
     assert merged.shape == (2, 2)
     assert sorted(wts.tolist()) == [3.0, 3.0]
     assert wts.sum() == 6.0
+
+
+def _reference_merge(points, weights, tol=1e-12):
+    """merge_close_nodes as it was written on numpy rows and scalars."""
+    pts = np.asarray(points, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    pts, wts = pts[order], wts[order]
+    keep_pts, keep_wts = [], []
+    for p, w in zip(pts, wts):
+        if keep_pts and abs(p[0] - keep_pts[-1][0]) <= tol and abs(
+            p[1] - keep_pts[-1][1]
+        ) <= tol:
+            keep_wts[-1] += w
+        else:
+            keep_pts.append(p)
+            keep_wts.append(w)
+    return np.array(keep_pts), np.array(keep_wts)
+
+
+_coord = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 0.7, 1.0])
+_jitter = st.floats(-0.5e-12, 0.5e-12)
+
+
+@st.composite
+def _merge_inputs(draw):
+    """Points with exact duplicates, jitter of at most tol/2, and chains
+    whose links are within tol of each other but not of the chain's start."""
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        x, y = draw(_coord), draw(_coord)
+        kind = draw(st.sampled_from(["single", "duplicate", "jitter", "chain"]))
+        copies = draw(st.integers(1, 4))
+        for c in range(1 if kind == "single" else copies + 1):
+            if kind == "jitter":
+                pts.append((x + draw(_jitter), y + draw(_jitter)))
+            elif kind == "chain":
+                pts.append((x + 0.6e-12 * c, y - 0.6e-12 * c))
+            else:
+                pts.append((x, y))
+    pts = draw(st.permutations(pts))
+    wts = draw(st.lists(st.floats(0.01, 10.0), min_size=len(pts), max_size=len(pts)))
+    return pts, wts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_inputs())
+def test_merge_close_nodes_matches_the_reference_scan(case):
+    pts, wts = case
+    got, want = merge_close_nodes(pts, wts), _reference_merge(pts, wts)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_merge_close_nodes_keeps_a_single_point_as_a_row():
+    got, want = merge_close_nodes([(0.5, -0.25)], [2.0]), _reference_merge([(0.5, -0.25)], [2.0])
+    assert got[0].shape == want[0].shape == (1, 2)
+    assert got[1].shape == want[1].shape == (1,)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_fold_map_is_exactly_four_to_one():
