@@ -16,6 +16,7 @@ n(n+1)/2 positive-weight nodes inside the closed domain.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -72,13 +73,28 @@ def split_u_to_x(u1, u2):
     return big, other
 
 
+def _pair_basis(rc: RecurrenceCoeffs, hi: int, lo: int, gamma: float, x1, x2):
+    """Koornwinder's pair kernel at the root pair (x1, x2): the symmetrized
+    product p_hi(x1) p_lo(x2) + p_hi(x2) p_lo(x1) for gamma = -1/2, the
+    divided difference of order hi+1 for gamma = +1/2."""
+    if gamma == -0.5:
+        return (
+            eval_orthonormal(rc, hi, x1) * eval_orthonormal(rc, lo, x2)
+            + eval_orthonormal(rc, hi, x2) * eval_orthonormal(rc, lo, x1)
+        )
+    if gamma == 0.5:
+        return divided_difference(rc, hi + 1, lo, x1, x2)
+    raise ValueError("gamma restricted to -1/2 and +1/2")
+
+
 def eval_koornwinder(
     rc: RecurrenceCoeffs, n: int, k: int, gamma: float, p
 ) -> np.ndarray:
     """Orthonormal bivariate basis element of degree n, index 0 <= k <= n,
     at points p with columns (u1, u2).
 
-    gamma = -1/2: symmetrized products of the 1-D orthonormal family.
+    gamma = -1/2: symmetrized products of the 1-D orthonormal family,
+    scaled by 1/sqrt(2) at k = n.
     gamma = +1/2: divided differences of order-(n+1) products; on the
     parabolic arc (coincident roots) the quotient is replaced by its
     derivative limit.
@@ -87,17 +103,8 @@ def eval_koornwinder(
         raise ValueError("index k must satisfy 0 <= k <= n")
     pts = np.atleast_2d(np.asarray(p, dtype=float))
     x1, x2 = split_u_to_x(pts[:, 0], pts[:, 1])
-    if gamma == -0.5:
-        pn1 = eval_orthonormal(rc, n, x1)
-        pk1 = eval_orthonormal(rc, k, x1)
-        pn2 = eval_orthonormal(rc, n, x2)
-        pk2 = eval_orthonormal(rc, k, x2)
-        if k == n:
-            return np.sqrt(2.0) * pn1 * pn2
-        return pn1 * pk2 + pn2 * pk1
-    if gamma == 0.5:
-        return divided_difference(rc, n + 1, k, x1, x2)
-    raise ValueError("gamma restricted to -1/2 and +1/2")
+    out = _pair_basis(rc, n, k, gamma, x1, x2)
+    return out / math.sqrt(2.0) if gamma == -0.5 and k == n else out
 
 
 def gauss_cubature_biangle(
@@ -113,7 +120,7 @@ def gauss_cubature_biangle(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = WeightSpec("biangle-gamma", rc=rc, gamma=gamma)
+    spec = WeightSpec("biangle-gamma", gamma=gamma)
     q = gauss_rule(rc, n + 1 if gamma == 0.5 else n)
     J, K, weights = gauss_pairs(q, gamma == 0.5)
     t = q.nodes

@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="json")
 
     f_bi = fam.add_parser("biangle", help="Gauss rule on the parabolic domain")
-    f_bi.add_argument("--weight", choices=("jacobi",), default="jacobi")
     f_bi.add_argument("--alpha", type=float, required=True)
     f_bi.add_argument("--beta", type=float, required=True)
     f_bi.add_argument("--gamma", type=float, required=True)
@@ -255,8 +254,7 @@ def cmd_build(args) -> int:
         elif fam == "square-odd":
             rule = minimal_rule_odd(args.alpha, args.beta, gamma, args.m)
         else:
-            rc = jacobi_recurrence(args.alpha, args.beta, args.m + 1)
-            rule = composed_rule(rc, args.ell, args.m, args.alpha, args.beta)
+            rule = composed_rule(args.ell, args.m, args.alpha, args.beta)
     except _BUILD_ERRORS as exc:
         # nothing has been opened for writing yet, so no partial file
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
@@ -291,9 +289,7 @@ def oracle_for(meta: Dict[str, object], max_degree: int):
         return None
     if fam == "biangle":
         rc = jacobi_recurrence(float(alpha), float(beta), max_degree // 2 + 4)
-        spec = WeightSpec(
-            "biangle-gamma", alpha=alpha, beta=beta, gamma=gamma, rc=rc
-        )
+        spec = WeightSpec("biangle-gamma", alpha=alpha, beta=beta, gamma=gamma)
         return BiangleMomentOracle(rc, float(gamma)), spec, "biangle"
     if fam in ("square-even", "square-odd"):
         spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)

@@ -14,8 +14,7 @@ the degree 4m-1 rule for the base family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,12 +24,13 @@ from .opq1d import (
     fold_panel_angles,
     gauss_pairs,
     gauss_rule,
+    jacobi_recurrence,
 )
+from .oracle import chebyshev_moment_1d
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
-from .squaremin import _merge_runs, _pow_with_sentinel, merge_close_nodes
+from .squaremin import _merge_runs, _merged_rule, _pow_with_sentinel
 
 __all__ = [
-    "OrbitSet",
     "w_ell_value",
     "orbit_sets",
     "preimage_angles",
@@ -38,20 +38,6 @@ __all__ = [
     "folding_identity_check",
     "composed_op_identity_check",
 ]
-
-
-@dataclass(frozen=True)
-class OrbitSet:
-    """Product orbit of preimage angles for one (theta, phi) pair."""
-
-    points: np.ndarray
-    theta: float
-    phi: float
-    ell: int
-    sign: str
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def w_ell_value(jacobi: Tuple[float, float], ell: int, t) -> np.ndarray:
@@ -75,43 +61,29 @@ def w_ell_value(jacobi: Tuple[float, float], ell: int, t) -> np.ndarray:
 
 def preimage_angles(ell: int, theta: float, sign: str, tol: float = 1e-12) -> np.ndarray:
     """All u in [0, pi] with cos(ell u) = cos(theta) (sign '+') or
-    -cos(theta) (sign '-'), deduplicated and sorted."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    -cos(theta) (sign '-'), sorted: the panel preimages of
+    fold_panel_angles, with the twins at panel junctions taken once."""
+    if ell < 1 or sign not in ("+", "-"):
+        raise ValueError("ell must be >= 1 and sign '+' or '-'")
     base = theta if sign == "+" else math.pi - theta
-    cand: List[float] = []
-    for nu in range(-1, ell + 2):
-        for branch in (base, -base):
-            u = (2.0 * math.pi * nu + branch) / ell
-            if -tol <= u <= math.pi + tol:
-                cand.append(min(max(u, 0.0), math.pi))
-    cand.sort()
-    out: List[float] = []
-    for u in cand:
-        if not out or u - out[-1] > tol:
-            out.append(u)
-    return np.array(out)
+    u = np.sort(fold_panel_angles(ell, base))
+    return u[np.concatenate([[True], np.diff(u) > tol])]
 
 
-def orbit_sets(ell: int, theta: float, phi: float) -> Tuple[OrbitSet, OrbitSet]:
-    """The two product orbits for the angle pair: points whose ell-fold
-    angle images are (-cos theta, -cos phi) resp. (+cos theta, +cos phi).
+def orbit_sets(ell: int, theta: float, phi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The two product orbits for the angle pair, as point arrays of shape
+    (N, 2): points whose ell-fold angle images are (-cos theta, -cos phi)
+    resp. (+cos theta, +cos phi).
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
     both = []
     for sign in ("-", "+"):
-        uu = preimage_angles(ell, theta, sign)
-        vv = preimage_angles(ell, phi, sign)
-        U, V = np.meshgrid(np.cos(uu), np.cos(vv), indexing="ij")
-        pts = np.column_stack([U.ravel(), V.ravel()])
-        both.append(OrbitSet(points=pts, theta=theta, phi=phi, ell=ell, sign=sign))
+        uu = np.cos(preimage_angles(ell, theta, sign))
+        vv = np.cos(preimage_angles(ell, phi, sign))
+        both.append(np.column_stack([np.repeat(uu, len(vv)), np.tile(vv, len(uu))]))
     return both[0], both[1]
 
 
-def composed_rule(
-    rc: RecurrenceCoeffs, ell: int, m: int, alpha: float, beta: float
-) -> CubatureRule2D:
+def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D:
     """Minimal rule of degree 4*ell*m - 1 with 2 ell^2 m^2 + 2 ell m nodes
     for the composed family over the Jacobi(alpha, beta) base.
 
@@ -125,7 +97,7 @@ def composed_rule(
     if ell < 1 or m < 1:
         raise ValueError("ell and m must be >= 1")
     spec = WeightSpec("square-W-ell", alpha=alpha, beta=beta, gamma=-0.5, ell=ell)
-    q = gauss_rule(rc, m)
+    q = gauss_rule(jacobi_recurrence(alpha, beta, m), m)
     J, K, share = gauss_pairs(q, False)
     share = share / (2.0 * ell * ell)
     share[J == K] *= 0.5
@@ -163,22 +135,8 @@ def composed_rule(
             "orbit of pair (%d,%d) has %d points, expected %d"
             % (J[i], K[i], got[i], want[i])
         )
-    nodes, weights = merge_close_nodes(pts, wts)
-    expected = 2 * ell * ell * m * m + 2 * ell * m
-    if len(nodes) != expected:
-        raise ConstructionError(
-            "composed rule has %d nodes after merging, expected %d"
-            % (len(nodes), expected)
-        )
-    return CubatureRule2D(
-        nodes=nodes,
-        weights=weights,
-        degree=4 * ell * m - 1,
-        domain="square",
-        spec=spec,
-        param=m,
-        family="composed",
-    ).sorted_rule()
+    return _merged_rule(pts, wts, 2 * ell * ell * m * m + 2 * ell * m,
+                        degree=4 * ell * m - 1, spec=spec, param=m, family="composed")
 
 
 def folding_identity_check(ell: int, i: int) -> float:
@@ -189,13 +147,7 @@ def folding_identity_check(ell: int, i: int) -> float:
     n = max(200, ell * i // 2 + 1)
     psi = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
     left = math.pi / n * float(np.sum(np.cos(ell * psi) ** i))
-    if i % 2 == 1:
-        right = 0.0
-    else:
-        right = math.pi
-        for k in range(2, i + 1, 2):
-            right *= (k - 1.0) / k
-    return abs(left - right)
+    return abs(left - chebyshev_moment_1d(i))
 
 
 def composed_op_identity_check(

@@ -119,7 +119,14 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
         + math.lgamma(beta + 1.0)
         - math.lgamma(s + 2.0)
     )
-    return RecurrenceCoeffs(a=a, b=b, mu0=math.exp(lg))
+    try:
+        mu0 = math.exp(lg)
+    except OverflowError:
+        raise OverflowError(
+            "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1) of the "
+            "Jacobi weight alpha=%g, beta=%g exceeds float range" % (alpha, beta)
+        ) from None
+    return RecurrenceCoeffs(a=a, b=b, mu0=mu0)
 
 
 def eval_orthonormal(rc: RecurrenceCoeffs, n: int, t):

@@ -7,8 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .opq1d import RecurrenceCoeffs
-
 __all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError"]
 
 
@@ -23,8 +21,9 @@ class WeightSpec:
     family: 'biangle-gamma' (curved domain, parameter gamma), 'square-W'
     (the |x1-x2|^{2a+1} |x1+x2|^{2b+1} ((1-x1^2)(1-x2^2))^g family on the
     square), or 'square-W-ell' (the degree-ell composed variant, g = -1/2).
-    alpha/beta are the Jacobi parameters of the base 1D weight when it is
-    Jacobi; rc carries a generic base recurrence instead.
+    alpha/beta are the Jacobi parameters of the base 1D weight; the square
+    families require them, a curved-domain rule built from a bare
+    recurrence leaves them unset.
     """
 
     family: str
@@ -32,7 +31,6 @@ class WeightSpec:
     beta: Optional[float] = None
     gamma: float = -0.5
     ell: int = 1
-    rc: Optional[RecurrenceCoeffs] = None
 
     def __post_init__(self):
         if self.family not in ("biangle-gamma", "square-W", "square-W-ell"):
@@ -46,8 +44,8 @@ class WeightSpec:
                 raise ValueError("composed family exists only for gamma = -1/2")
         if self.alpha is not None and (self.alpha <= -1 or self.beta <= -1):
             raise ValueError("Jacobi parameters must exceed -1")
-        if self.alpha is None and self.rc is None:
-            raise ValueError("either Jacobi parameters or a recurrence required")
+        if self.alpha is None and self.family != "biangle-gamma":
+            raise ValueError("square families require Jacobi parameters")
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,6 @@ class CubatureRule2D:
     @property
     def node_count(self) -> int:
         return len(self.weights)
-
-    def apply_monomial(self, i: int, j: int) -> float:
-        x = self.nodes[:, 0]
-        y = self.nodes[:, 1]
-        return float(np.dot(self.weights, x**i * y**j))
 
     def apply(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes[:, 0], self.nodes[:, 1])))

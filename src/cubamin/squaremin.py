@@ -17,15 +17,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import oracle as _oracle
-from .opq1d import (
-    RecurrenceCoeffs,
-    diagonal_zero_set,
-    divided_difference,
-    eval_orthonormal,
-    gauss_pairs,
-    gauss_rule,
-    jacobi_recurrence,
-)
+from .biangle import _pair_basis
+from .opq1d import diagonal_zero_set, gauss_pairs, gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
 
 __all__ = [
@@ -149,12 +142,19 @@ def _merge_runs(
     return np.array(keep_pts), np.array(keep_wts), np.array(keep_grp, dtype=int)
 
 
-def _spec_recurrence(spec: WeightSpec, size: int) -> RecurrenceCoeffs:
-    if spec.rc is not None and spec.rc.size >= size:
-        return spec.rc
-    if spec.alpha is None:
-        raise ValueError("spec carries neither Jacobi parameters nor a large enough recurrence")
-    return jacobi_recurrence(spec.alpha, spec.beta, size)
+def _merged_rule(
+    pts: np.ndarray, wts: np.ndarray, expected: int, **fields
+) -> CubatureRule2D:
+    """The square rule on the merged points, which must number expected.
+    The merge returns its rows sorted by (x1, x2), the row order of every
+    rule file."""
+    nodes, weights = merge_close_nodes(pts, wts)
+    if len(nodes) != expected:
+        raise ConstructionError(
+            "%s rule has %d nodes after merging, expected %d"
+            % (fields["family"], len(nodes), expected)
+        )
+    return CubatureRule2D(nodes=nodes, weights=weights, domain="square", **fields)
 
 
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
@@ -172,7 +172,7 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
         raise ValueError("minimal_rule_even needs a square-W spec")
     g = spec.gamma
     size = m + 1 if g == 0.5 else m
-    q = gauss_rule(_spec_recurrence(spec, size), size)
+    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, size), size)
     J, K, w4 = gauss_pairs(q, g == 0.5)
     if g == -0.5:
         w4 = w4 / np.where(J == K, 4.0, 2.0)
@@ -180,21 +180,8 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
         gap = q.nodes[J] - q.nodes[K]
         w4 = w4 * gap * gap / 8.0
     pts = half_angle_orbit(q.nodes[J], q.nodes[K]).reshape(-1, 2)
-    nodes, weights = merge_close_nodes(pts, np.repeat(w4, 4))
-    expected = 2 * m * (m + 1)
-    if len(nodes) != expected:
-        raise ConstructionError(
-            "even rule has %d nodes after merging, expected %d" % (len(nodes), expected)
-        )
-    return CubatureRule2D(
-        nodes=nodes,
-        weights=weights,
-        degree=4 * m - 1,
-        domain="square",
-        spec=spec,
-        param=m,
-        family="square-even",
-    ).sorted_rule()
+    return _merged_rule(pts, np.repeat(w4, 4), 2 * m * (m + 1), degree=4 * m - 1,
+                        spec=spec, param=m, family="square-even")
 
 
 def _symmetrized_cos_rows(
@@ -273,23 +260,9 @@ def minimal_rule_odd(
             "beta=%g, gamma=%g" % (float(sol.min()), m, alpha, beta, gamma)
         )
 
-    pts = np.vstack(classes)
     wts = np.concatenate([np.full(n, w) for n, w in zip(multip, sol)])
-    nodes, weights = merge_close_nodes(pts, wts)
-    expected = 2 * (m + 1) ** 2 - 1
-    if len(nodes) != expected:
-        raise ConstructionError(
-            "odd rule has %d nodes after merging, expected %d" % (len(nodes), expected)
-        )
-    return CubatureRule2D(
-        nodes=nodes,
-        weights=weights,
-        degree=deg,
-        domain="square",
-        spec=spec,
-        param=m,
-        family="square-odd",
-    ).sorted_rule()
+    return _merged_rule(np.vstack(classes), wts, 2 * (m + 1) ** 2 - 1, degree=deg,
+                        spec=spec, param=m, family="square-odd")
 
 
 def fold_to_biangle(x1, x2):
@@ -312,7 +285,8 @@ def eval_Q_basis(
     x2,
 ) -> np.ndarray:
     """Degree-n orthogonal basis element (two branches) for the square
-    weight family, evaluated through the folded arguments
+    weight family: Koornwinder's pair kernel (biangle._pair_basis) at the
+    folded root pair
     cos(th1 - th2) = x1 x2 + sqrt((1-x1^2)(1-x2^2)) and
     cos(th1 + th2) = x1 x2 - sqrt((1-x1^2)(1-x2^2)).
 
@@ -349,11 +323,5 @@ def eval_Q_basis(
             factor = x1 - x2
     if not 0 <= k <= big:
         raise ValueError("index k out of range for this degree and branch")
-    size = big + 3
-    rc = jacobi_recurrence(alpha + da, beta + db, size)
-    if gamma == -0.5:
-        return factor * (
-            eval_orthonormal(rc, big, cm) * eval_orthonormal(rc, k, cp)
-            + eval_orthonormal(rc, k, cm) * eval_orthonormal(rc, big, cp)
-        )
-    return factor * divided_difference(rc, big + 1, k, cm, cp)
+    rc = jacobi_recurrence(alpha + da, beta + db, big + 3)
+    return factor * _pair_basis(rc, big, k, gamma, cm, cp)

@@ -62,7 +62,7 @@ def test_criterion_1_fixed_size_rules():
     assert time.perf_counter() - t0 < 1.0
 
     t0 = time.perf_counter()
-    rule = composed_rule(jacobi_recurrence(-0.5, -0.5, 7), 2, 6, -0.5, -0.5)
+    rule = composed_rule(2, 6, -0.5, -0.5)
     assert rule.node_count == 312 and rule.degree == 47
     assert time.perf_counter() - t0 < 1.0
     print("[PASS] criterion 1: fixed-size rules have 210/312/312 nodes")
@@ -81,8 +81,7 @@ def test_criterion_2_node_counts_attain_the_lower_bound():
             assert np.all(rule.weights > 0), (g, m)
     for ell in range(1, 5):
         for m in range(1, 17):
-            rc = jacobi_recurrence(-0.5, -0.5, m + 1)
-            rule = composed_rule(rc, ell, m, -0.5, -0.5)
+            rule = composed_rule(ell, m, -0.5, -0.5)
             assert rule.node_count == moller_bound(2 * ell * m), (ell, m)
     print("[PASS] criterion 2: every rule meets its node-count lower bound "
           "exactly (even m<=16, odd m<=8, composed ell<=4)")
@@ -140,8 +139,7 @@ def test_criterion_3_certification_across_the_parameter_grid():
     # while ell*m <= 4
     for ell in range(1, 4):
         for m in range(1, 5):
-            rc = jacobi_recurrence(-0.5, -0.5, m + 1)
-            rule = composed_rule(rc, ell, m, -0.5, -0.5)
+            rule = composed_rule(ell, m, -0.5, -0.5)
             oracle = ComposedMomentOracle(ell, -0.5, -0.5)
             ceiling = 4 * ell * m if ell * m <= 6 else 4 * ell * m - 1
             report = certify(rule, oracle, ceiling, rel_tol=1e-9)
@@ -245,8 +243,7 @@ def test_criterion_7_mass_integrals_and_constant_direction():
     even_mass = float(minimal_rule_even(spec, 4).weights.sum())
     odd_mass = float(minimal_rule_odd(-0.5, -0.5, -0.5, 3).weights.sum())
     comp_mass = float(
-        composed_rule(jacobi_recurrence(-0.5, -0.5, 4), 2, 3,
-                      -0.5, -0.5).weights.sum())
+        composed_rule(2, 3, -0.5, -0.5).weights.sum())
     for mass in (even_mass, odd_mass, comp_mass):
         assert abs(mass - PI2) <= 1e-12 * PI2
 

@@ -85,6 +85,15 @@ def test_node_rows_are_lexicographically_sorted(tmp_path, capsys):
     doc = json.loads(out.read_text())
     nodes = doc["nodes"]
     assert nodes == sorted(nodes, key=lambda r: (r[0], r[1]))
+    for family in ("biangle --alpha -0.5 --beta 0.5 --gamma 0.5 --n 5",
+                   "square-even --alpha 0.5 --beta 0.0 --gamma 0.5 --m 3",
+                   "square-odd --alpha 0.5 --beta 0.0 --gamma 0.5 --m 3",
+                   "composed --ell 3 --m 2 --alpha 0.5 --beta -0.5"):
+        out = tmp_path / "rule.json"
+        code, _, err = run(capsys, "build", *family.split(), "--out", str(out))
+        assert code == 0, err
+        nodes = json.loads(out.read_text())["nodes"]
+        assert nodes == sorted(nodes, key=lambda r: (r[0], r[1])), family
 
 
 def test_csv_layout(tmp_path, capsys):
@@ -444,6 +453,16 @@ def test_build_with_extreme_jacobi_parameters_fails_cleanly(tmp_path, capsys,
     assert "Traceback" not in err
     assert err.count("\n") <= 1
     assert out.exists() == (code == 0)
+
+
+def test_build_overflow_names_the_weight_mass(tmp_path, capsys):
+    """At alpha = 300 the odd rule's moment ladder asks for a Jacobi weight
+    whose mass exceeds float range; the diagnostic says so."""
+    code, _, err = run(capsys, "build", "square-odd", "--alpha", "300", "--beta",
+                       "0", "--gamma", "-0.5", "--m", "3",
+                       "--out", str(tmp_path / "rule.json"))
+    assert code == 2
+    assert "weight mass" in err and "Jacobi weight" in err, err
 
 
 @pytest.mark.parametrize("family", [

@@ -83,7 +83,7 @@ def test_degenerate_orbit_ell2_axis():
     assert len(neg) == 2
     assert len(pos) == 4
     # the small branch collapses onto the x2 axis
-    assert np.allclose(neg.points[:, 0], 0.0, atol=1e-12)
+    assert np.allclose(neg[:, 0], 0.0, atol=1e-12)
 
 
 def test_folded_weight_values_and_domain():
@@ -115,8 +115,7 @@ def test_substitution_identity_on_quadrature_grid(ell, m):
 
 @pytest.mark.parametrize("ell,m", [(1, 3), (2, 3), (3, 2), (4, 2)])
 def test_composed_rule_attains_the_bound(ell, m):
-    rc = jacobi_recurrence(-0.5, -0.5, m + 1)
-    rule = composed_rule(rc, ell, m, -0.5, -0.5)
+    rule = composed_rule(ell, m, -0.5, -0.5)
     assert rule.node_count == 2 * ell * ell * m * m + 2 * ell * m
     assert rule.node_count == moller_bound(2 * ell * m)
     assert rule.degree == 4 * ell * m - 1
@@ -125,8 +124,7 @@ def test_composed_rule_attains_the_bound(ell, m):
 
 def test_ell_one_reduces_to_the_plain_square_rule():
     """Composing with a trivial fold reproduces the direct construction."""
-    rc = jacobi_recurrence(-0.5, -0.5, 4)
-    folded = composed_rule(rc, 1, 3, -0.5, -0.5)
+    folded = composed_rule(1, 3, -0.5, -0.5)
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     direct = minimal_rule_even(spec, 3)
     assert folded.node_count == direct.node_count
@@ -147,21 +145,27 @@ def test_composed_legendre_moments_frozen():
 
 
 def test_composed_rule_certifies_small_case():
-    rc = jacobi_recurrence(-0.5, -0.5, 3)
-    rule = composed_rule(rc, 2, 2, -0.5, -0.5)
+    rule = composed_rule(2, 2, -0.5, -0.5)
     oracle = ComposedMomentOracle(2, -0.5, -0.5)
     report = certify(rule, oracle, rule.degree, rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 
 
+@pytest.mark.parametrize("ell,m,alpha,beta", [(2, 2, 0.0, 0.0), (3, 2, 0.5, -0.5)])
+def test_composed_rule_certifies_over_non_chebyshev_bases(ell, m, alpha, beta):
+    """The rule is built on the base weight it is labelled with."""
+    rule = composed_rule(ell, m, alpha, beta)
+    assert (rule.spec.alpha, rule.spec.beta) == (alpha, beta)
+    report = certify(rule, ComposedMomentOracle(ell, alpha, beta), rule.degree,
+                     rel_tol=1e-9)
+    assert report.certified_degree >= rule.degree
+
+
 def test_composed_rule_parameter_validation():
-    rc = jacobi_recurrence(-0.5, -0.5, 5)
     with pytest.raises(ValueError):
-        composed_rule(rc, 0, 2, -0.5, -0.5)
+        composed_rule(0, 2, -0.5, -0.5)
     with pytest.raises(ValueError):
-        composed_rule(rc, 2, 0, -0.5, -0.5)
-    with pytest.raises(ValueError):
-        composed_rule(rc, 2, 8, -0.5, -0.5)
+        composed_rule(2, 0, -0.5, -0.5)
 
 
 def test_a_malformed_orbit_names_its_pair(monkeypatch):
@@ -175,6 +179,5 @@ def test_a_malformed_orbit_names_its_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(composed, "fold_panel_angles", nudged)
-    rc = jacobi_recurrence(-0.5, -0.5, 4)
     with pytest.raises(ConstructionError, match=r"orbit of pair \(1,1\) has \d+ points, expected 12"):
-        composed_rule(rc, 2, 3, -0.5, -0.5)
+        composed_rule(2, 3, -0.5, -0.5)

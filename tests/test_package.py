@@ -22,6 +22,25 @@ def test_every_imported_name_is_exported():
     assert missing == []
 
 
+def test_every_module_uses_its_imports():
+    """No module of the package keeps an import it no longer reads."""
+    unused = []
+    for path in sorted(Path(cubamin.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s: %s" % (path.name, n) for n in sorted(imported - used)]
+    assert unused == []
+
+
 def test_runtime_imports_numpy_only():
     """Importing the package and its CLI pulls in no test or tool package."""
     probe = (
