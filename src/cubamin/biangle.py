@@ -17,7 +17,7 @@ n(n+1)/2 positive-weight nodes inside the closed domain.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "eval_koornwinder",
     "gauss_cubature_biangle",
     "biangle_moments",
+    "tensor_moments",
 ]
 
 
@@ -143,38 +144,54 @@ def gauss_cubature_biangle(
     ).sorted_rule()
 
 
-def biangle_moments(
-    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]]
+def tensor_moments(
+    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]],
+    npts: Callable, images: Callable, row: Callable,
 ) -> Dict[Tuple[int, int], float]:
-    """Reference moments of u1^a u2^b, by exact tensor Gauss quadrature.
+    """Exact moments on Koornwinder's tensor grid, one per pair (i, j).
 
-    The pulled-back integrand is a polynomial of per-variable degree at
-    most a+b (+2 when gamma = +1/2), so a fixed-size Gauss rule computes
-    each moment to machine accuracy with no convergence ladder.  Pairs
-    that need the same rule size share one Gauss rule.
+    The grid is the npts(i + j)-point Gauss grid (Y1, Y2) of rc's weight,
+    with cell weights 1/2 lam_a lam_b |y_a - y_b|^(2 gamma + 1).  images
+    maps it to per-axis coordinate arrays C and index links (a, b); the
+    pair sums row(C[a], i) row(C[b], j) over the links.  Sized by its own
+    degree, a moment does not depend on the batch; rows are kept per grid.
     """
     if gamma not in (-0.5, 0.5):
         raise ValueError("gamma restricted to -1/2 and +1/2")
-    even = bool(np.all(rc.a == 0.0))
-    rules: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    if not math.isfinite(0.5 * rc.mu0 * rc.mu0):  # bounds every cell weight
+        raise OverflowError("weight mass mu0^2 / 2 of the tensor grid, "
+                            "mu0 = %g, exceeds float range" % rc.mu0)
     out: Dict[Tuple[int, int], float] = {}
-    for (a, b) in pairs:
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        # structural zeros for an even 1-D weight: odd a dies by reflecting
-        # both coordinates; a = 0 with odd b and no coupling factor leaves
-        # the lone separable term mu_b^2 with an odd 1-D moment
-        if even and (a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)):
-            out[(a, b)] = 0.0
-            continue
-        npts = (a + b) // 2 + 2
-        if npts not in rules:
-            q = gauss_rule(rc, npts)
-            X1, X2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
-            rules[npts] = (q.weights, X1, X2)
-        lam, X1, X2 = rules[npts]
-        vals = (X1 + X2) ** a * (X1 * X2) ** b
-        if gamma == 0.5:
-            vals = vals * (X1 - X2) ** 2
-        out[(a, b)] = 0.5 * float(lam @ vals @ lam)
+    grid = None
+    for (i, j) in sorted(pairs, key=lambda p: npts(p[0] + p[1])):
+        if grid != npts(i + j):
+            grid = npts(i + j)
+            q = gauss_rule(rc, grid)
+            Y1, Y2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
+            gap = np.abs(Y1 - Y2) ** (2.0 * gamma + 1.0)
+            W = 0.5 * np.outer(q.weights, q.weights) * gap
+            (coords, links), rows = images(Y1, Y2), {}
+        for p in (i, j):
+            if p not in rows:
+                rows[p] = [row(c, p) for c in coords]
+        out[(i, j)] = float(np.sum(W * sum(rows[i][a] * rows[j][b] for a, b in links)))
     return out
+
+
+def biangle_moments(
+    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], float]:
+    """Reference moments of u1^a u2^b on the tensor grid at u = (y1 + y2,
+    y1 y2); (a+b)//2 + 2 points are exact.  For an even 1-D weight, odd a
+    dies by reflecting both coordinates, and a = 0 with odd b and no
+    coupling factor leaves the lone term mu_b^2 with an odd 1-D moment.
+    """
+    pairs = list(pairs)
+    if any(min(p) < 0 for p in pairs):
+        raise ValueError("exponents must be nonnegative")
+    even = bool(np.all(rc.a == 0.0))
+    live = [(a, b) for (a, b) in pairs if not (even and (
+        a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)))]
+    got = tensor_moments(rc, gamma, live, lambda d: d // 2 + 2,
+                         lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]), lambda u, p: u**p)
+    return {p: got.get(p, 0.0) for p in pairs}

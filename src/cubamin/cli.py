@@ -319,6 +319,8 @@ def cmd_verify(args) -> int:
         picked = oracle_for(meta, max_degree)
     except ValueError as exc:
         return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
+    except OverflowError as exc:
+        return _fail("moment oracle failed: %s" % exc, EXIT_UNVERIFIABLE)
     if picked is None:
         return _fail(
             "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE
@@ -340,7 +342,7 @@ def cmd_verify(args) -> int:
         report = certify(rule, oracle, max_degree, rel_tol=args.tol)
     except DomainError as exc:
         return _fail("rule fails verification: %s" % exc, EXIT_VERIFICATION)
-    except (OracleConvergenceError, EigensolverError, OverflowError) as exc:
+    except (EigensolverError, OverflowError) as exc:
         return _fail("moment oracle failed: %s" % exc, EXIT_UNVERIFIABLE)
 
     ok = report.certified_degree >= declared

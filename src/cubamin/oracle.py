@@ -1,17 +1,13 @@
-"""Independent reference moments and the exactness-certification engine.
+"""Independent reference moments and the exactness certification engine.
 
-The square-family moments are computed in angle coordinates x = cos(theta).
-After rotating to u = (theta1+theta2)/2, v = (theta1-theta2)/2 and folding
-the v < 0 half by symmetry, the domain is the triangle with vertices
-(0,0), (pi,0), (pi/2,pi/2).  It is split at u = pi/2 and each half is
-collapsed onto the unit square by a Duffy substitution; every algebraic
-boundary factor is absorbed exactly into Gauss-Jacobi weights, so the
-remaining integrand is smooth (analytic on the half-integer parameter
-grid).  A doubling ladder certifies convergence.
-
-Every square-family moment is a contraction of per-axis feature rows
-(powers of cos theta, cos k theta, or folded panel sums) against that one
-kernel, and one cached MomentOracle class serves every family.
+Every verify oracle runs one exact routine, biangle.tensor_moments, on the
+tensor Gauss grid of Koornwinder's weight.  The fold y_k = cos phi_k
+(phi1, phi2 = theta1 -+ theta2) turns the square kernel in x = cos(theta)
+into the Jacobi(a, b) tensor weight times ((y1 - y2)/2)^(2g+1); a square or
+composed moment contracts per-axis feature rows at the grid's angle images.
+One cached MomentOracle class serves every family.  The angular ladder, a
+doubling ladder on Duffy panels of the angle triangle with the boundary
+factors in Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .biangle import biangle_moments, in_omega
+from .biangle import biangle_moments, in_omega, tensor_moments
 from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
 from .rules import CubatureRule2D, ExactnessReport, WeightSpec
 
@@ -29,9 +25,7 @@ __all__ = [
     "OracleConvergenceError",
     "DomainError",
     "angular_moment_ladder",
-    "square_moment",
     "square_moments",
-    "composed_moment",
     "composed_moments",
     "cos_basis_moments",
     "chebyshev_moment_1d",
@@ -45,10 +39,6 @@ __all__ = [
 
 class OracleConvergenceError(RuntimeError):
     """The doubling ladder did not reach the requested agreement."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 class DomainError(ValueError):
@@ -177,9 +167,17 @@ def angular_moment_ladder(
     achieved = float(np.max(np.abs(last - prev)) / (np.max(np.abs(last)) + 1e-300))
     raise OracleConvergenceError(
         "moment ladder did not converge to %.1e after %d doublings "
-        "(achieved %.1e)" % (rtol, max_doublings, achieved),
-        achieved,
+        "(achieved %.1e)" % (rtol, max_doublings, achieved)
     )
+
+
+def _fold_images(y1: np.ndarray, y2: np.ndarray):
+    """Angles of the fold grid, t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with
+    phi = arccos y, and pi - t, each linked both ways.  A folded panel-sum
+    row of even ell is not invariant under x -> -x, so both images count."""
+    phi1, phi2 = np.arccos(y1), np.arccos(y2)
+    t1, t2 = 0.5 * (phi2 + phi1), 0.5 * (phi2 - phi1)
+    return [t1, t2, math.pi - t1, math.pi - t2], [(0, 1), (1, 0), (2, 3), (3, 2)]
 
 
 def _symmetric_moments(
@@ -190,32 +188,27 @@ def _symmetric_moments(
     row: Callable[[np.ndarray, int], np.ndarray],
     reflect: bool,
 ) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j for a swap-symmetric weight through one ladder.
+    """Moments of x1^i x2^j for a swap-symmetric square weight on the
+    Jacobi(alpha, beta) tensor grid, scaled by 2^(-2 gamma - 2).
 
     Odd total degree is zero by central symmetry, and odd-odd too when
-    the weight survives single-axis reflection (reflect); (i,j) and (j,i)
-    coincide.  row(theta, p) is the feature row of the exponent p.
+    the weight survives single-axis reflection (reflect).  row(theta, p),
+    the feature row of the exponent p, is a polynomial of degree at most p
+    in cos theta, so (i+j)//4 + 2 points (+1 for gamma = +1/2) are exact.
     """
     pairs = list(pairs)
+    if any(min(p) < 0 for p in pairs):
+        raise ValueError("exponents must be nonnegative")
 
-    def structural_zero(i: int, j: int) -> bool:
-        return (i + j) % 2 == 1 or (reflect and i % 2 == 1)
+    def npts(d: int) -> int:
+        return d // 4 + 2 + int(gamma == 0.5)
 
-    need: Dict[Tuple[int, int], None] = {}
-    for (i, j) in pairs:
-        if i < 0 or j < 0:
-            raise ValueError("exponents must be nonnegative")
-        if not structural_zero(i, j):
-            need[(min(i, j), max(i, j))] = None
-    got: Dict[Tuple[int, int], float] = {}
-    if need:
-        keys = list(need)
-        vals = angular_moment_ladder(alpha, beta, gamma, keys, row)[-1]
-        got = {key: float(v) for key, v in zip(keys, vals)}
-    return {
-        (i, j): 0.0 if structural_zero(i, j) else got[(min(i, j), max(i, j))]
-        for (i, j) in pairs
-    }
+    live = [(i, j) for (i, j) in pairs
+            if (i + j) % 2 == 0 and not (reflect and i % 2 == 1)]
+    rc = jacobi_recurrence(alpha, beta, max([npts(i + j) for i, j in live], default=1))
+    got = tensor_moments(rc, gamma, live, npts, _fold_images, row)
+    scale = 2.0 ** (-2.0 * gamma - 2.0)
+    return {p: scale * got.get(p, 0.0) for p in pairs}
 
 
 def square_moments(
@@ -233,11 +226,6 @@ def square_moments(
         lambda theta, p: np.cos(theta) ** p,
         reflect=spec.alpha == spec.beta,
     )
-
-
-def square_moment(spec: WeightSpec, i: int, j: int) -> float:
-    """Single moment of x1^i x2^j against the square weight family."""
-    return square_moments(spec, [(i, j)])[(i, j)]
 
 
 def cos_basis_moments(
@@ -260,15 +248,12 @@ def composed_moments(
     pairs: Iterable[Tuple[int, int]],
 ) -> Dict[Tuple[int, int], float]:
     """Moments of x1^i x2^j against the degree-ell composed weight
-    (gamma = -1/2 family). For the Chebyshev base this reduces to product
-    Chebyshev moments, which the tests cross-check.
+    (gamma = -1/2 family); for the Chebyshev base, product Chebyshev moments.
 
-    The fold substitutes psi = ell*phi and splits [0, ell*pi] into ell
-    panels; odd panels run in reverse so that cos(psi) = +cos(theta) on
-    every panel, all panel pairs see the same angular kernel, and the
-    panel sum is one feature row.  Folded arguments flip sign under
-    x -> -x only for odd ell, so the single-axis reflection symmetry needs
-    even ell or alpha == beta.
+    The feature row is the panel sum of folded powers: every panel of
+    fold_panel_angles sees the same kernel.  Folded arguments flip sign
+    under x -> -x only for odd ell, so the single-axis reflection symmetry
+    needs even ell or alpha == beta.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -279,13 +264,6 @@ def composed_moments(
     return _symmetric_moments(
         alpha, beta, -0.5, pairs, row, reflect=ell % 2 == 0 or alpha == beta
     )
-
-
-def composed_moment(
-    ell: int, i: int, j: int, alpha: float = -0.5, beta: float = -0.5
-) -> float:
-    """Moment of the composed family; defaults to the Chebyshev base."""
-    return composed_moments(ell, alpha, beta, [(i, j)])[(i, j)]
 
 
 class MomentOracle:

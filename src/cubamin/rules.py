@@ -42,10 +42,11 @@ class WeightSpec:
                 raise ValueError("ell must be >= 1")
             if self.gamma != -0.5:
                 raise ValueError("composed family exists only for gamma = -1/2")
-        if self.alpha is not None and (self.alpha <= -1 or self.beta <= -1):
+        missing = [k for k in ("alpha", "beta") if getattr(self, k) is None]
+        if len(missing) == 1 or missing and self.family != "biangle-gamma":
+            raise ValueError("missing Jacobi parameter: %s" % ", ".join(missing))
+        if not missing and (self.alpha <= -1 or self.beta <= -1):
             raise ValueError("Jacobi parameters must exceed -1")
-        if self.alpha is None and self.family != "biangle-gamma":
-            raise ValueError("square families require Jacobi parameters")
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,13 @@ def minimal_rule_odd(
         if (i + j) % 2 == 0 and i + j <= deg
     ]
     A = _symmetrized_cos_rows(pairs, classes)
-    raw = _oracle.cos_basis_moments(alpha, beta, gamma, pairs)
+    try:
+        raw = _oracle.cos_basis_moments(alpha, beta, gamma, pairs)
+    except OverflowError:
+        raise OverflowError(
+            "weight mass of the Jacobi weight behind the odd-rule moments "
+            "exceeds float range for alpha=%g, beta=%g, gamma=%g, m=%d"
+            % (alpha, beta, gamma, m)) from None
     b = np.array([(2.0 if i != j else 1.0) * v for (i, j), v in zip(pairs, raw)])
 
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)

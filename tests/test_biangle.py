@@ -16,7 +16,12 @@ from cubamin.biangle import (
     split_u_to_x,
 )
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import BiangleMomentOracle, certify
+from cubamin.oracle import (
+    BiangleMomentOracle,
+    ComposedMomentOracle,
+    SquareMomentOracle,
+    certify,
+)
 
 PI2 = math.pi * math.pi
 
@@ -97,14 +102,20 @@ def test_structural_zero_moments_are_exact():
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.5, -0.5)])
 @pytest.mark.parametrize("g", [-0.5, 0.5])
 def test_moment_batch_equals_single_requests(ab, g):
-    """Pairs that share a Gauss rule size share one rule in a batch; each
-    moment must still come out bit for bit as when requested alone."""
+    """Pairs that share a Gauss grid size share one grid in a batch; each
+    moment must still come out bit for bit as when requested alone, for
+    every oracle, since the MomentOracle cache keeps batch results."""
     rc = jacobi_recurrence(*ab, 14)
     pairs = [(a, d - a) for d in range(21) for a in range(d + 1)]
     batch = biangle_moments(rc, g, pairs)
     assert list(batch) == pairs
     for p in pairs:
         assert batch[p] == biangle_moments(rc, g, [p])[p]
+    for make in (lambda: SquareMomentOracle(*ab, g),
+                 lambda: ComposedMomentOracle(2 if g < 0 else 3, *ab)):
+        batch = make().moments(pairs)
+        for p in pairs:
+            assert batch[p] == make().moment(*p)
 
 
 @pytest.mark.parametrize("g", [-0.5, 0.5])

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubamin.cli as cli
+import cubamin.oracle as oracle_mod
 from cubamin.cli import main, parse_rule_file
 from cubamin.rules import ConstructionError
 from cubamin.squaremin import moller_bound
@@ -253,6 +254,49 @@ def test_verify_unknown_family_is_unverifiable(tmp_path, capsys):
     assert "hexagon" in err
 
 
+@pytest.mark.parametrize("alpha", [600.0, 1100.0])
+@pytest.mark.parametrize("family", [
+    "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
+    "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
+    "composed --alpha -0.5 --beta -0.5 --ell 2 --m 1",
+])
+def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
+                                                         family, alpha):
+    """A file whose alpha puts the weight mass beyond float range (at 1100
+    the 1-D recurrence mass, at 600 the tensor grid's) exits 4 with one
+    line; it never certifies against infinite moments."""
+    out = tmp_path / "rule.json"
+    code, _, err = run(capsys, "build", *family.split(), "--out", str(out))
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    doc["alpha"] = alpha
+    out.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, stdout) == (4, "")
+    assert err.startswith("cubamin: moment oracle failed: ") and err.count("\n") == 1
+
+
+def test_verify_never_runs_the_angular_ladder(tmp_path, capsys, monkeypatch):
+    """Every verify oracle is exact on the tensor grid; the ladder serves
+    only the odd builder, so verify certifies with the ladder broken."""
+    keys = ["square-even --alpha 0.5 --beta 0.0 --gamma 0.5 --m 3",
+            "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 3",
+            "composed --alpha 0.0 --beta -0.5 --ell 3 --m 2"]
+    paths = [tmp_path / ("rule%d.json" % k) for k in range(len(keys))]
+    for key, path in zip(keys, paths):
+        code, _, err = run(capsys, "build", *key.split(), "--out", str(path))
+        assert code == 0, err
+
+    def broken(*args, **kwargs):
+        raise AssertionError("verify ran the angular moment ladder")
+
+    monkeypatch.setattr(oracle_mod, "angular_moment_ladder", broken)
+    for path in paths:
+        code, stdout, err = run(capsys, "verify", str(path))
+        assert code == 0, err
+        assert stdout.endswith(": OK\n")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 1
@@ -457,12 +501,14 @@ def test_build_with_extreme_jacobi_parameters_fails_cleanly(tmp_path, capsys,
 
 def test_build_overflow_names_the_weight_mass(tmp_path, capsys):
     """At alpha = 300 the odd rule's moment ladder asks for a Jacobi weight
-    whose mass exceeds float range; the diagnostic says so."""
+    whose mass exceeds float range; the diagnostic says so and names the
+    rule's own parameters."""
     code, _, err = run(capsys, "build", "square-odd", "--alpha", "300", "--beta",
                        "0", "--gamma", "-0.5", "--m", "3",
                        "--out", str(tmp_path / "rule.json"))
     assert code == 2
     assert "weight mass" in err and "Jacobi weight" in err, err
+    assert "alpha=300" in err, err
 
 
 @pytest.mark.parametrize("family", [

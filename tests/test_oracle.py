@@ -8,7 +8,7 @@ import pytest
 
 import cubamin.oracle as oracle_mod
 from cubamin.biangle import biangle_moments, gauss_cubature_biangle
-from cubamin.opq1d import jacobi_recurrence
+from cubamin.opq1d import fold_panel_angles, jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
     ComposedMomentOracle,
@@ -82,10 +82,10 @@ def test_square_structural_zeros_are_bit_exact():
 
 
 def test_composed_structural_zeros():
-    assert oracle_mod.composed_moment(2, 1, 2, 0.5, -0.5) == 0.0
-    assert oracle_mod.composed_moment(3, 1, 2, -0.5, -0.5) == 0.0
-    assert oracle_mod.composed_moment(3, 2, 1, -0.5, -0.5) == 0.0
-    assert oracle_mod.composed_moment(2, 3, 2, 0.0, 0.0) == 0.0
+    assert ComposedMomentOracle(2, 0.5, -0.5).moment(1, 2) == 0.0
+    assert ComposedMomentOracle(3, -0.5, -0.5).moment(1, 2) == 0.0
+    assert ComposedMomentOracle(3, -0.5, -0.5).moment(2, 1) == 0.0
+    assert ComposedMomentOracle(2, 0.0, 0.0).moment(3, 2) == 0.0
 
 
 def test_composed_chebyshev_is_fold_independent():
@@ -155,17 +155,16 @@ def test_folding_connects_square_and_curved_moments(params):
     by the constant 4^(-gamma) coming from the 4-to-1 cover.
     """
     al, be, g = params
-    spec = WeightSpec("square-W", alpha=al, beta=be, gamma=g)
+    orc = SquareMomentOracle(al, be, g)
     rc = jacobi_recurrence(al, be, 16)
-    mass = oracle_mod.square_moment(spec, 0, 0)
+    mass = orc.moment(0, 0)
     for a in range(0, 5):
         for b in range(0, 5 - a):
             via_square = 0.0
             for k in range(b + 1):
                 for r in range(k + 1):
                     c = comb(b, k) * comb(k, r) * (-1) ** (b - k)
-                    via_square += c * oracle_mod.square_moment(
-                        spec, a + 2 * r, a + 2 * (k - r))
+                    via_square += c * orc.moment(a + 2 * r, a + 2 * (k - r))
             via_square *= 2.0 ** a
             direct = biangle_moments(rc, g, [(a, b)])[(a, b)]
             denom = max(abs(direct), abs(mass))
@@ -262,3 +261,78 @@ def test_certify_rejects_a_node_outside_the_curved_domain():
                       np.append(rule.weights, 1e-11))
     with pytest.raises(DomainError, match="outside the biangle"):
         certify(off, BiangleMomentOracle(rc, 0.5), off.degree)
+
+
+def _even_pairs(degree):
+    return [(i, d - i) for d in range(0, degree + 1, 2) for i in range(d + 1)]
+
+
+def _cos_power_row(t, p):
+    return np.cos(t) ** p
+
+
+def _panel_row(ell):
+    return lambda t, p: np.sum(np.cos(fold_panel_angles(ell, t)) ** p, axis=0) / ell
+
+
+# (oracle, ladder parameters, feature row, degree): the criterion-3 grid,
+# two points further out, and three folds
+_CROSS_CHECK = (
+    [(SquareMomentOracle(a, b, g), (a, b, g), _cos_power_row, 25)
+     for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
+    + [(SquareMomentOracle(a, b, g), (a, b, g), _cos_power_row, 41)
+       for (a, b, g) in ((2.3, 0.7, -0.5), (-0.5, 0.5, 0.5))]
+    + [(ComposedMomentOracle(ell, 0.5, 0.0), (0.5, 0.0, -0.5), _panel_row(ell), 25)
+       for ell in (2, 3, 4)]
+)
+
+
+def test_exact_engine_agrees_with_the_angular_ladder():
+    """The tensor grid in fold coordinates and the angular ladder integrate
+    the same kernel by independent routes; they agree to roundoff."""
+    for orc, params, row, degree in _CROSS_CHECK:
+        pairs = _even_pairs(degree)
+        ladder = oracle_mod.angular_moment_ladder(*params, pairs, row)[-1]
+        exact = orc.moments(pairs)
+        err = max(abs(exact[p] - v) for p, v in zip(pairs, ladder)) / orc.mass
+        assert err <= 1e-13, (params, degree, err)
+
+
+def _polynomial_weight_moments(alpha, beta, gamma, degree):
+    """Square moments at alpha, beta, gamma in {-1/2, 1/2}, in 30 digits:
+    the weight is (x1-x2)^(2a+1) (x1+x2)^(2b+1) times prod (1-x_k^2)^g,
+    so each moment is a sum of products of 1-D Beta values."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        one_d = [mpmath.beta(mpmath.mpf(k + 1) / 2, gamma + 1) if k % 2 == 0 else 0
+                 for k in range(degree + 5)]
+    poly = {(0, 0): 1}
+    for sign, power in ((-1, 2 * alpha + 1), (1, 2 * beta + 1)):
+        for _ in range(int(power)):
+            nxt = {}
+            for (k, l), c in poly.items():
+                nxt[(k + 1, l)] = nxt.get((k + 1, l), 0) + c
+                nxt[(k, l + 1)] = nxt.get((k, l + 1), 0) + sign * c
+            poly = nxt
+    with mpmath.workdps(30):
+        return {
+            (i, d - i): sum(c * one_d[i + k] * one_d[d - i + l] for (k, l), c in poly.items())
+            for d in range(degree + 1) for i in range(d + 1)
+        }
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.5])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+@pytest.mark.parametrize("b", [-0.5, 0.5])
+def test_both_moment_routes_match_known_answers(a, b, g):
+    """At half-integer alpha, beta the square weight is a polynomial times
+    prod (1 - x_k^2)^gamma: 30-digit Beta sums audit the exact engine
+    through degree 95 and the angular ladder through degree 33."""
+    ref = _polynomial_weight_moments(a, b, g, 95)
+    mass = float(ref[(0, 0)])
+    exact = SquareMomentOracle(a, b, g).moments(list(ref))
+    assert max(abs(exact[p] - float(v)) for p, v in ref.items()) <= 1e-13 * mass
+    pairs = _even_pairs(33)
+    ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
+    assert max(abs(v - float(ref[p])) for p, v in zip(pairs, ladder)) <= 1e-13 * mass

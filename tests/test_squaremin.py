@@ -297,6 +297,8 @@ def test_q_basis_is_finite_on_the_boundary(g):
 
 
 def test_weight_spec_validation():
+    with pytest.raises(ValueError, match="missing Jacobi parameter: beta"):
+        WeightSpec("square-W", alpha=0.0)
     with pytest.raises(ValueError):
         WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=0.25)
     with pytest.raises(ValueError):
