@@ -158,9 +158,6 @@ def tensor_moments(
     """
     if gamma not in (-0.5, 0.5):
         raise ValueError("gamma restricted to -1/2 and +1/2")
-    if not math.isfinite(0.5 * rc.mu0 * rc.mu0):  # bounds every cell weight
-        raise OverflowError("weight mass mu0^2 / 2 of the tensor grid, "
-                            "mu0 = %g, exceeds float range" % rc.mu0)
     out: Dict[Tuple[int, int], float] = {}
     grid = None
     for (i, j) in sorted(pairs, key=lambda p: npts(p[0] + p[1])):
@@ -170,11 +167,13 @@ def tensor_moments(
             Y1, Y2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
             gap = np.abs(Y1 - Y2) ** (2.0 * gamma + 1.0)
             W = 0.5 * np.outer(q.weights, q.weights) * gap
-            (coords, links), rows = images(Y1, Y2), {}
+            coords, links = images(Y1, Y2)
+            rows = {}
         for p in (i, j):
             if p not in rows:
                 rows[p] = [row(c, p) for c in coords]
-        out[(i, j)] = float(np.sum(W * sum(rows[i][a] * rows[j][b] for a, b in links)))
+        linked = sum(rows[i][a] * rows[j][b] for a, b in links)
+        out[(i, j)] = float(np.sum(W * linked))
     return out
 
 
@@ -192,6 +191,10 @@ def biangle_moments(
     even = bool(np.all(rc.a == 0.0))
     live = [(a, b) for (a, b) in pairs if not (even and (
         a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)))]
-    got = tensor_moments(rc, gamma, live, lambda d: d // 2 + 2,
-                         lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]), lambda u, p: u**p)
+    got = tensor_moments(
+        rc, gamma, live,
+        npts=lambda d: d // 2 + 2,
+        images=lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]),
+        row=lambda u, p: u**p,
+    )
     return {p: got.get(p, 0.0) for p in pairs}

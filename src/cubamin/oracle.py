@@ -175,8 +175,10 @@ def _fold_images(y1: np.ndarray, y2: np.ndarray):
     """Angles of the fold grid, t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with
     phi = arccos y, and pi - t, each linked both ways.  A folded panel-sum
     row of even ell is not invariant under x -> -x, so both images count."""
-    phi1, phi2 = np.arccos(y1), np.arccos(y2)
-    t1, t2 = 0.5 * (phi2 + phi1), 0.5 * (phi2 - phi1)
+    phi1 = np.arccos(y1)
+    phi2 = np.arccos(y2)
+    t1 = 0.5 * (phi2 + phi1)
+    t2 = 0.5 * (phi2 - phi1)
     return [t1, t2, math.pi - t1, math.pi - t2], [(0, 1), (1, 0), (2, 3), (3, 2)]
 
 
@@ -327,7 +329,9 @@ def certify(
 
     Raises DomainError, before any moment is computed, when a node lies
     outside the rule's closed domain by more than 1e-12: such a
-    node would inflate the scale and hide its own error.
+    node would inflate the scale and hide its own error.  Raises
+    OverflowError when a reference moment is infinite or NaN, which no
+    comparison could fail.
     """
     x = rule.nodes[:, 0]
     y = rule.nodes[:, 1]
@@ -344,7 +348,12 @@ def certify(
     pairs = [
         (i, d - i) for d in range(max_degree + 1) for i in range(d + 1)
     ]
-    ref = moments.moments(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        ref = moments.moments(pairs)
+    for (i, j) in pairs:
+        if not math.isfinite(ref[(i, j)]):
+            raise OverflowError("reference moment of x^%d y^%d is %r: the weight's "
+                                "moments exceed float range" % (i, j, ref[(i, j)]))
     mass = moments.mass
     deg_max = max_degree
     xp = np.vander(x, deg_max + 1, increasing=True)

@@ -254,22 +254,23 @@ def test_verify_unknown_family_is_unverifiable(tmp_path, capsys):
     assert "hexagon" in err
 
 
-@pytest.mark.parametrize("alpha", [600.0, 1100.0])
+@pytest.mark.parametrize("alpha, beta", [(520.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
 @pytest.mark.parametrize("family", [
     "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
     "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
     "composed --alpha -0.5 --beta -0.5 --ell 2 --m 1",
 ])
 def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
-                                                         family, alpha):
-    """A file whose alpha puts the weight mass beyond float range (at 1100
-    the 1-D recurrence mass, at 600 the tensor grid's) exits 4 with one
-    line; it never certifies against infinite moments."""
+                                                         family, alpha, beta):
+    """A file whose alpha puts the reference moments beyond float range (at
+    1100 the 1-D recurrence mass, at 520 and 600 the tensor grid's sums)
+    exits 4 with one line; it never certifies against infinite moments."""
     out = tmp_path / "rule.json"
     code, _, err = run(capsys, "build", *family.split(), "--out", str(out))
     assert code == 0, err
     doc = json.loads(out.read_text())
     doc["alpha"] = alpha
+    doc["beta"] = beta
     out.write_text(json.dumps(doc))
     code, stdout, err = run(capsys, "verify", str(out))
     assert (code, stdout) == (4, "")

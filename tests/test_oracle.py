@@ -1,6 +1,7 @@
 """Reference moments and the exactness certifier."""
 
 import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -14,6 +15,7 @@ from cubamin.oracle import (
     ComposedMomentOracle,
     DomainError,
     ExactnessReport,
+    MomentOracle,
     SquareMomentOracle,
     certify,
     chebyshev_moment_1d,
@@ -225,6 +227,19 @@ def test_certify_reports_worst_relative_error():
     assert 0.0 <= rep.worst_rel_error < 1e-11
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_certify_rejects_a_non_finite_reference_moment(bad):
+    """A NaN moment fails no comparison and an infinite one has a zero
+    relative error; certify refuses both instead of passing the monomial."""
+    spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
+    rule = minimal_rule_even(spec, 3)
+    good = SquareMomentOracle(-0.5, -0.5, -0.5)
+    broken = MomentOracle(
+        lambda pairs: {p: bad if p == (2, 2) else good.moment(*p) for p in pairs})
+    with pytest.raises(OverflowError, match=r"x\^2 y\^2"):
+        certify(rule, broken, rule.degree)
+
+
 def _with_nodes(rule, nodes, weights):
     return CubatureRule2D(nodes=nodes, weights=weights, degree=rule.degree,
                           domain=rule.domain, spec=rule.spec, param=rule.param,
@@ -299,14 +314,16 @@ def test_exact_engine_agrees_with_the_angular_ladder():
 
 
 def _polynomial_weight_moments(alpha, beta, gamma, degree):
-    """Square moments at alpha, beta, gamma in {-1/2, 1/2}, in 30 digits:
-    the weight is (x1-x2)^(2a+1) (x1+x2)^(2b+1) times prod (1-x_k^2)^g,
-    so each moment is a sum of products of 1-D Beta values."""
-    import mpmath
-
-    with mpmath.workdps(30):
-        one_d = [mpmath.beta(mpmath.mpf(k + 1) / 2, gamma + 1) if k % 2 == 0 else 0
-                 for k in range(degree + 5)]
+    """Square moments at alpha, beta, gamma in {-1/2, 1/2}, from exact
+    fractions: the weight is (x1-x2)^(2a+1) (x1+x2)^(2b+1) times
+    prod (1-x_k^2)^g, and the 1-D moment of x^k against (1-x^2)^g is
+    pi (k-1)!!/k!! for even k (divided by k+2 for g = +1/2), so each
+    moment is pi^2 times a Fraction."""
+    one_d = [Fraction(0)] * (degree + 5)  # 1-D moments over pi
+    chebyshev = Fraction(1)
+    for k in range(0, degree + 5, 2):
+        one_d[k] = chebyshev if gamma == -0.5 else chebyshev / (k + 2)
+        chebyshev *= Fraction(k + 1, k + 2)
     poly = {(0, 0): 1}
     for sign, power in ((-1, 2 * alpha + 1), (1, 2 * beta + 1)):
         for _ in range(int(power)):
@@ -315,11 +332,11 @@ def _polynomial_weight_moments(alpha, beta, gamma, degree):
                 nxt[(k + 1, l)] = nxt.get((k + 1, l), 0) + c
                 nxt[(k, l + 1)] = nxt.get((k, l + 1), 0) + sign * c
             poly = nxt
-    with mpmath.workdps(30):
-        return {
-            (i, d - i): sum(c * one_d[i + k] * one_d[d - i + l] for (k, l), c in poly.items())
-            for d in range(degree + 1) for i in range(d + 1)
-        }
+    return {
+        (i, d - i): math.pi**2 * float(
+            sum(c * one_d[i + k] * one_d[d - i + l] for (k, l), c in poly.items()))
+        for d in range(degree + 1) for i in range(d + 1)
+    }
 
 
 @pytest.mark.parametrize("g", [-0.5, 0.5])
@@ -327,12 +344,12 @@ def _polynomial_weight_moments(alpha, beta, gamma, degree):
 @pytest.mark.parametrize("b", [-0.5, 0.5])
 def test_both_moment_routes_match_known_answers(a, b, g):
     """At half-integer alpha, beta the square weight is a polynomial times
-    prod (1 - x_k^2)^gamma: 30-digit Beta sums audit the exact engine
+    prod (1 - x_k^2)^gamma: exact Beta sums audit the exact engine
     through degree 95 and the angular ladder through degree 33."""
     ref = _polynomial_weight_moments(a, b, g, 95)
-    mass = float(ref[(0, 0)])
+    mass = ref[(0, 0)]
     exact = SquareMomentOracle(a, b, g).moments(list(ref))
-    assert max(abs(exact[p] - float(v)) for p, v in ref.items()) <= 1e-13 * mass
+    assert max(abs(exact[p] - v) for p, v in ref.items()) <= 1e-13 * mass
     pairs = _even_pairs(33)
     ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
-    assert max(abs(v - float(ref[p])) for p, v in zip(pairs, ladder)) <= 1e-13 * mass
+    assert max(abs(v - ref[p]) for p, v in zip(pairs, ladder)) <= 1e-13 * mass
