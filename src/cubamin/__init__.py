@@ -7,17 +7,9 @@ from .biangle import (
     eval_koornwinder,
     gauss_cubature_biangle,
     in_omega,
-    map_x_to_u,
     split_u_to_x,
 )
-from .composed import (
-    composed_op_identity_check,
-    composed_rule,
-    folding_identity_check,
-    orbit_sets,
-    preimage_angles,
-    w_ell_value,
-)
+from .composed import composed_rule
 from .opq1d import (
     EigensolverError,
     QuadratureRule1D,
@@ -41,19 +33,15 @@ from .oracle import (
     SquareMomentOracle,
     angular_moment_ladder,
     certify,
-    chebyshev_moment_1d,
-    composed_moments,
     square_moments,
 )
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 from .squaremin import (
     eval_Q_basis,
-    fold_to_biangle,
     merge_close_nodes,
     minimal_rule_even,
     minimal_rule_odd,
     moller_bound,
-    weight_W,
 )
 
 __version__ = "0.1.0"
@@ -76,9 +64,6 @@ __all__ = [
     "angular_moment_ladder",
     "biangle_moments",
     "certify",
-    "chebyshev_moment_1d",
-    "composed_moments",
-    "composed_op_identity_check",
     "composed_rule",
     "diagonal_zero_set",
     "eval_Q_basis",
@@ -87,22 +72,15 @@ __all__ = [
     "eval_koornwinder",
     "eval_orthonormal",
     "eval_orthonormal_deriv",
-    "fold_to_biangle",
-    "folding_identity_check",
     "gauss_cubature_biangle",
     "gauss_rule",
     "in_omega",
     "jacobi_recurrence",
-    "map_x_to_u",
     "merge_close_nodes",
     "minimal_rule_even",
     "minimal_rule_odd",
     "moller_bound",
-    "orbit_sets",
-    "preimage_angles",
     "quasi_S",
     "split_u_to_x",
     "square_moments",
-    "w_ell_value",
-    "weight_W",
 ]

@@ -31,7 +31,6 @@ from .opq1d import (
 from .rules import CubatureRule2D, WeightSpec
 
 __all__ = [
-    "map_x_to_u",
     "split_u_to_x",
     "in_omega",
     "eval_koornwinder",
@@ -39,11 +38,6 @@ __all__ = [
     "biangle_moments",
     "tensor_moments",
 ]
-
-
-def map_x_to_u(x1, x2):
-    """Symmetric-function coordinates (x1+x2, x1*x2)."""
-    return np.asarray(x1) + np.asarray(x2), np.asarray(x1) * np.asarray(x2)
 
 
 def in_omega(u1, u2, tol: float = 0.0) -> np.ndarray:

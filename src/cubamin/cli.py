@@ -224,8 +224,8 @@ def cmd_bound(args) -> int:
 
 
 def _validate_weight_params(alpha: float, beta: float, gamma: Optional[float]) -> Optional[str]:
-    if alpha <= -1.0 or beta <= -1.0:
-        return "alpha and beta must exceed -1"
+    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
+        return "alpha and beta must be finite and exceed -1"
     if gamma is not None and gamma not in (-0.5, 0.5):
         return "gamma must be -0.5 or 0.5"
     return None
@@ -304,6 +304,10 @@ def oracle_for(meta: Dict[str, object], max_degree: int):
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        return _fail("--tol must be a finite positive number", EXIT_USAGE)
+    if args.max_degree is not None and args.max_degree < 0:
+        return _fail("--max-degree must be >= 0", EXIT_USAGE)
     try:
         nodes, weights, meta = parse_rule_file(args.rule_file)
     except _READ_ERRORS as exc:

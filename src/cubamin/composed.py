@@ -14,73 +14,14 @@ the degree 4m-1 rule for the base family.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
-from .opq1d import (
-    RecurrenceCoeffs,
-    eval_orthonormal,
-    fold_panel_angles,
-    gauss_pairs,
-    gauss_rule,
-    jacobi_recurrence,
-)
-from .oracle import chebyshev_moment_1d
+from .opq1d import fold_panel_angles, gauss_pairs, gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
-from .squaremin import _merge_runs, _merged_rule, _pow_with_sentinel
+from .squaremin import _merge_runs, _merged_rule
 
-__all__ = [
-    "w_ell_value",
-    "orbit_sets",
-    "preimage_angles",
-    "composed_rule",
-    "folding_identity_check",
-    "composed_op_identity_check",
-]
-
-
-def w_ell_value(jacobi: Tuple[float, float], ell: int, t) -> np.ndarray:
-    """Pointwise value of the folded weight for a Jacobi base.
-
-    The base-weight and square-root factors are combined before
-    exponentiation, so points where T_ell hits +-1 get the correct limit
-    (0, finite, or the inf sentinel depending on alpha, beta).
-    """
-    alpha, beta = jacobi
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= 1.0):
-        raise ValueError("|t| must be < 1")
-    T = np.cos(ell * np.arccos(t))
-    out = _pow_with_sentinel(1.0 - T, alpha + 0.5)
-    out = out * _pow_with_sentinel(1.0 + T, beta + 0.5)
-    return out / np.sqrt(1.0 - t * t)
-
-
-def preimage_angles(ell: int, theta: float, sign: str, tol: float = 1e-12) -> np.ndarray:
-    """All u in [0, pi] with cos(ell u) = cos(theta) (sign '+') or
-    -cos(theta) (sign '-'), sorted: the panel preimages of
-    fold_panel_angles, with the twins at panel junctions taken once."""
-    if ell < 1 or sign not in ("+", "-"):
-        raise ValueError("ell must be >= 1 and sign '+' or '-'")
-    base = theta if sign == "+" else math.pi - theta
-    u = np.sort(fold_panel_angles(ell, base))
-    return u[np.concatenate([[True], np.diff(u) > tol])]
-
-
-def orbit_sets(ell: int, theta: float, phi: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The two product orbits for the angle pair, as point arrays of shape
-    (N, 2): points whose ell-fold angle images are (-cos theta, -cos phi)
-    resp. (+cos theta, +cos phi).
-    """
-    both = []
-    for sign in ("-", "+"):
-        uu = np.cos(preimage_angles(ell, theta, sign))
-        vv = np.cos(preimage_angles(ell, phi, sign))
-        both.append(np.column_stack([np.repeat(uu, len(vv)), np.tile(vv, len(uu))]))
-    return both[0], both[1]
+__all__ = ["composed_rule"]
 
 
 def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D:
@@ -137,40 +78,3 @@ def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D
         )
     return _merged_rule(pts, wts, 2 * ell * ell * m * m + 2 * ell * m,
                         degree=4 * ell * m - 1, spec=spec, param=m, family="composed")
-
-
-def folding_identity_check(ell: int, i: int) -> float:
-    """Deviation between the Chebyshev-weight integrals of T_ell(t)^i and
-    t^i; identically zero in exact arithmetic for every ell."""
-    if ell < 1 or i < 0:
-        raise ValueError("ell >= 1 and i >= 0 required")
-    n = max(200, ell * i // 2 + 1)
-    psi = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-    left = math.pi / n * float(np.sum(np.cos(ell * psi) ** i))
-    return abs(left - chebyshev_moment_1d(i))
-
-
-def composed_op_identity_check(
-    rc: RecurrenceCoeffs, ell: int, m: int, grid: int = 200
-) -> float:
-    """Max deviation of the orthogonality integrals that characterize the
-    composed family's degree-ell*m orthogonal polynomial as the base
-    polynomial evaluated through T_ell.
-
-    Each integral is assembled panel by panel from a grid-point Gauss rule
-    of the base weight; the panel contributions cancel only because the
-    preimage cosine sums vanish, which is the identity under test.
-    """
-    if ell < 1 or m < 1:
-        raise ValueError("ell and m must be >= 1")
-    if rc.size < grid:
-        raise ValueError("recurrence too short for the requested grid")
-    q = gauss_rule(rc, grid)
-    psi = np.arccos(q.nodes)
-    core = q.weights * eval_orthonormal(rc, m, q.nodes)
-    ang = fold_panel_angles(ell, psi)
-    worst = 0.0
-    for k in range(ell * m):
-        total = float(np.sum(np.cos(k * ang) @ core))
-        worst = max(worst, abs(total / ell))
-    return worst

@@ -92,8 +92,8 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     Returns a_0..a_{m-1} and b_1..b_{m-1}, plus mu0 = 2^{alpha+beta+1}
     B(alpha+1, beta+1).
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("Jacobi parameters must exceed -1")
+    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
+        raise ValueError("Jacobi parameters must be finite and exceed -1")
     if m < 1:
         raise ValueError("m must be >= 1")
     s = alpha + beta

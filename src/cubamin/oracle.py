@@ -26,9 +26,7 @@ __all__ = [
     "DomainError",
     "angular_moment_ladder",
     "square_moments",
-    "composed_moments",
     "cos_basis_moments",
-    "chebyshev_moment_1d",
     "certify",
     "MomentOracle",
     "SquareMomentOracle",
@@ -48,16 +46,6 @@ class DomainError(ValueError):
 # absolute slack of the domain test in certify: admits the last-bit
 # rounding of nodes built on the boundary, nothing visibly outside
 _DOMAIN_SLACK = 1e-12
-
-
-def chebyshev_moment_1d(i: int) -> float:
-    """Integral of t^i (1-t^2)^{-1/2} over [-1,1]: pi (i-1)!!/i!! for even i."""
-    if i % 2 == 1:
-        return 0.0
-    val = math.pi
-    for k in range(2, i + 1, 2):
-        val *= (k - 1.0) / k
-    return val
 
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
@@ -171,33 +159,39 @@ def angular_moment_ladder(
     )
 
 
-def _fold_images(y1: np.ndarray, y2: np.ndarray):
-    """Angles of the fold grid, t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with
-    phi = arccos y, and pi - t, each linked both ways.  A folded panel-sum
-    row of even ell is not invariant under x -> -x, so both images count."""
+def _fold_images(ell: int, y1: np.ndarray, y2: np.ndarray):
+    """Per-panel cosines of the fold grid's angles, cos(fold_panel_angles(
+    ell, t)) at t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with phi = arccos y,
+    and at pi - t, each linked both ways.  A folded panel-sum row of even
+    ell is not invariant under x -> -x, so both images count."""
     phi1 = np.arccos(y1)
     phi2 = np.arccos(y2)
     t1 = 0.5 * (phi2 + phi1)
     t2 = 0.5 * (phi2 - phi1)
-    return [t1, t2, math.pi - t1, math.pi - t2], [(0, 1), (1, 0), (2, 3), (3, 2)]
+    coords = [np.cos(fold_panel_angles(ell, t)) for t in (t1, t2, math.pi - t1, math.pi - t2)]
+    return coords, [(0, 1), (1, 0), (2, 3), (3, 2)]
 
 
-def _symmetric_moments(
+def square_moments(
     alpha: float,
     beta: float,
     gamma: float,
+    ell: int,
     pairs: Iterable[Tuple[int, int]],
-    row: Callable[[np.ndarray, int], np.ndarray],
-    reflect: bool,
 ) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j for a swap-symmetric square weight on the
-    Jacobi(alpha, beta) tensor grid, scaled by 2^(-2 gamma - 2).
+    """Moments of x1^i x2^j against the square weight pushed through the
+    degree-ell fold (ell = 1: the square weight itself; ell > 1: the
+    composed weight, gamma = -1/2), on the Jacobi(alpha, beta) tensor grid.
 
-    Odd total degree is zero by central symmetry, and odd-odd too when
-    the weight survives single-axis reflection (reflect).  row(theta, p),
-    the feature row of the exponent p, is a polynomial of degree at most p
-    in cos theta, so (i+j)//4 + 2 points (+1 for gamma = +1/2) are exact.
+    The feature row is the panel sum of folded powers, which is a
+    polynomial of degree at most p in cos theta, so (i+j)//4 + 2 points
+    (+1 for gamma = +1/2) are exact.  Odd total degree is zero by central
+    symmetry.  Folded arguments flip sign under x -> -x only for odd ell,
+    so odd-odd exponents vanish by single-axis reflection for even ell or
+    alpha == beta.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     pairs = list(pairs)
     if any(min(p) < 0 for p in pairs):
         raise ValueError("exponents must be nonnegative")
@@ -205,29 +199,15 @@ def _symmetric_moments(
     def npts(d: int) -> int:
         return d // 4 + 2 + int(gamma == 0.5)
 
+    reflect = ell % 2 == 0 or alpha == beta
     live = [(i, j) for (i, j) in pairs
             if (i + j) % 2 == 0 and not (reflect and i % 2 == 1)]
     rc = jacobi_recurrence(alpha, beta, max([npts(i + j) for i, j in live], default=1))
-    got = tensor_moments(rc, gamma, live, npts, _fold_images, row)
+    got = tensor_moments(rc, gamma, live, npts,
+                         lambda y1, y2: _fold_images(ell, y1, y2),
+                         lambda c, p: np.sum(c**p, axis=0) / ell)
     scale = 2.0 ** (-2.0 * gamma - 2.0)
     return {p: scale * got.get(p, 0.0) for p in pairs}
-
-
-def square_moments(
-    spec: WeightSpec, pairs: Iterable[Tuple[int, int]]
-) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j against the square weight, batched over pairs.
-
-    With alpha == beta the weight also survives single-axis reflection,
-    which kills odd-odd exponents.
-    """
-    if spec.family != "square-W":
-        raise ValueError("square_moments needs a square-W spec")
-    return _symmetric_moments(
-        spec.alpha, spec.beta, spec.gamma, pairs,
-        lambda theta, p: np.cos(theta) ** p,
-        reflect=spec.alpha == spec.beta,
-    )
 
 
 def cos_basis_moments(
@@ -241,31 +221,6 @@ def cos_basis_moments(
     return angular_moment_ladder(
         alpha, beta, gamma, pairs, lambda theta, p: np.cos(p * theta)
     )[-1]
-
-
-def composed_moments(
-    ell: int,
-    alpha: float,
-    beta: float,
-    pairs: Iterable[Tuple[int, int]],
-) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j against the degree-ell composed weight
-    (gamma = -1/2 family); for the Chebyshev base, product Chebyshev moments.
-
-    The feature row is the panel sum of folded powers: every panel of
-    fold_panel_angles sees the same kernel.  Folded arguments flip sign
-    under x -> -x only for odd ell, so the single-axis reflection symmetry
-    needs even ell or alpha == beta.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-
-    def row(theta, p):
-        return np.sum(np.cos(fold_panel_angles(ell, theta)) ** p, axis=0) / ell
-
-    return _symmetric_moments(
-        alpha, beta, -0.5, pairs, row, reflect=ell % 2 == 0 or alpha == beta
-    )
 
 
 class MomentOracle:
@@ -296,15 +251,15 @@ class SquareMomentOracle(MomentOracle):
     """Moment source for the square weight family."""
 
     def __init__(self, alpha: float, beta: float, gamma: float):
-        self.spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
-        super().__init__(lambda pairs: square_moments(self.spec, pairs))
+        WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
+        super().__init__(lambda pairs: square_moments(alpha, beta, gamma, 1, pairs))
 
 
 class ComposedMomentOracle(MomentOracle):
     """Moment source for the composed family."""
 
     def __init__(self, ell: int, alpha: float, beta: float):
-        super().__init__(lambda pairs: composed_moments(ell, alpha, beta, pairs))
+        super().__init__(lambda pairs: square_moments(alpha, beta, -0.5, ell, pairs))
 
 
 class BiangleMomentOracle(MomentOracle):
@@ -327,12 +282,15 @@ def certify(
     max(|moment|, mass * scale) with scale the sup of |x^i y^j| over the
     node set, so zero moments are handled without blowups.
 
-    Raises DomainError, before any moment is computed, when a node lies
+    Raises ValueError unless rel_tol is finite and positive, and
+    DomainError, before any moment is computed, when a node lies
     outside the rule's closed domain by more than 1e-12: such a
     node would inflate the scale and hide its own error.  Raises
     OverflowError when a reference moment is infinite or NaN, which no
     comparison could fail.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError("rel_tol must be a finite positive number, got %r" % (rel_tol,))
     x = rule.nodes[:, 0]
     y = rule.nodes[:, 1]
     if rule.domain == "square":

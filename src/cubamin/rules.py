@@ -45,8 +45,8 @@ class WeightSpec:
         missing = [k for k in ("alpha", "beta") if getattr(self, k) is None]
         if len(missing) == 1 or missing and self.family != "biangle-gamma":
             raise ValueError("missing Jacobi parameter: %s" % ", ".join(missing))
-        if not missing and (self.alpha <= -1 or self.beta <= -1):
-            raise ValueError("Jacobi parameters must exceed -1")
+        if not missing and not all(np.isfinite(v) and v > -1 for v in (self.alpha, self.beta)):
+            raise ValueError("Jacobi parameters must be finite and exceed -1")
 
 
 @dataclass(frozen=True)

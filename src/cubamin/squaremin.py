@@ -23,11 +23,9 @@ from .rules import ConstructionError, CubatureRule2D, WeightSpec
 
 __all__ = [
     "moller_bound",
-    "weight_W",
     "minimal_rule_even",
     "minimal_rule_odd",
     "eval_Q_basis",
-    "fold_to_biangle",
     "half_angle_orbit",
     "merge_close_nodes",
 ]
@@ -39,43 +37,6 @@ def moller_bound(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return n * (n + 1) // 2 + n // 2
-
-
-def _pow_with_sentinel(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo with the convention 0**0 = 1, 0**negative = +inf."""
-    base = np.asarray(base, dtype=float)
-    if expo == 0.0:
-        return np.ones_like(base)
-    with np.errstate(divide="ignore"):
-        out = np.where(base > 0.0, base, 1.0) ** expo
-        out = np.where(base > 0.0, out, 0.0 if expo > 0.0 else np.inf)
-    return out
-
-
-def weight_W(spec: WeightSpec, x1, x2):
-    """Pointwise weight value for a square-family spec.
-
-    Zero-exponent factors are 1 even on their vanishing line; negative
-    exponents produce an inf sentinel there instead of raising.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if np.any(np.abs(x1) > 1.0) or np.any(np.abs(x2) > 1.0):
-        raise ValueError("points must lie in [-1,1]^2")
-    a, b, g = spec.alpha, spec.beta, spec.gamma
-    if spec.family == "square-W":
-        y1, y2 = x1, x2
-    elif spec.family == "square-W-ell":
-        ell = spec.ell
-        y1 = np.cos(ell * np.arccos(x1))
-        y2 = np.cos(ell * np.arccos(x2))
-    else:
-        raise ValueError("weight_W needs a square-family spec")
-    out = _pow_with_sentinel(np.abs(y1 - y2), 2.0 * a + 1.0)
-    out = out * _pow_with_sentinel(np.abs(y1 + y2), 2.0 * b + 1.0)
-    out = out * _pow_with_sentinel(1.0 - x1 * x1, g)
-    out = out * _pow_with_sentinel(1.0 - x2 * x2, g)
-    return out
 
 
 def half_angle_orbit(c_j, c_k) -> np.ndarray:
@@ -269,15 +230,6 @@ def minimal_rule_odd(
     wts = np.concatenate([np.full(n, w) for n, w in zip(multip, sol)])
     return _merged_rule(np.vstack(classes), wts, 2 * (m + 1) ** 2 - 1, degree=deg,
                         spec=spec, param=m, family="square-odd")
-
-
-def fold_to_biangle(x1, x2):
-    """The degree-2 invariant map (2 x1 x2, x1^2 + x2^2 - 1); it sends the
-    square onto the curved domain of module biangle and even-rule nodes
-    onto Gauss-cubature nodes there."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return 2.0 * x1 * x2, x1 * x1 + x2 * x2 - 1.0
 
 
 def eval_Q_basis(

@@ -20,20 +20,13 @@ from cubamin.biangle import (
     gauss_cubature_biangle,
     in_omega,
 )
-from cubamin.composed import (
-    composed_op_identity_check,
-    composed_rule,
-    folding_identity_check,
-    orbit_sets,
-    preimage_angles,
-)
+from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
     ComposedMomentOracle,
     SquareMomentOracle,
     certify,
-    chebyshev_moment_1d,
 )
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
@@ -41,6 +34,13 @@ from cubamin.squaremin import (
     minimal_rule_even,
     minimal_rule_odd,
     moller_bound,
+)
+from identities import (
+    chebyshev_moment_1d,
+    composed_op_identity_check,
+    folding_identity_check,
+    orbit_sets,
+    preimage_angles,
 )
 
 PI2 = math.pi * math.pi

@@ -12,7 +12,6 @@ from cubamin.biangle import (
     eval_koornwinder,
     gauss_cubature_biangle,
     in_omega,
-    map_x_to_u,
     split_u_to_x,
 )
 from cubamin.opq1d import jacobi_recurrence
@@ -22,6 +21,7 @@ from cubamin.oracle import (
     SquareMomentOracle,
     certify,
 )
+from identities import map_x_to_u
 
 PI2 = math.pi * math.pi
 

@@ -159,6 +159,27 @@ def test_build_rejects_alpha_at_minus_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    "biangle --gamma -0.5 --n 3 --alpha nan --beta 0",
+    "biangle --gamma -0.5 --n 3 --alpha inf --beta 0",
+    "square-even --gamma -0.5 --m 3 --alpha nan --beta 0",
+    "square-even --gamma -0.5 --m 3 --alpha inf --beta 0",
+    "square-odd --gamma 0.5 --m 3 --alpha nan --beta 0",
+    "square-odd --gamma 0.5 --m 3 --alpha inf --beta 0",
+    "composed --ell 2 --m 3 --alpha nan --beta 0",
+    "composed --ell 2 --m 3 --alpha inf --beta 0",
+    "biangle --gamma -0.5 --n 3 --alpha 0 --beta nan",
+])
+def test_build_rejects_non_finite_jacobi_parameters(tmp_path, capsys, flags):
+    """NaN compares false with -1, so only an explicit finiteness test keeps
+    it from the eigensolver; the build is a usage error with one line."""
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "build", *flags.split(), "--out", str(out))
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1 and "finite" in err, err
+    assert not out.exists()
+
+
 def test_construction_failure_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     def boom(spec, m):
         raise ConstructionError("synthetic failure for testing")
@@ -229,6 +250,34 @@ def test_verify_fails_on_perturbed_weight(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 3
     assert "FAIL" in stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys,
+                                                                    tol):
+    """The README odd rule with its first weight off by 1% fails at the
+    default tolerance; a NaN or infinite one would pass it as OK."""
+    out = tmp_path / "odd.json"
+    code, _, err = run(capsys, "build", "square-odd", "--alpha", "0.5", "--beta",
+                       "-0.5", "--gamma", "0.5", "--m", "3", "--out", str(out))
+    assert code == 0, err
+    doc = json.loads(out.read_text())
+    doc["nodes"][0][2] *= 1.01
+    out.write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    code, stdout, err = run(capsys, "verify", str(out), "--tol", tol,
+                            "--report", str(report))
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1 and "--tol" in err, err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("max_degree", ["-1", "-5"])
+def test_verify_rejects_a_negative_max_degree(tmp_path, capsys, max_degree):
+    out = build_small_even(tmp_path, capsys)
+    code, stdout, err = run(capsys, "verify", str(out), "--max-degree", max_degree)
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1 and "--max-degree" in err, err
 
 
 def test_verify_with_low_ceiling_cannot_certify(tmp_path, capsys):

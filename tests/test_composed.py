@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import cubamin.composed as composed
-from cubamin.composed import (
+from cubamin.composed import composed_rule
+from cubamin.opq1d import jacobi_recurrence
+from cubamin.oracle import ComposedMomentOracle, certify
+from cubamin.rules import ConstructionError, WeightSpec
+from cubamin.squaremin import minimal_rule_even, moller_bound
+from identities import (
     composed_op_identity_check,
-    composed_rule,
     folding_identity_check,
     orbit_sets,
     preimage_angles,
     w_ell_value,
 )
-from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import ComposedMomentOracle, certify
-from cubamin.rules import ConstructionError, WeightSpec
-from cubamin.squaremin import minimal_rule_even, moller_bound
 
 # ell = 2 folded Legendre moments, computed by direct symbolic integration
 LEGENDRE_L2_MOMENTS = {(0, 0): 4.0, (2, 0): 2.0, (0, 2): 2.0,

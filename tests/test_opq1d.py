@@ -112,6 +112,9 @@ def test_recurrence_validation():
         RecurrenceCoeffs(a=np.zeros(3), b=np.array([0.5, 0.2]), mu0=0.0)
     with pytest.raises(ValueError):
         jacobi_recurrence(-1.0, 0.0, 3)
+    for bad in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_recurrence(*bad, 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,10 +18,10 @@ from cubamin.oracle import (
     MomentOracle,
     SquareMomentOracle,
     certify,
-    chebyshev_moment_1d,
 )
 from cubamin.rules import CubatureRule2D, WeightSpec
 from cubamin.squaremin import minimal_rule_even
+from identities import chebyshev_moment_1d
 
 PI = math.pi
 PI2 = math.pi * math.pi
@@ -238,6 +238,20 @@ def test_certify_rejects_a_non_finite_reference_moment(bad):
         lambda pairs: {p: bad if p == (2, 2) else good.moment(*p) for p in pairs})
     with pytest.raises(OverflowError, match=r"x\^2 y\^2"):
         certify(rule, broken, rule.degree)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_certify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    """No monomial fails a NaN or infinite tolerance, so such a certificate
+    would pass any rule; certify refuses it before asking for a moment."""
+    spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
+    rule = minimal_rule_even(spec, 2)
+
+    def no_moments(pairs):
+        raise AssertionError("moments requested")
+
+    with pytest.raises(ValueError, match="rel_tol"):
+        certify(rule, MomentOracle(no_moments), rule.degree, rel_tol=tol)
 
 
 def _with_nodes(rule, nodes, weights):

@@ -52,3 +52,12 @@ def test_runtime_imports_numpy_only():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    """The README's python block is the documented entry to the library;
+    it must run against the package as shipped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

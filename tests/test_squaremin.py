@@ -11,14 +11,13 @@ from cubamin.oracle import SquareMomentOracle, certify
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
     eval_Q_basis,
-    fold_to_biangle,
     half_angle_orbit,
     merge_close_nodes,
     minimal_rule_even,
     minimal_rule_odd,
     moller_bound,
-    weight_W,
 )
+from identities import fold_to_biangle, weight_W
 
 PI2 = math.pi * math.pi
 
@@ -303,6 +302,11 @@ def test_weight_spec_validation():
         WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=0.25)
     with pytest.raises(ValueError):
         WeightSpec("square-W", alpha=-1.0, beta=-0.5, gamma=-0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec("square-W", alpha=bad, beta=-0.5, gamma=-0.5)
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec("biangle-gamma", alpha=-0.5, beta=bad, gamma=0.5)
     with pytest.raises(ValueError):
         WeightSpec("no-such-family", alpha=-0.5, beta=-0.5)
     with pytest.raises(ValueError):
