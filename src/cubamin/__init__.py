@@ -26,7 +26,6 @@ from .opq1d import (
 )
 from .oracle import (
     BiangleMomentOracle,
-    ComposedMomentOracle,
     DomainError,
     MomentOracle,
     OracleConvergenceError,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiangleMomentOracle",
-    "ComposedMomentOracle",
     "ConstructionError",
     "CubatureRule2D",
     "DomainError",

@@ -131,7 +131,6 @@ def gauss_cubature_biangle(
         nodes=np.column_stack([t[J] + t[K], t[J] * t[K]]),
         weights=weights,
         degree=2 * n - 1,
-        domain="biangle",
         spec=spec,
         param=n,
         family="biangle",

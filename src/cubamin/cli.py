@@ -22,7 +22,6 @@ from .composed import composed_rule
 from .opq1d import EigensolverError, ZeroCountError, jacobi_recurrence
 from .oracle import (
     BiangleMomentOracle,
-    ComposedMomentOracle,
     DomainError,
     OracleConvergenceError,
     SquareMomentOracle,
@@ -79,11 +78,12 @@ def rule_to_csv(nodes: np.ndarray, weights: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
-    """File metadata for a constructed rule.  The bound field is the
-    node-count lower bound for the declared degree, for the reader's
-    side-by-side comparison; Gauss rules on the curved domain undercut it."""
-    spec = rule.spec
+def rule_metadata(rule: CubatureRule2D, spec: WeightSpec) -> Dict[str, object]:
+    """File metadata for a rule built for spec, whose alpha and beta the
+    file records even where the builder kept only a recurrence.  The bound
+    field is the node-count lower bound for the declared degree, for the
+    reader's side-by-side comparison; Gauss rules on the curved domain
+    undercut it."""
     return {
         "family": rule.family,
         "alpha": spec.alpha,
@@ -223,48 +223,33 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _validate_weight_params(alpha: float, beta: float, gamma: Optional[float]) -> Optional[str]:
-    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
-        return "alpha and beta must be finite and exceed -1"
-    if gamma is not None and gamma not in (-0.5, 0.5):
-        return "gamma must be -0.5 or 0.5"
-    return None
-
-
 def cmd_build(args) -> int:
     fam = args.family
-    gamma = getattr(args, "gamma", None)
-    msg = _validate_weight_params(args.alpha, args.beta, gamma)
-    if msg is None and fam == "biangle" and args.n < 1:
-        msg = "--n must be >= 1"
-    if msg is None and fam != "biangle" and args.m < 1:
-        msg = "--m must be >= 1"
-    if msg is None and fam == "composed" and args.ell < 1:
-        msg = "--ell must be >= 1"
-    if msg is not None:
-        return _fail(msg, EXIT_USAGE)
+    try:
+        spec = WeightSpec("biangle-gamma" if fam == "biangle" else "square-W",
+                          alpha=args.alpha, beta=args.beta,
+                          gamma=getattr(args, "gamma", -0.5), ell=getattr(args, "ell", 1))
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    size = "n" if fam == "biangle" else "m"
+    if getattr(args, size) < 1:
+        return _fail("--%s must be >= 1" % size, EXIT_USAGE)
 
     try:
         if fam == "biangle":
-            rc = jacobi_recurrence(args.alpha, args.beta, args.n + 1)
-            rule = gauss_cubature_biangle(rc, args.n, gamma)
+            rc = jacobi_recurrence(spec.alpha, spec.beta, args.n + 1)
+            rule = gauss_cubature_biangle(rc, args.n, spec.gamma)
         elif fam == "square-even":
-            spec = WeightSpec("square-W", alpha=args.alpha, beta=args.beta, gamma=gamma)
             rule = minimal_rule_even(spec, args.m)
         elif fam == "square-odd":
-            rule = minimal_rule_odd(args.alpha, args.beta, gamma, args.m)
+            rule = minimal_rule_odd(spec.alpha, spec.beta, spec.gamma, args.m)
         else:
-            rule = composed_rule(args.ell, args.m, args.alpha, args.beta)
+            rule = composed_rule(spec.ell, args.m, spec.alpha, spec.beta)
     except _BUILD_ERRORS as exc:
         # nothing has been opened for writing yet, so no partial file
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
 
-    meta = rule_metadata(rule)
-    if fam == "biangle":
-        # the curved-domain builder keeps only the base recurrence; the
-        # file format wants the Jacobi parameters, which the flags carry
-        meta["alpha"] = args.alpha
-        meta["beta"] = args.beta
+    meta = rule_metadata(rule, spec)
     if args.format == "csv":
         payload = rule_to_csv(rule.nodes, rule.weights)
     else:
@@ -280,27 +265,20 @@ def cmd_build(args) -> int:
 
 
 def oracle_for(meta: Dict[str, object], max_degree: int):
-    """Moment oracle and reconstruction spec for a file's metadata, or None
-    when no oracle covers the family."""
+    """Moment oracle and weight spec for a file's metadata, or None when no
+    oracle covers the family.  Raises ValueError on invalid parameters."""
     fam = meta["family"]
-    alpha, beta = meta["alpha"], meta["beta"]
-    gamma = meta["gamma"]
-    if alpha is None or beta is None or gamma is None:
+    params = [meta[k] for k in ("alpha", "beta", "gamma")]
+    if fam not in ("biangle", "square-even", "square-odd", "composed") or None in params:
         return None
+    alpha, beta, gamma = map(float, params)
     if fam == "biangle":
-        rc = jacobi_recurrence(float(alpha), float(beta), max_degree // 2 + 4)
         spec = WeightSpec("biangle-gamma", alpha=alpha, beta=beta, gamma=gamma)
-        return BiangleMomentOracle(rc, float(gamma)), spec, "biangle"
-    if fam in ("square-even", "square-odd"):
-        spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
-        return SquareMomentOracle(float(alpha), float(beta), float(gamma)), spec, "square"
-    if fam == "composed":
-        ell = meta["ell"]
-        spec = WeightSpec(
-            "square-W-ell", alpha=alpha, beta=beta, gamma=-0.5, ell=ell
-        )
-        return ComposedMomentOracle(ell, float(alpha), float(beta)), spec, "square"
-    return None
+        rc = jacobi_recurrence(alpha, beta, max_degree // 2 + 4)
+        return BiangleMomentOracle(rc, gamma), spec
+    ell = meta["ell"] if fam == "composed" else 1
+    spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)
+    return SquareMomentOracle(alpha, beta, gamma, ell), spec
 
 
 def cmd_verify(args) -> int:
@@ -329,13 +307,12 @@ def cmd_verify(args) -> int:
         return _fail(
             "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE
         )
-    oracle, spec, domain = picked
+    oracle, spec = picked
     try:
         rule = CubatureRule2D(
             nodes=nodes,
             weights=weights,
             degree=declared,
-            domain=domain,
             spec=spec,
             param=meta["param_n_or_m"],
             family=str(meta["family"]),

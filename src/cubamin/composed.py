@@ -37,7 +37,7 @@ def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D
     """
     if ell < 1 or m < 1:
         raise ValueError("ell and m must be >= 1")
-    spec = WeightSpec("square-W-ell", alpha=alpha, beta=beta, gamma=-0.5, ell=ell)
+    spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=-0.5, ell=ell)
     q = gauss_rule(jacobi_recurrence(alpha, beta, m), m)
     J, K, share = gauss_pairs(q, False)
     share = share / (2.0 * ell * ell)

@@ -82,9 +82,6 @@ class QuadratureRule1D:
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     """Monic recurrence coefficients for the weight (1-t)^alpha (1+t)^beta.
@@ -195,8 +192,8 @@ def divided_difference(rc: RecurrenceCoeffs, hi: int, lo: int, x1, x2) -> np.nda
 
 def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
     """Jacobi polynomial with P_n^{(alpha,beta)}(1) = binom(n+alpha, n)."""
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("Jacobi parameters must exceed -1")
+    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
+        raise ValueError("Jacobi parameters must be finite and exceed -1")
     t = np.asarray(t, dtype=float)
     if n == 0:
         return np.ones_like(t)

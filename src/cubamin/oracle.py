@@ -30,7 +30,6 @@ __all__ = [
     "certify",
     "MomentOracle",
     "SquareMomentOracle",
-    "ComposedMomentOracle",
     "BiangleMomentOracle",
 ]
 
@@ -90,10 +89,7 @@ def angular_moment_ladder(
     Returns every ladder level (for convergence diagnostics); the final
     entry is the converged batch.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("weight parameters must exceed -1")
-    if gamma not in (-0.5, 0.5):
-        raise ValueError("gamma restricted to -1/2 and +1/2")
+    WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
     pa = 4.0 * alpha + 3.0
     qa = 2.0 * beta + 1.0
     pb = 2.0 * alpha + 1.0
@@ -248,18 +244,12 @@ class MomentOracle:
 
 
 class SquareMomentOracle(MomentOracle):
-    """Moment source for the square weight family."""
+    """Moment source for the square weight family; ell > 1 is the composed
+    weight, which exists only for gamma = -1/2."""
 
-    def __init__(self, alpha: float, beta: float, gamma: float):
-        WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
-        super().__init__(lambda pairs: square_moments(alpha, beta, gamma, 1, pairs))
-
-
-class ComposedMomentOracle(MomentOracle):
-    """Moment source for the composed family."""
-
-    def __init__(self, ell: int, alpha: float, beta: float):
-        super().__init__(lambda pairs: square_moments(alpha, beta, -0.5, ell, pairs))
+    def __init__(self, alpha: float, beta: float, gamma: float, ell: int = 1):
+        WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)  # raises on bad parameters
+        super().__init__(lambda pairs: square_moments(alpha, beta, gamma, ell, pairs))
 
 
 class BiangleMomentOracle(MomentOracle):
@@ -282,15 +272,17 @@ def certify(
     max(|moment|, mass * scale) with scale the sup of |x^i y^j| over the
     node set, so zero moments are handled without blowups.
 
-    Raises ValueError unless rel_tol is finite and positive, and
-    DomainError, before any moment is computed, when a node lies
-    outside the rule's closed domain by more than 1e-12: such a
-    node would inflate the scale and hide its own error.  Raises
-    OverflowError when a reference moment is infinite or NaN, which no
-    comparison could fail.
+    Raises ValueError unless rel_tol is finite and positive and
+    max_degree >= 0, and DomainError, before any moment is computed,
+    when a node lies outside the rule's closed domain by more than
+    1e-12: such a node would inflate the scale and hide its own error.
+    Raises OverflowError when a reference moment is infinite or NaN,
+    which no comparison could fail.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError("rel_tol must be a finite positive number, got %r" % (rel_tol,))
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
     x = rule.nodes[:, 0]
     y = rule.nodes[:, 1]
     if rule.domain == "square":

@@ -18,11 +18,11 @@ class ConstructionError(RuntimeError):
 class WeightSpec:
     """Symbolic description of a 2D weight family.
 
-    family: 'biangle-gamma' (curved domain, parameter gamma), 'square-W'
-    (the |x1-x2|^{2a+1} |x1+x2|^{2b+1} ((1-x1^2)(1-x2^2))^g family on the
-    square), or 'square-W-ell' (the degree-ell composed variant, g = -1/2).
+    family: 'biangle-gamma' (curved domain, parameter gamma) or 'square-W'
+    (the |y1-y2|^{2a+1} |y1+y2|^{2b+1} ((1-x1^2)(1-x2^2))^g family on the
+    square at y = T_ell(x); ell > 1 is the composed weight, g = -1/2).
     alpha/beta are the Jacobi parameters of the base 1D weight; the square
-    families require them, a curved-domain rule built from a bare
+    family requires them, a curved-domain rule built from a bare
     recurrence leaves them unset.
     """
 
@@ -33,15 +33,16 @@ class WeightSpec:
     ell: int = 1
 
     def __post_init__(self):
-        if self.family not in ("biangle-gamma", "square-W", "square-W-ell"):
+        if self.family not in ("biangle-gamma", "square-W"):
             raise ValueError("unknown weight family %r" % (self.family,))
         if self.gamma not in (-0.5, 0.5):
             raise ValueError("gamma restricted to -1/2 and +1/2")
-        if self.family == "square-W-ell":
-            if self.ell < 1:
-                raise ValueError("ell must be >= 1")
-            if self.gamma != -0.5:
-                raise ValueError("composed family exists only for gamma = -1/2")
+        if self.ell < 1:
+            raise ValueError("ell must be >= 1")
+        if self.ell > 1 and self.gamma != -0.5:
+            raise ValueError("composed family exists only for gamma = -1/2")
+        if self.ell != 1 and self.family != "square-W":
+            raise ValueError("ell is a parameter of the square-W family only")
         missing = [k for k in ("alpha", "beta") if getattr(self, k) is None]
         if len(missing) == 1 or missing and self.family != "biangle-gamma":
             raise ValueError("missing Jacobi parameter: %s" % ", ".join(missing))
@@ -56,7 +57,6 @@ class CubatureRule2D:
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
     degree: int
-    domain: str  # 'biangle' | 'square'
     spec: WeightSpec
     param: int  # n for Gauss-type rules, m for the minimal families
     family: str = "unknown"
@@ -75,8 +75,10 @@ class CubatureRule2D:
             raise ValueError("non-finite node or weight")
         if np.any(self.weights <= 0.0):
             raise ConstructionError("nonpositive cubature weight")
-        if self.domain not in ("biangle", "square"):
-            raise ValueError("unknown domain tag")
+
+    @property
+    def domain(self) -> str:
+        return "biangle" if self.spec.family == "biangle-gamma" else "square"
 
     @property
     def node_count(self) -> int:
@@ -91,7 +93,6 @@ class CubatureRule2D:
             nodes=self.nodes[order],
             weights=self.weights[order],
             degree=self.degree,
-            domain=self.domain,
             spec=self.spec,
             param=self.param,
             family=self.family,

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+# per-axis distance within which two nodes are one point and their weights add
+_MERGE_TOL = 1e-12
+
+
 def moller_bound(n: int) -> int:
     """Lower bound on the node count of a degree 2n-1 cubature rule for a
     centrally symmetric weight on the square."""
@@ -62,22 +66,20 @@ def half_angle_orbit(c_j, c_k) -> np.ndarray:
 
 
 def merge_close_nodes(
-    points: Sequence[Tuple[float, float]],
-    weights: Sequence[float],
-    tol: float = 1e-12,
+    points: Sequence[Tuple[float, float]], weights: Sequence[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum weights of coordinate-coincident points (within tol per axis)."""
+    """Sum weights of coordinate-coincident points (within 1e-12 per axis)."""
     pts = np.asarray(points, dtype=float)
-    nodes, wts, _ = _merge_runs(pts, weights, np.zeros(len(pts), dtype=int), tol)
+    nodes, wts, _ = _merge_runs(pts, weights, np.zeros(len(pts), dtype=int))
     return nodes, wts
 
 
 def _merge_runs(
-    pts: np.ndarray, weights: Sequence[float], group: np.ndarray, tol: float = 1e-12
+    pts: np.ndarray, weights: Sequence[float], group: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One scan over the points sorted by group, then x, then y.  A point
-    within tol per axis of the first point of the current run, and in its
-    group, adds its weight to the run; any other point starts a run.
+    within _MERGE_TOL per axis of the first point of the current run, and
+    in its group, adds its weight to the run; any other point starts a run.
     Returns the run points, their summed weights and their groups.
 
     The scan reads Python floats: per element that is several times faster
@@ -92,8 +94,8 @@ def _merge_runs(
         if (
             keep_pts
             and g == keep_grp[-1]
-            and abs(p[0] - keep_pts[-1][0]) <= tol
-            and abs(p[1] - keep_pts[-1][1]) <= tol
+            and abs(p[0] - keep_pts[-1][0]) <= _MERGE_TOL
+            and abs(p[1] - keep_pts[-1][1]) <= _MERGE_TOL
         ):
             keep_wts[-1] += w
         else:
@@ -115,7 +117,7 @@ def _merged_rule(
             "%s rule has %d nodes after merging, expected %d"
             % (fields["family"], len(nodes), expected)
         )
-    return CubatureRule2D(nodes=nodes, weights=weights, domain="square", **fields)
+    return CubatureRule2D(nodes=nodes, weights=weights, **fields)
 
 
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
@@ -129,8 +131,8 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if spec.family != "square-W":
-        raise ValueError("minimal_rule_even needs a square-W spec")
+    if spec.family != "square-W" or spec.ell != 1:
+        raise ValueError("minimal_rule_even needs a square-W spec with ell = 1")
     g = spec.gamma
     size = m + 1 if g == 0.5 else m
     q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, size), size)
@@ -149,16 +151,12 @@ def _symmetrized_cos_rows(
     pairs: Sequence[Tuple[int, int]], classes: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Matrix of per-class sums of the swap-symmetrized product cosines."""
+    i, j = (np.array(e)[:, None] for e in zip(*pairs))
     A = np.zeros((len(pairs), len(classes)))
-    th = [np.arccos(np.clip(c, -1.0, 1.0)) for c in classes]
-    for r, (i, j) in enumerate(pairs):
-        for c, ang in enumerate(th):
-            v1 = np.cos(i * ang[:, 0]) * np.cos(j * ang[:, 1])
-            if i == j:
-                A[r, c] = float(np.sum(v1))
-            else:
-                v2 = np.cos(j * ang[:, 0]) * np.cos(i * ang[:, 1])
-                A[r, c] = float(np.sum(v1 + v2))
+    for c, ang in enumerate(np.arccos(np.clip(x, -1.0, 1.0)) for x in classes):
+        v1 = np.cos(i * ang[:, 0]) * np.cos(j * ang[:, 1])
+        v2 = np.cos(j * ang[:, 0]) * np.cos(i * ang[:, 1])
+        A[:, c] = np.sum(np.where(i == j, v1, v1 + v2), axis=1)
     return A
 
 
@@ -176,8 +174,6 @@ def minimal_rule_odd(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if gamma not in (-0.5, 0.5):
-        raise ValueError("gamma restricted to -1/2 and +1/2")
     spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
 
     if gamma == -0.5:

@@ -62,14 +62,14 @@ def weight_W(spec: WeightSpec, x1, x2):
     if np.any(np.abs(x1) > 1.0) or np.any(np.abs(x2) > 1.0):
         raise ValueError("points must lie in [-1,1]^2")
     a, b, g = spec.alpha, spec.beta, spec.gamma
-    if spec.family == "square-W":
+    if spec.family != "square-W":
+        raise ValueError("weight_W needs a square-family spec")
+    if spec.ell == 1:
         y1, y2 = x1, x2
-    elif spec.family == "square-W-ell":
+    else:
         ell = spec.ell
         y1 = np.cos(ell * np.arccos(x1))
         y2 = np.cos(ell * np.arccos(x2))
-    else:
-        raise ValueError("weight_W needs a square-family spec")
     out = _pow_with_sentinel(np.abs(y1 - y2), 2.0 * a + 1.0)
     out = out * _pow_with_sentinel(np.abs(y1 + y2), 2.0 * b + 1.0)
     out = out * _pow_with_sentinel(1.0 - x1 * x1, g)

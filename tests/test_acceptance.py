@@ -24,7 +24,6 @@ from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
-    ComposedMomentOracle,
     SquareMomentOracle,
     certify,
 )
@@ -140,7 +139,7 @@ def test_criterion_3_certification_across_the_parameter_grid():
     for ell in range(1, 4):
         for m in range(1, 5):
             rule = composed_rule(ell, m, -0.5, -0.5)
-            oracle = ComposedMomentOracle(ell, -0.5, -0.5)
+            oracle = SquareMomentOracle(-0.5, -0.5, -0.5, ell)
             ceiling = 4 * ell * m if ell * m <= 6 else 4 * ell * m - 1
             report = certify(rule, oracle, ceiling, rel_tol=1e-9)
             assert report.certified_degree == 4 * ell * m - 1, (ell, m)

@@ -17,7 +17,6 @@ from cubamin.biangle import (
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
-    ComposedMomentOracle,
     SquareMomentOracle,
     certify,
 )
@@ -112,7 +111,7 @@ def test_moment_batch_equals_single_requests(ab, g):
     for p in pairs:
         assert batch[p] == biangle_moments(rc, g, [p])[p]
     for make in (lambda: SquareMomentOracle(*ab, g),
-                 lambda: ComposedMomentOracle(2 if g < 0 else 3, *ab)):
+                 lambda: SquareMomentOracle(*ab, -0.5, 2 if g < 0 else 3)):
         batch = make().moments(pairs)
         for p in pairs:
             assert batch[p] == make().moment(*p)

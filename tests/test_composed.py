@@ -8,7 +8,7 @@ import pytest
 import cubamin.composed as composed
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import ComposedMomentOracle, certify
+from cubamin.oracle import SquareMomentOracle, certify
 from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import minimal_rule_even, moller_bound
 from identities import (
@@ -137,16 +137,16 @@ def test_ell_one_reduces_to_the_plain_square_rule():
 
 
 def test_composed_legendre_moments_frozen():
-    oracle = ComposedMomentOracle(2, 0.0, 0.0)
+    oracle = SquareMomentOracle(0.0, 0.0, -0.5, 2)
     for (i, j), want in LEGENDRE_L2_MOMENTS.items():
         assert oracle.moment(i, j) == pytest.approx(want, rel=1e-13)
     # mass does not depend on the fold order
-    assert ComposedMomentOracle(5, 0.0, 0.0).moment(0, 0) == pytest.approx(4.0, rel=1e-13)
+    assert SquareMomentOracle(0.0, 0.0, -0.5, 5).moment(0, 0) == pytest.approx(4.0, rel=1e-13)
 
 
 def test_composed_rule_certifies_small_case():
     rule = composed_rule(2, 2, -0.5, -0.5)
-    oracle = ComposedMomentOracle(2, -0.5, -0.5)
+    oracle = SquareMomentOracle(-0.5, -0.5, -0.5, 2)
     report = certify(rule, oracle, rule.degree, rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 
@@ -156,7 +156,7 @@ def test_composed_rule_certifies_over_non_chebyshev_bases(ell, m, alpha, beta):
     """The rule is built on the base weight it is labelled with."""
     rule = composed_rule(ell, m, alpha, beta)
     assert (rule.spec.alpha, rule.spec.beta) == (alpha, beta)
-    report = certify(rule, ComposedMomentOracle(ell, alpha, beta), rule.degree,
+    report = certify(rule, SquareMomentOracle(alpha, beta, -0.5, ell), rule.degree,
                      rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 

@@ -115,6 +115,13 @@ def test_recurrence_validation():
     for bad in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             jacobi_recurrence(*bad, 3)
+        # NaN compares false with -1: the standard family had returned NaN
+        # values and the diagonal zero set a zero-count failure
+        with pytest.raises(ValueError, match="finite"):
+            eval_jacobi_standard(*bad, 2, [0.3])
+        for sign in ("-", "+"):
+            with pytest.raises(ValueError, match="finite"):
+                diagonal_zero_set(*bad, 2, sign)
 
 
 @settings(max_examples=40, deadline=None)

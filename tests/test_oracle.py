@@ -12,7 +12,6 @@ from cubamin.biangle import biangle_moments, gauss_cubature_biangle
 from cubamin.opq1d import fold_panel_angles, jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
-    ComposedMomentOracle,
     DomainError,
     ExactnessReport,
     MomentOracle,
@@ -84,24 +83,24 @@ def test_square_structural_zeros_are_bit_exact():
 
 
 def test_composed_structural_zeros():
-    assert ComposedMomentOracle(2, 0.5, -0.5).moment(1, 2) == 0.0
-    assert ComposedMomentOracle(3, -0.5, -0.5).moment(1, 2) == 0.0
-    assert ComposedMomentOracle(3, -0.5, -0.5).moment(2, 1) == 0.0
-    assert ComposedMomentOracle(2, 0.0, 0.0).moment(3, 2) == 0.0
+    assert SquareMomentOracle(0.5, -0.5, -0.5, 2).moment(1, 2) == 0.0
+    assert SquareMomentOracle(-0.5, -0.5, -0.5, 3).moment(1, 2) == 0.0
+    assert SquareMomentOracle(-0.5, -0.5, -0.5, 3).moment(2, 1) == 0.0
+    assert SquareMomentOracle(0.0, 0.0, -0.5, 2).moment(3, 2) == 0.0
 
 
 def test_composed_chebyshev_is_fold_independent():
     pairs = [(i, j) for i in range(0, 9, 2) for j in range(0, 9, 2)]
-    base = ComposedMomentOracle(1, -0.5, -0.5)
+    base = SquareMomentOracle(-0.5, -0.5, -0.5, 1)
     for ell in (2, 3, 5):
-        orc = ComposedMomentOracle(ell, -0.5, -0.5)
+        orc = SquareMomentOracle(-0.5, -0.5, -0.5, ell)
         for p in pairs:
             assert orc.moment(*p) == pytest.approx(base.moment(*p), rel=1e-12)
 
 
 def test_composed_trivial_fold_equals_square_oracle():
     sq = SquareMomentOracle(0.0, 0.0, -0.5)
-    fo = ComposedMomentOracle(1, 0.0, 0.0)
+    fo = SquareMomentOracle(0.0, 0.0, -0.5, 1)
     for i in range(0, 7, 2):
         for j in range(0, 7, 2):
             assert fo.moment(i, j) == pytest.approx(sq.moment(i, j), rel=1e-12)
@@ -254,10 +253,23 @@ def test_certify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         certify(rule, MomentOracle(no_moments), rule.degree, rel_tol=tol)
 
 
+@pytest.mark.parametrize("max_degree", [-1, -5])
+def test_certify_rejects_a_negative_max_degree(max_degree):
+    """-5 had died inside numpy and -1 had certified degree -1 with no
+    failures; certify refuses both before asking for a moment."""
+    spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
+    rule = minimal_rule_even(spec, 2)
+
+    def no_moments(pairs):
+        raise AssertionError("moments requested")
+
+    with pytest.raises(ValueError, match="max_degree"):
+        certify(rule, MomentOracle(no_moments), max_degree)
+
+
 def _with_nodes(rule, nodes, weights):
     return CubatureRule2D(nodes=nodes, weights=weights, degree=rule.degree,
-                          domain=rule.domain, spec=rule.spec, param=rule.param,
-                          family=rule.family)
+                          spec=rule.spec, param=rule.param, family=rule.family)
 
 
 def test_rules_reject_non_finite_values():
@@ -311,7 +323,7 @@ _CROSS_CHECK = (
      for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
     + [(SquareMomentOracle(a, b, g), (a, b, g), _cos_power_row, 41)
        for (a, b, g) in ((2.3, 0.7, -0.5), (-0.5, 0.5, 0.5))]
-    + [(ComposedMomentOracle(ell, 0.5, 0.0), (0.5, 0.0, -0.5), _panel_row(ell), 25)
+    + [(SquareMomentOracle(0.5, 0.0, -0.5, ell), (0.5, 0.0, -0.5), _panel_row(ell), 25)
        for ell in (2, 3, 4)]
 )
 

@@ -310,4 +310,10 @@ def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec("no-such-family", alpha=-0.5, beta=-0.5)
     with pytest.raises(ValueError):
-        WeightSpec("square-W-ell", alpha=-0.5, beta=-0.5, gamma=0.5, ell=2)
+        WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=0.5, ell=2)
+    with pytest.raises(ValueError, match="ell must be >= 1"):
+        WeightSpec("square-W", alpha=-0.5, beta=-0.5, ell=0)
+    with pytest.raises(ValueError, match="square-W family only"):
+        WeightSpec("biangle-gamma", alpha=-0.5, beta=-0.5, ell=2)
+    with pytest.raises(ValueError, match="ell = 1"):
+        minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, ell=2), 2)
