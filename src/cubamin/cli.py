@@ -10,10 +10,11 @@ no oracle covers, or an oracle failure).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -57,6 +58,9 @@ _JSON_FIELDS = (
     "moller_bound",
 )
 
+# rows per block of the JSON rule writer
+_JSON_BLOCK_ROWS = 16384
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract reserves 2
@@ -97,10 +101,29 @@ def rule_metadata(rule: CubatureRule2D, spec: WeightSpec) -> Dict[str, object]:
     }
 
 
-def rule_to_json(meta: Dict[str, object], nodes: np.ndarray, weights: np.ndarray) -> str:
-    obj: Dict[str, object] = {k: meta[k] for k in _JSON_FIELDS}
-    obj["nodes"] = np.column_stack([nodes, weights]).tolist()
-    return json.dumps(obj) + "\n"
+def rule_to_json(
+    meta: Dict[str, object], nodes: np.ndarray, weights: np.ndarray, fh: TextIO
+) -> None:
+    """Write the rule file to the text stream fh: byte for byte the
+    json.dumps of the metadata fields and the [x1, x2, weight] rows, and a
+    newline.  The rows go out in blocks of _JSON_BLOCK_ROWS; a block formats
+    each of its distinct values once with repr, which is json's format for
+    a finite float.  Values are told apart by their bits, so -0.0 keeps its
+    sign."""
+    fh.write(json.dumps({k: meta[k] for k in _JSON_FIELDS})[:-1] + ', "nodes": [')
+    table = np.column_stack([nodes, weights]).astype(float, copy=False)
+    for b0 in range(0, len(table), _JSON_BLOCK_ROWS):
+        block = table[b0 : b0 + _JSON_BLOCK_ROWS]
+        bits, where = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+        # per row: x1, ", ", x2, ", ", weight, "], [" (the last row "]")
+        parts = np.empty((len(block), 6), dtype=object)
+        parts[:, 0::2] = text[where.reshape(-1, 3)]
+        parts[:, 1::2] = ", "
+        parts[:, 5] = "], ["
+        parts[-1, 5] = "]"
+        fh.write((", [" if b0 else "[") + "".join(parts.ravel().tolist()))
+    fh.write("]}\n")
 
 
 def _is_int(v) -> bool:
@@ -138,9 +161,12 @@ def parse_rule_file(
         if not (_is_int(ell) or ell is None and obj["family"] != "composed"):
             raise ValueError("ell must be an integer (null only off the composed family)")
         rows = obj["nodes"]
-        if not isinstance(rows, list) or not all(
-            isinstance(r, list) and len(r) == 3 and all(map(_is_number, r))
-            for r in rows
+        # type() rather than isinstance: JSON true/false parse to bool
+        if not (
+            type(rows) is list
+            and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {3}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
         ):
             raise ValueError("nodes must be a list of [x1, x2, weight] numbers")
         if obj["node_count"] != len(rows):
@@ -249,14 +275,12 @@ def cmd_build(args) -> int:
         # nothing has been opened for writing yet, so no partial file
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
 
-    meta = rule_metadata(rule, spec)
-    if args.format == "csv":
-        payload = rule_to_csv(rule.nodes, rule.weights)
-    else:
-        payload = rule_to_json(meta, rule.nodes, rule.weights)
     out = args.out if args.out is not None else "rule.%s" % args.format
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        if args.format == "csv":
+            fh.write(rule_to_csv(rule.nodes, rule.weights))
+        else:
+            rule_to_json(rule_metadata(rule, spec), rule.nodes, rule.weights, fh)
     print(
         "wrote %s: %s, %d nodes, degree %d"
         % (out, rule.family, rule.node_count, rule.degree)

@@ -305,22 +305,32 @@ def certify(
             raise OverflowError("reference moment of x^%d y^%d is %r: the weight's "
                                 "moments exceed float range" % (i, j, ref[(i, j)]))
     mass = moments.mass
-    deg_max = max_degree
-    xp = np.vander(x, deg_max + 1, increasing=True)
-    yp = np.vander(y, deg_max + 1, increasing=True)
+    # powers as contiguous rows, each the one before times the base, as in
+    # np.vander; x^i is carried as one running row
+    yp = np.empty((max_degree + 1, len(y)))
+    yp[0] = 1.0
+    for k in range(1, max_degree + 1):
+        yp[k] = yp[k - 1] * y
+    xi = yp[0].copy()
+    vals = np.empty_like(yp)
     failures = []
     worst = 0.0
     bad_degrees = set()
-    for (i, j) in pairs:
-        vals = xp[:, i] * yp[:, j]
-        approx = float(np.dot(rule.weights, vals))
-        scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        denom = max(abs(ref[(i, j)]), abs(mass) * scale, 1e-300)
-        rel = abs(approx - ref[(i, j)]) / denom
-        worst = max(worst, rel)
-        if rel > rel_tol:
-            failures.append((i, j, rel))
-            bad_degrees.add(i + j)
+    for i in range(max_degree + 1):
+        # the products x^i y^j for every j; one dot per pair rather than one
+        # matrix product, which would sum in another order and move the
+        # last bits of the report
+        block = np.multiply(xi, yp[: max_degree + 1 - i], out=vals[: max_degree + 1 - i])
+        scales = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
+        for j, row in enumerate(block):
+            approx = float(np.dot(rule.weights, row))
+            denom = max(abs(ref[(i, j)]), abs(mass) * float(scales[j]), 1e-300)
+            rel = abs(approx - ref[(i, j)]) / denom
+            worst = max(worst, rel)
+            if rel > rel_tol:
+                failures.append((i, j, rel))
+                bad_degrees.add(i + j)
+        xi = xi * x
     certified = max_degree if not bad_degrees else min(bad_degrees) - 1
     failures.sort(key=lambda t: (t[0] + t[1], t[0]))
     return ExactnessReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,8 @@ class WeightSpec:
             raise ValueError("unknown weight family %r" % (self.family,))
         if self.gamma not in (-0.5, 0.5):
             raise ValueError("gamma restricted to -1/2 and +1/2")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, numbers.Integral):
+            raise ValueError("ell must be an integer, got %r" % (self.ell,))
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
         if self.ell > 1 and self.gamma != -0.5:

@@ -4,7 +4,8 @@ None of these functions feeds a rule or a certificate.  They state the
 folding identities, the orbit structure and the weight formulas behind
 the constructions, and the tests hold the shipped code to them.
 preimage_angles runs the shipped opq1d.fold_panel_angles, the panel map
-of the composed builder.
+of the composed builder.  reference_certify is certify's comparison loop
+as it was first written, which the shipped one must match bit for bit.
 """
 
 import math
@@ -13,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from cubamin.opq1d import RecurrenceCoeffs, eval_orthonormal, fold_panel_angles, gauss_rule
-from cubamin.rules import WeightSpec
+from cubamin.rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 
 def chebyshev_moment_1d(i: int) -> float:
@@ -155,3 +156,36 @@ def composed_op_identity_check(
         total = float(np.sum(np.cos(k * ang) @ core))
         worst = max(worst, abs(total / ell))
     return worst
+
+
+def reference_certify(
+    rule: CubatureRule2D, moments, max_degree: int, rel_tol: float = 1e-9
+) -> ExactnessReport:
+    """oracle.certify's comparison as a per-pair loop over strided columns
+    of np.vander tables, without its input and domain checks."""
+    pairs = [(i, d - i) for d in range(max_degree + 1) for i in range(d + 1)]
+    ref = moments.moments(pairs)
+    mass = moments.mass
+    xp = np.vander(rule.nodes[:, 0], max_degree + 1, increasing=True)
+    yp = np.vander(rule.nodes[:, 1], max_degree + 1, increasing=True)
+    failures = []
+    worst = 0.0
+    bad_degrees = set()
+    for (i, j) in pairs:
+        vals = xp[:, i] * yp[:, j]
+        approx = float(np.dot(rule.weights, vals))
+        scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
+        denom = max(abs(ref[(i, j)]), abs(mass) * scale, 1e-300)
+        rel = abs(approx - ref[(i, j)]) / denom
+        worst = max(worst, rel)
+        if rel > rel_tol:
+            failures.append((i, j, rel))
+            bad_degrees.add(i + j)
+    certified = max_degree if not bad_degrees else min(bad_degrees) - 1
+    failures.sort(key=lambda t: (t[0] + t[1], t[0]))
+    return ExactnessReport(
+        max_degree_tested=max_degree,
+        certified_degree=certified,
+        worst_rel_error=worst,
+        failures=tuple(failures),
+    )

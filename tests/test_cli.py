@@ -369,6 +369,53 @@ def test_parse_rule_file_rejects_malformed(tmp_path):
         parse_rule_file(str(short_row))
 
 
+@pytest.mark.parametrize("row", [
+    [True, 0.1, 0.2], ["0.1", 0.1, 0.2], [None, 0.1, 0.2], [0.1, 0.2],
+    [0.1, 0.2, 0.3, 0.4], {"x1": 0.1, "x2": 0.2, "weight": 0.3}, [[0.1], 0.2, 0.3],
+])
+def test_parse_rule_file_rejects_a_malformed_node_row(tmp_path, capsys, row):
+    path = build_small_even(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    doc["nodes"][len(doc["nodes"]) // 2] = row
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            "nodes must be a list of [x1, x2, weight] numbers")):
+        parse_rule_file(str(path))
+
+
+_B = cli._JSON_BLOCK_ROWS
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.0, 3.0, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def _tables(draw):
+    """Rows of [x1, x2, weight] at the block edges, drawn from a small pool
+    (so values repeat within and across blocks) of edge values and
+    arbitrary finite floats."""
+    n = draw(st.sampled_from([0, 1, _B - 1, _B, _B + 1]))
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    pool = np.array(_EDGE_FLOATS + extra)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    table = pool[rng.integers(0, len(pool), size=(n, 3))]
+    fresh = rng.random((n, 3)) < 0.3
+    table[fresh] = rng.standard_normal(int(fresh.sum())) * 10.0 ** rng.integers(
+        -300, 300, int(fresh.sum()))
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tables())
+def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
+    meta = {"family": "square-even", "alpha": -0.5, "beta": 0.0, "gamma": 0.5,
+            "ell": None, "param_n_or_m": 3, "degree": 11, "node_count": len(table),
+            "moller_bound": 21}
+    buf = io.StringIO()
+    cli.rule_to_json(meta, table[:, :2], table[:, 2], buf)
+    want = dict(meta, nodes=table.tolist())
+    assert buf.getvalue() == json.dumps(want) + "\n"
+
+
 def _edit_and_verify(path, capsys, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -522,11 +569,14 @@ GOLDEN = json.loads(
 
 
 # every recorded rule except the ~80,000-node scale points, plus one of
-# those whose weights lam_j lam_k (t_j - t_k)^2 depend in the last bit on
-# how the square is taken
+# those per family: the square-even one's weights lam_j lam_k (t_j - t_k)^2
+# depend in the last bit on how the square is taken, and the three run the
+# array merge and the block writer at full size
 @pytest.mark.parametrize("key", sorted(
     k for k in GOLDEN if not re.search(r"--n 400|--m 200|--m 50", k)
-) + ["square-even --alpha -0.5 --beta 0.0 --gamma 0.5 --m 200"])
+) + ["square-even --alpha -0.5 --beta 0.0 --gamma 0.5 --m 200",
+     "biangle --alpha 0.5 --beta 0.0 --gamma 0.5 --n 400",
+     "composed --alpha 0.5 --beta -0.5 --ell 4 --m 50"])
 def test_build_reproduces_the_recorded_rule_bytes(tmp_path, capsys, key):
     out = tmp_path / "rule.json"
     code, _, err = run(capsys, "build", *key.split(), "--out", str(out))

@@ -168,6 +168,24 @@ def test_composed_rule_parameter_validation():
         composed_rule(2, 0, -0.5, -0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ell: WeightSpec("square-W", alpha=0.0, beta=0.0, ell=ell),
+    lambda ell: SquareMomentOracle(0, 0, -0.5, ell).moment(0, 0),
+    lambda ell: composed_rule(ell, 2, 0, 0),
+])
+@pytest.mark.parametrize("ell", [2.5, True])
+def test_a_non_integer_ell_is_refused_by_name(call, ell):
+    """A float or bool ell once reached numpy and died there with a
+    TypeError that named no parameter."""
+    with pytest.raises(ValueError, match="ell must be an integer"):
+        call(ell)
+
+
+def test_numpy_integer_ell_is_accepted():
+    assert WeightSpec("square-W", alpha=0.0, beta=0.0, ell=np.int64(2)).ell == 2
+    assert composed_rule(np.int32(2), 1, 0.0, 0.0).node_count == 2 * 4 + 2 * 2
+
+
 def test_a_malformed_orbit_names_its_pair(monkeypatch):
     """Nudging one panel-junction preimage of the diagonal pair (1,1) off
     its twin splits a merged point; the per-orbit count check names it."""

@@ -9,6 +9,7 @@ import pytest
 
 import cubamin.oracle as oracle_mod
 from cubamin.biangle import biangle_moments, gauss_cubature_biangle
+from cubamin.composed import composed_rule
 from cubamin.opq1d import fold_panel_angles, jacobi_recurrence
 from cubamin.oracle import (
     BiangleMomentOracle,
@@ -19,8 +20,8 @@ from cubamin.oracle import (
     certify,
 )
 from cubamin.rules import CubatureRule2D, WeightSpec
-from cubamin.squaremin import minimal_rule_even
-from identities import chebyshev_moment_1d
+from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
+from identities import chebyshev_moment_1d, reference_certify
 
 PI = math.pi
 PI2 = math.pi * math.pi
@@ -215,6 +216,43 @@ def test_certified_degree_is_below_the_first_failure():
     rep = certify(rule, broken, rule.degree, rel_tol=1e-9)
     assert rep.certified_degree == 3
     assert any((i, j) == (2, 2) for (i, j, _) in rep.failures)
+
+
+def _report_bits(rep):
+    """The report's fields, every float as its exact hex form."""
+    return (rep.max_degree_tested, rep.certified_degree, rep.worst_rel_error.hex(),
+            tuple((i, j, rel.hex()) for (i, j, rel) in rep.failures))
+
+
+def _one_rule_per_family():
+    return [
+        (gauss_cubature_biangle(jacobi_recurrence(0.5, -0.5, 8), 7, 0.5),
+         BiangleMomentOracle(jacobi_recurrence(0.5, -0.5, 16), 0.5)),
+        (minimal_rule_even(WeightSpec("square-W", alpha=0.0, beta=0.5, gamma=0.5), 4),
+         SquareMomentOracle(0.0, 0.5, 0.5)),
+        (minimal_rule_odd(-0.5, 0.0, -0.5, 2), SquareMomentOracle(-0.5, 0.0, -0.5)),
+        (composed_rule(3, 2, 0.5, 0.0), SquareMomentOracle(0.5, 0.0, -0.5, 3)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_certify_reports_match_the_strided_per_pair_loop(case):
+    """Row-wise products and one dot per pair keep every report bit: at the
+    declared degree, and two degrees past it, where monomials fail."""
+    rule, oracle = _one_rule_per_family()[case]
+    for degree in (rule.degree, rule.degree + 2):
+        got = certify(rule, oracle, degree)
+        assert _report_bits(got) == _report_bits(reference_certify(rule, oracle, degree))
+    assert got.failures
+
+
+def test_certify_report_of_a_failing_rule_matches_the_strided_per_pair_loop():
+    """A rule checked against another weight fails from low degree on."""
+    rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 3)
+    wrong = SquareMomentOracle(0.5, 0.0, -0.5)
+    got = certify(rule, wrong, rule.degree)
+    assert got.certified_degree < 2 and len(got.failures) > 10
+    assert _report_bits(got) == _report_bits(reference_certify(rule, wrong, rule.degree))
 
 
 def test_certify_reports_worst_relative_error():

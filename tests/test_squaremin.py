@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cubamin.oracle import SquareMomentOracle, certify
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
+    _merge_runs,
     eval_Q_basis,
     half_angle_orbit,
     merge_close_nodes,
@@ -131,22 +132,32 @@ def test_merge_close_nodes_sums_weights():
     assert wts.sum() == 6.0
 
 
-def _reference_merge(points, weights, tol=1e-12):
-    """merge_close_nodes as it was written on numpy rows and scalars."""
+def _reference_merge(points, weights, group=None, tol=1e-12):
+    """The merge as it was written, a scan on numpy rows and scalars over
+    the points sorted by group, then x, then y; a run never crosses a
+    group.  Returns the run points, their weights and their groups."""
     pts = np.asarray(points, dtype=float)
     wts = np.asarray(weights, dtype=float)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts, wts = pts[order], wts[order]
-    keep_pts, keep_wts = [], []
-    for p, w in zip(pts, wts):
-        if keep_pts and abs(p[0] - keep_pts[-1][0]) <= tol and abs(
+    grp = np.zeros(len(pts), dtype=int) if group is None else np.asarray(group)
+    order = np.lexsort((pts[:, 1], pts[:, 0], grp))
+    pts, wts, grp = pts[order], wts[order], grp[order]
+    keep_pts, keep_wts, keep_grp = [], [], []
+    for p, w, g in zip(pts, wts, grp):
+        if keep_pts and g == keep_grp[-1] and abs(p[0] - keep_pts[-1][0]) <= tol and abs(
             p[1] - keep_pts[-1][1]
         ) <= tol:
             keep_wts[-1] += w
         else:
             keep_pts.append(p)
             keep_wts.append(w)
-    return np.array(keep_pts), np.array(keep_wts)
+            keep_grp.append(g)
+    return np.array(keep_pts), np.array(keep_wts), np.array(keep_grp, dtype=int)
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 _coord = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 0.7, 1.0])
@@ -156,7 +167,8 @@ _jitter = st.floats(-0.5e-12, 0.5e-12)
 @st.composite
 def _merge_inputs(draw):
     """Points with exact duplicates, jitter of at most tol/2, and chains
-    whose links are within tol of each other but not of the chain's start."""
+    whose links are within tol of each other but not of the chain's start,
+    each point in one of three groups."""
     pts = []
     for _ in range(draw(st.integers(1, 12))):
         x, y = draw(_coord), draw(_coord)
@@ -171,24 +183,47 @@ def _merge_inputs(draw):
                 pts.append((x, y))
     pts = draw(st.permutations(pts))
     wts = draw(st.lists(st.floats(0.01, 10.0), min_size=len(pts), max_size=len(pts)))
-    return pts, wts
+    group = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    return pts, wts, group
 
 
 @settings(max_examples=200, deadline=None)
 @given(_merge_inputs())
 def test_merge_close_nodes_matches_the_reference_scan(case):
-    pts, wts = case
-    got, want = merge_close_nodes(pts, wts), _reference_merge(pts, wts)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
+    pts, wts, group = case
+    _assert_same_arrays(merge_close_nodes(pts, wts), _reference_merge(pts, wts))
+    _assert_same_arrays(_merge_runs(np.array(pts), wts, np.array(group)),
+                        _reference_merge(pts, wts, group))
 
 
 def test_merge_close_nodes_keeps_a_single_point_as_a_row():
     got, want = merge_close_nodes([(0.5, -0.25)], [2.0]), _reference_merge([(0.5, -0.25)], [2.0])
     assert got[0].shape == want[0].shape == (1, 2)
     assert got[1].shape == want[1].shape == (1,)
-    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    _assert_same_arrays(got, want)
+
+
+def test_merge_close_nodes_of_no_points_is_empty():
+    nodes, wts = merge_close_nodes([], [])
+    assert nodes.shape == (0, 2) and wts.shape == (0,)
+
+
+def test_merge_of_a_long_chain_and_a_many_fold_duplicate_matches_the_reference():
+    """A 500-link chain whose neighbours lie within tol of each other, and
+    a point repeated 100 times: long runs and long sums of weights."""
+    rng = np.random.default_rng(3)
+    chain = [(0.25 + 0.6e-12 * c, -0.5 + 0.6e-12 * c) for c in range(500)]
+    pts = chain + [(0.7, 1.0 / 3.0)] * 100
+    wts = rng.uniform(0.01, 10.0, len(pts))
+    order = rng.permutation(len(pts))
+    pts = [pts[k] for k in order]
+    got = merge_close_nodes(pts, wts)
+    want = _reference_merge(pts, wts)
+    assert len(got[0]) == 250 + 1
+    _assert_same_arrays(got, want)
+    group = rng.integers(0, 2, len(pts))
+    _assert_same_arrays(_merge_runs(np.array(pts), wts, group),
+                        _reference_merge(pts, wts, group))
 
 
 def test_fold_map_is_exactly_four_to_one():
