@@ -25,13 +25,12 @@ from .opq1d import (
     quasi_S,
 )
 from .oracle import (
-    BiangleMomentOracle,
     DomainError,
     MomentOracle,
     OracleConvergenceError,
-    SquareMomentOracle,
     angular_moment_ladder,
     certify,
+    moment_oracle,
     square_moments,
 )
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
@@ -46,7 +45,6 @@ from .squaremin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiangleMomentOracle",
     "ConstructionError",
     "CubatureRule2D",
     "DomainError",
@@ -56,7 +54,6 @@ __all__ = [
     "OracleConvergenceError",
     "QuadratureRule1D",
     "RecurrenceCoeffs",
-    "SquareMomentOracle",
     "WeightSpec",
     "ZeroCountError",
     "angular_moment_ladder",
@@ -78,6 +75,7 @@ __all__ = [
     "minimal_rule_even",
     "minimal_rule_odd",
     "moller_bound",
+    "moment_oracle",
     "quasi_S",
     "split_u_to_x",
     "square_moments",

@@ -27,6 +27,7 @@ from .opq1d import (
     eval_orthonormal,
     gauss_pairs,
     gauss_rule,
+    jacobi_recurrence,
 )
 from .rules import CubatureRule2D, WeightSpec
 
@@ -102,9 +103,7 @@ def eval_koornwinder(
     return out / math.sqrt(2.0) if gamma == -0.5 and k == n else out
 
 
-def gauss_cubature_biangle(
-    rc: RecurrenceCoeffs, n: int, gamma: float
-) -> CubatureRule2D:
+def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:
     """Gauss cubature of degree 2n-1 with n(n+1)/2 nodes.
 
     gamma = -1/2: nodes are the symmetric images of unordered pairs of the
@@ -115,8 +114,10 @@ def gauss_cubature_biangle(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = WeightSpec("biangle-gamma", gamma=gamma)
-    q = gauss_rule(rc, n + 1 if gamma == 0.5 else n)
+    if spec.family != "biangle-gamma":
+        raise ValueError("gauss_cubature_biangle needs a biangle-gamma spec")
+    gamma = spec.gamma
+    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, n + 1), n + 1 if gamma == 0.5 else n)
     J, K, weights = gauss_pairs(q, gamma == 0.5)
     t = q.nodes
     if gamma == -0.5:
@@ -171,22 +172,27 @@ def tensor_moments(
 
 
 def biangle_moments(
-    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]]
+    alpha: float, beta: float, gamma: float, pairs: Iterable[Tuple[int, int]]
 ) -> Dict[Tuple[int, int], float]:
-    """Reference moments of u1^a u2^b on the tensor grid at u = (y1 + y2,
-    y1 y2); (a+b)//2 + 2 points are exact.  For an even 1-D weight, odd a
-    dies by reflecting both coordinates, and a = 0 with odd b and no
-    coupling factor leaves the lone term mu_b^2 with an odd 1-D moment.
+    """Reference moments of u1^a u2^b against the Jacobi(alpha, beta)
+    biangle weight, on the tensor grid at u = (y1 + y2, y1 y2); (a+b)//2 + 2
+    points are exact.  For an even 1-D weight, odd a dies by reflecting both
+    coordinates, and a = 0 with odd b and no coupling factor leaves the lone
+    term mu_b^2 with an odd 1-D moment.
     """
     pairs = list(pairs)
     if any(min(p) < 0 for p in pairs):
         raise ValueError("exponents must be nonnegative")
+
+    def npts(d: int) -> int:
+        return d // 2 + 2
+
+    rc = jacobi_recurrence(alpha, beta, max([npts(a + b) for a, b in pairs], default=1))
     even = bool(np.all(rc.a == 0.0))
     live = [(a, b) for (a, b) in pairs if not (even and (
         a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)))]
     got = tensor_moments(
-        rc, gamma, live,
-        npts=lambda d: d // 2 + 2,
+        rc, gamma, live, npts,
         images=lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]),
         row=lambda u, p: u**p,
     )

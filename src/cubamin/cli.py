@@ -20,14 +20,8 @@ import numpy as np
 
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
-from .opq1d import EigensolverError, ZeroCountError, jacobi_recurrence
-from .oracle import (
-    BiangleMomentOracle,
-    DomainError,
-    OracleConvergenceError,
-    SquareMomentOracle,
-    certify,
-)
+from .opq1d import EigensolverError, ZeroCountError
+from .oracle import DomainError, OracleConvergenceError, certify, moment_oracle
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
@@ -61,6 +55,16 @@ _JSON_FIELDS = (
 # rows per block of the JSON rule writer
 _JSON_BLOCK_ROWS = 16384
 
+# each rule family's weight family, size flag and builder(spec, size); the
+# lambdas look their builder up when called, so that a module attribute
+# replaced at run time is the one that runs
+_FAMILIES = {
+    "biangle": ("biangle-gamma", "n", lambda spec, n: gauss_cubature_biangle(spec, n)),
+    "square-even": ("square-W", "m", lambda spec, m: minimal_rule_even(spec, m)),
+    "square-odd": ("square-W", "m", lambda spec, m: minimal_rule_odd(spec, m)),
+    "composed": ("square-W", "m", lambda spec, m: composed_rule(spec, m)),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract reserves 2
@@ -82,12 +86,17 @@ def rule_to_csv(nodes: np.ndarray, weights: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rule_metadata(rule: CubatureRule2D, spec: WeightSpec) -> Dict[str, object]:
-    """File metadata for a rule built for spec, whose alpha and beta the
-    file records even where the builder kept only a recurrence.  The bound
-    field is the node-count lower bound for the declared degree, for the
-    reader's side-by-side comparison; Gauss rules on the curved domain
-    undercut it."""
+def family_spec(family: str, alpha: float, beta: float, gamma: float, ell) -> WeightSpec:
+    """The weight spec of a rule family; ell None, as files record it off the
+    composed family, is 1.  Raises ValueError on invalid parameters."""
+    return WeightSpec(_FAMILIES[family][0], alpha, beta, gamma, 1 if ell is None else ell)
+
+
+def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
+    """File metadata for a rule, from its weight spec.  The bound field is
+    the node-count lower bound for the declared degree, for the reader's
+    side-by-side comparison; Gauss rules on the curved domain undercut it."""
+    spec = rule.spec
     return {
         "family": rule.family,
         "alpha": spec.alpha,
@@ -250,27 +259,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_build(args) -> int:
-    fam = args.family
+    _, flag, build = _FAMILIES[args.family]
     try:
-        spec = WeightSpec("biangle-gamma" if fam == "biangle" else "square-W",
-                          alpha=args.alpha, beta=args.beta,
-                          gamma=getattr(args, "gamma", -0.5), ell=getattr(args, "ell", 1))
+        spec = family_spec(args.family, args.alpha, args.beta,
+                           getattr(args, "gamma", -0.5), getattr(args, "ell", None))
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    size = "n" if fam == "biangle" else "m"
-    if getattr(args, size) < 1:
-        return _fail("--%s must be >= 1" % size, EXIT_USAGE)
+    size = getattr(args, flag)
+    if size < 1:
+        return _fail("--%s must be >= 1" % flag, EXIT_USAGE)
 
     try:
-        if fam == "biangle":
-            rc = jacobi_recurrence(spec.alpha, spec.beta, args.n + 1)
-            rule = gauss_cubature_biangle(rc, args.n, spec.gamma)
-        elif fam == "square-even":
-            rule = minimal_rule_even(spec, args.m)
-        elif fam == "square-odd":
-            rule = minimal_rule_odd(spec.alpha, spec.beta, spec.gamma, args.m)
-        else:
-            rule = composed_rule(spec.ell, args.m, spec.alpha, spec.beta)
+        rule = build(spec, size)
     except _BUILD_ERRORS as exc:
         # nothing has been opened for writing yet, so no partial file
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
@@ -280,7 +280,7 @@ def cmd_build(args) -> int:
         if args.format == "csv":
             fh.write(rule_to_csv(rule.nodes, rule.weights))
         else:
-            rule_to_json(rule_metadata(rule, spec), rule.nodes, rule.weights, fh)
+            rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh)
     print(
         "wrote %s: %s, %d nodes, degree %d"
         % (out, rule.family, rule.node_count, rule.degree)
@@ -288,21 +288,15 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def oracle_for(meta: Dict[str, object], max_degree: int):
+def oracle_for(meta: Dict[str, object]):
     """Moment oracle and weight spec for a file's metadata, or None when no
     oracle covers the family.  Raises ValueError on invalid parameters."""
     fam = meta["family"]
     params = [meta[k] for k in ("alpha", "beta", "gamma")]
-    if fam not in ("biangle", "square-even", "square-odd", "composed") or None in params:
+    if not (isinstance(fam, str) and fam in _FAMILIES) or None in params:
         return None
-    alpha, beta, gamma = map(float, params)
-    if fam == "biangle":
-        spec = WeightSpec("biangle-gamma", alpha=alpha, beta=beta, gamma=gamma)
-        rc = jacobi_recurrence(alpha, beta, max_degree // 2 + 4)
-        return BiangleMomentOracle(rc, gamma), spec
-    ell = meta["ell"] if fam == "composed" else 1
-    spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)
-    return SquareMomentOracle(alpha, beta, gamma, ell), spec
+    spec = family_spec(fam, *map(float, params), meta["ell"])
+    return moment_oracle(spec), spec
 
 
 def cmd_verify(args) -> int:
@@ -322,11 +316,9 @@ def cmd_verify(args) -> int:
     declared = meta["degree"]
     max_degree = args.max_degree if args.max_degree is not None else declared
     try:
-        picked = oracle_for(meta, max_degree)
+        picked = oracle_for(meta)
     except ValueError as exc:
         return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
-    except OverflowError as exc:
-        return _fail("moment oracle failed: %s" % exc, EXIT_UNVERIFIABLE)
     if picked is None:
         return _fail(
             "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE

@@ -24,9 +24,10 @@ from .squaremin import _merge_runs, _merged_rule
 __all__ = ["composed_rule"]
 
 
-def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D:
+def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     """Minimal rule of degree 4*ell*m - 1 with 2 ell^2 m^2 + 2 ell m nodes
-    for the composed family over the Jacobi(alpha, beta) base.
+    for the composed family of a square-W spec with gamma = -1/2, over its
+    Jacobi(alpha, beta) base.
 
     Each unordered Gauss-angle pair spawns four angular orbit nodes, and
     every node splits over the ell^2 panel pairs with equal share
@@ -35,10 +36,12 @@ def composed_rule(ell: int, m: int, alpha: float, beta: float) -> CubatureRule2D
     the diagonal orbits drop to 2 ell (ell+1) distinct nodes; at ell = 1
     this reproduces the even square rule exactly.
     """
-    if ell < 1 or m < 1:
-        raise ValueError("ell and m must be >= 1")
-    spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=-0.5, ell=ell)
-    q = gauss_rule(jacobi_recurrence(alpha, beta, m), m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if spec.family != "square-W" or spec.gamma != -0.5:
+        raise ValueError("composed_rule needs a square-W spec with gamma = -1/2")
+    ell = spec.ell
+    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, m), m)
     J, K, share = gauss_pairs(q, False)
     share = share / (2.0 * ell * ell)
     share[J == K] *= 0.5

@@ -5,7 +5,7 @@ tensor Gauss grid of Koornwinder's weight.  The fold y_k = cos phi_k
 (phi1, phi2 = theta1 -+ theta2) turns the square kernel in x = cos(theta)
 into the Jacobi(a, b) tensor weight times ((y1 - y2)/2)^(2g+1); a square or
 composed moment contracts per-axis feature rows at the grid's angle images.
-One cached MomentOracle class serves every family.  The angular ladder, a
+moment_oracle(spec) builds the one cached MomentOracle for every family.  The angular ladder, a
 doubling ladder on Duffy panels of the angle triangle with the boundary
 factors in Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
 """
@@ -29,8 +29,7 @@ __all__ = [
     "cos_basis_moments",
     "certify",
     "MomentOracle",
-    "SquareMomentOracle",
-    "BiangleMomentOracle",
+    "moment_oracle",
 ]
 
 
@@ -45,6 +44,9 @@ class DomainError(ValueError):
 # absolute slack of the domain test in certify: admits the last-bit
 # rounding of nodes built on the boundary, nothing visibly outside
 _DOMAIN_SLACK = 1e-12
+
+# nodes per np.dot in certify: OpenBLAS threads longer dots, moving last bits
+_DOT_CHUNK = 8192
 
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
@@ -186,8 +188,7 @@ def square_moments(
     so odd-odd exponents vanish by single-axis reflection for even ell or
     alpha == beta.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)  # raises on bad parameters
     pairs = list(pairs)
     if any(min(p) < 0 for p in pairs):
         raise ValueError("exponents must be nonnegative")
@@ -243,20 +244,13 @@ class MomentOracle:
         return self.moment(0, 0)
 
 
-class SquareMomentOracle(MomentOracle):
-    """Moment source for the square weight family; ell > 1 is the composed
-    weight, which exists only for gamma = -1/2."""
-
-    def __init__(self, alpha: float, beta: float, gamma: float, ell: int = 1):
-        WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)  # raises on bad parameters
-        super().__init__(lambda pairs: square_moments(alpha, beta, gamma, ell, pairs))
-
-
-class BiangleMomentOracle(MomentOracle):
-    """Moment source for the curved-domain family (exact tensor route)."""
-
-    def __init__(self, rc, gamma: float):
-        super().__init__(lambda pairs: biangle_moments(rc, gamma, pairs))
+def moment_oracle(spec: WeightSpec) -> MomentOracle:
+    """Cached moment source for the weight of spec: biangle_moments for the
+    curved domain, square_moments for the square and composed weights."""
+    a, b, g = spec.alpha, spec.beta, spec.gamma
+    if spec.family == "biangle-gamma":
+        return MomentOracle(lambda pairs: biangle_moments(a, b, g, pairs))
+    return MomentOracle(lambda pairs: square_moments(a, b, g, spec.ell, pairs))
 
 
 def certify(
@@ -313,17 +307,20 @@ def certify(
         yp[k] = yp[k - 1] * y
     xi = yp[0].copy()
     vals = np.empty_like(yp)
+    w = rule.weights
     failures = []
     worst = 0.0
     bad_degrees = set()
     for i in range(max_degree + 1):
-        # the products x^i y^j for every j; one dot per pair rather than one
-        # matrix product, which would sum in another order and move the
-        # last bits of the report
+        # the products x^i y^j for every j; one dot per pair and chunk,
+        # added left to right, rather than one matrix product, which would
+        # sum in another order and move the last bits of the report
         block = np.multiply(xi, yp[: max_degree + 1 - i], out=vals[: max_degree + 1 - i])
         scales = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
         for j, row in enumerate(block):
-            approx = float(np.dot(rule.weights, row))
+            approx = float(np.dot(w[:_DOT_CHUNK], row[:_DOT_CHUNK]))
+            for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
+                approx += float(np.dot(w[c : c + _DOT_CHUNK], row[c : c + _DOT_CHUNK]))
             denom = max(abs(ref[(i, j)]), abs(mass) * float(scales[j]), 1e-300)
             rel = abs(approx - ref[(i, j)]) / denom
             worst = max(worst, rel)

@@ -22,9 +22,8 @@ class WeightSpec:
     family: 'biangle-gamma' (curved domain, parameter gamma) or 'square-W'
     (the |y1-y2|^{2a+1} |y1+y2|^{2b+1} ((1-x1^2)(1-x2^2))^g family on the
     square at y = T_ell(x); ell > 1 is the composed weight, g = -1/2).
-    alpha/beta are the Jacobi parameters of the base 1D weight; the square
-    family requires them, a curved-domain rule built from a bare
-    recurrence leaves them unset.
+    alpha/beta are the Jacobi parameters of the base 1D weight, which
+    every family requires.
     """
 
     family: str
@@ -47,9 +46,9 @@ class WeightSpec:
         if self.ell != 1 and self.family != "square-W":
             raise ValueError("ell is a parameter of the square-W family only")
         missing = [k for k in ("alpha", "beta") if getattr(self, k) is None]
-        if len(missing) == 1 or missing and self.family != "biangle-gamma":
+        if missing:
             raise ValueError("missing Jacobi parameter: %s" % ", ".join(missing))
-        if not missing and not all(np.isfinite(v) and v > -1 for v in (self.alpha, self.beta)):
+        if not all(np.isfinite(v) and v > -1 for v in (self.alpha, self.beta)):
             raise ValueError("Jacobi parameters must be finite and exceed -1")
 
 

@@ -173,9 +173,7 @@ def _symmetrized_cos_rows(
     return A
 
 
-def minimal_rule_odd(
-    alpha: float, beta: float, gamma: float, m: int
-) -> CubatureRule2D:
+def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     """Minimal rule of degree 4m+1 with 2(m+1)^2 - 1 nodes.
 
     The off-diagonal orbits come from the zeros of a parameter-shifted
@@ -187,7 +185,9 @@ def minimal_rule_odd(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    spec = WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)
+    if spec.family != "square-W" or spec.ell != 1:
+        raise ValueError("minimal_rule_odd needs a square-W spec with ell = 1")
+    alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
 
     if gamma == -0.5:
         zeros = gauss_rule(jacobi_recurrence(alpha + 1.0, beta, m), m)

@@ -22,11 +22,7 @@ from cubamin.biangle import (
 )
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import (
-    BiangleMomentOracle,
-    SquareMomentOracle,
-    certify,
-)
+from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
     eval_Q_basis,
@@ -49,8 +45,7 @@ GAMMAS = (-0.5, 0.5)
 
 def test_criterion_1_fixed_size_rules():
     t0 = time.perf_counter()
-    rc = jacobi_recurrence(-0.5, -0.5, 21)
-    rule = gauss_cubature_biangle(rc, 20, -0.5)
+    rule = gauss_cubature_biangle(WeightSpec("biangle-gamma", -0.5, -0.5, -0.5), 20)
     assert rule.node_count == 210 and rule.degree == 39
     assert time.perf_counter() - t0 < 1.0
 
@@ -61,7 +56,7 @@ def test_criterion_1_fixed_size_rules():
     assert time.perf_counter() - t0 < 1.0
 
     t0 = time.perf_counter()
-    rule = composed_rule(2, 6, -0.5, -0.5)
+    rule = composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 6)
     assert rule.node_count == 312 and rule.degree == 47
     assert time.perf_counter() - t0 < 1.0
     print("[PASS] criterion 1: fixed-size rules have 210/312/312 nodes")
@@ -75,12 +70,12 @@ def test_criterion_2_node_counts_attain_the_lower_bound():
             assert rule.node_count == moller_bound(2 * m), (g, m)
     for g in GAMMAS:
         for m in range(1, 9):
-            rule = minimal_rule_odd(-0.5, -0.5, g, m)
+            rule = minimal_rule_odd(WeightSpec("square-W", -0.5, -0.5, g), m)
             assert rule.node_count == moller_bound(2 * m + 1), (g, m)
             assert np.all(rule.weights > 0), (g, m)
     for ell in range(1, 5):
         for m in range(1, 17):
-            rule = composed_rule(ell, m, -0.5, -0.5)
+            rule = composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=ell), m)
             assert rule.node_count == moller_bound(2 * ell * m), (ell, m)
     print("[PASS] criterion 2: every rule meets its node-count lower bound "
           "exactly (even m<=16, odd m<=8, composed ell<=4)")
@@ -93,11 +88,11 @@ def test_criterion_3_certification_across_the_parameter_grid():
     # next degree is detected for every n here; its defect exceeds 1e-6
     # only through n = 8
     for a, b in itertools.product(PARAMS, PARAMS):
-        rc = jacobi_recurrence(a, b, 30)
         for g in GAMMAS:
-            oracle = BiangleMomentOracle(rc, g)
+            spec = WeightSpec("biangle-gamma", a, b, g)
+            oracle = moment_oracle(spec)
             for n in range(1, 13):
-                rule = gauss_cubature_biangle(rc, n, g)
+                rule = gauss_cubature_biangle(spec, n)
                 report = certify(rule, oracle, 2 * n, rel_tol=1e-11)
                 assert report.certified_degree == 2 * n - 1, (a, b, g, n)
                 if n <= 8:
@@ -108,8 +103,8 @@ def test_criterion_3_certification_across_the_parameter_grid():
     # tolerance through m = 7 and above 1e-6 through m = 5
     for a, b in itertools.product(PARAMS, PARAMS):
         for g in GAMMAS:
-            oracle = SquareMomentOracle(a, b, g)
             spec = WeightSpec("square-W", alpha=a, beta=b, gamma=g)
+            oracle = moment_oracle(spec)
             for m in range(1, 9):
                 rule = minimal_rule_even(spec, m)
                 ceiling = 4 * m if m <= 7 else 4 * m - 1
@@ -123,9 +118,10 @@ def test_criterion_3_certification_across_the_parameter_grid():
     # defect exceeds 1e-6 through m = 4
     for a, b in itertools.product(PARAMS, PARAMS):
         for g in GAMMAS:
-            oracle = SquareMomentOracle(a, b, g)
+            spec = WeightSpec("square-W", alpha=a, beta=b, gamma=g)
+            oracle = moment_oracle(spec)
             for m in range(1, 6):
-                rule = minimal_rule_odd(a, b, g, m)
+                rule = minimal_rule_odd(spec, m)
                 assert np.all(rule.weights > 0), (a, b, g, m)
                 report = certify(rule, oracle, 4 * m + 2, rel_tol=1e-9)
                 assert report.certified_degree == 4 * m + 1, (a, b, g, m)
@@ -138,8 +134,9 @@ def test_criterion_3_certification_across_the_parameter_grid():
     # while ell*m <= 4
     for ell in range(1, 4):
         for m in range(1, 5):
-            rule = composed_rule(ell, m, -0.5, -0.5)
-            oracle = SquareMomentOracle(-0.5, -0.5, -0.5, ell)
+            spec = WeightSpec("square-W", -0.5, -0.5, ell=ell)
+            rule = composed_rule(spec, m)
+            oracle = moment_oracle(spec)
             ceiling = 4 * ell * m if ell * m <= 6 else 4 * ell * m - 1
             report = certify(rule, oracle, ceiling, rel_tol=1e-9)
             assert report.certified_degree == 4 * ell * m - 1, (ell, m)
@@ -154,7 +151,7 @@ def test_criterion_3_certification_across_the_parameter_grid():
 
 
 def test_criterion_4_product_moments_in_the_chebyshev_case():
-    oracle = SquareMomentOracle(-0.5, -0.5, -0.5)
+    oracle = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
     for i in range(0, 25):
         for j in range(0, 25 - i):
             want = chebyshev_moment_1d(i) * chebyshev_moment_1d(j)
@@ -189,7 +186,7 @@ def test_criterion_5_nodes_are_common_zeros():
         rc = jacobi_recurrence(a, b, 14)
         for g in GAMMAS:
             for n in range(1, 13):
-                rule = gauss_cubature_biangle(rc, n, g)
+                rule = gauss_cubature_biangle(WeightSpec("biangle-gamma", a, b, g), n)
                 for k in range(n + 1):
                     ref = eval_koornwinder(rc, n, k, g, sample)
                     scale = float(np.max(np.abs(ref)))
@@ -240,14 +237,14 @@ def test_criterion_6_folding_and_orbit_structure():
 def test_criterion_7_mass_integrals_and_constant_direction():
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     even_mass = float(minimal_rule_even(spec, 4).weights.sum())
-    odd_mass = float(minimal_rule_odd(-0.5, -0.5, -0.5, 3).weights.sum())
+    odd_mass = float(minimal_rule_odd(spec, 3).weights.sum())
     comp_mass = float(
-        composed_rule(2, 3, -0.5, -0.5).weights.sum())
+        composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 3).weights.sum())
     for mass in (even_mass, odd_mass, comp_mass):
         assert abs(mass - PI2) <= 1e-12 * PI2
 
-    rc = jacobi_recurrence(-0.5, -0.5, 9)
-    bi_mass = float(gauss_cubature_biangle(rc, 8, -0.5).weights.sum())
+    bi_mass = float(gauss_cubature_biangle(
+        WeightSpec("biangle-gamma", -0.5, -0.5, -0.5), 8).weights.sum())
     assert abs(bi_mass - PI2 / 2) <= 1e-12 * PI2
     # a doubled weight constant would land on pi^2 instead, off by 2x
     assert abs(2 * bi_mass - PI2) <= 1e-12 * PI2
@@ -255,7 +252,7 @@ def test_criterion_7_mass_integrals_and_constant_direction():
 
     spec_plus = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=0.5)
     plus_mass = float(minimal_rule_even(spec_plus, 4).weights.sum())
-    oracle_plus = SquareMomentOracle(-0.5, -0.5, 0.5)
+    oracle_plus = moment_oracle(spec_plus)
     assert abs(plus_mass - PI2 / 4) <= 1e-12 * PI2
     assert abs(plus_mass - oracle_plus.mass) <= 1e-12 * oracle_plus.mass
     # quadrupling the normalization would land on pi^2, off by 4x

@@ -15,11 +15,8 @@ from cubamin.biangle import (
     split_u_to_x,
 )
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import (
-    BiangleMomentOracle,
-    SquareMomentOracle,
-    certify,
-)
+from cubamin.oracle import certify, moment_oracle
+from cubamin.rules import WeightSpec
 from identities import map_x_to_u
 
 PI2 = math.pi * math.pi
@@ -80,22 +77,20 @@ def test_domain_membership_extremes():
 @pytest.mark.parametrize("key", sorted(BIANGLE_MOMENTS))
 def test_reference_moments_match_symbolic_values(key):
     a_p, b_p, g = key
-    rc = jacobi_recurrence(a_p, b_p, 12)
     mass = BIANGLE_MOMENTS[key][(0, 0)]
     for (a, b), ref in BIANGLE_MOMENTS[key].items():
-        got = biangle_moments(rc, g, [(a, b)])[(a, b)]
+        got = biangle_moments(a_p, b_p, g, [(a, b)])[(a, b)]
         assert got == pytest.approx(ref, rel=5e-14, abs=5e-14 * abs(mass))
 
 
 def test_structural_zero_moments_are_exact():
     # odd power of the sum coordinate dies by symmetry, bit-exactly
-    rc = jacobi_recurrence(-0.5, -0.5, 10)
-    assert biangle_moments(rc, -0.5, [(3, 2)])[(3, 2)] == 0.0
-    assert biangle_moments(rc, -0.5, [(1, 0)])[(1, 0)] == 0.0
+    assert biangle_moments(-0.5, -0.5, -0.5, [(3, 2)])[(3, 2)] == 0.0
+    assert biangle_moments(-0.5, -0.5, -0.5, [(1, 0)])[(1, 0)] == 0.0
     # product-coordinate odd moments with a = 0 die only without coupling
-    assert biangle_moments(rc, -0.5, [(0, 3)])[(0, 3)] == 0.0
-    assert biangle_moments(rc, 0.5, [(0, 3)])[(0, 3)] != 0.0
-    assert biangle_moments(rc, -0.5, [(2, 1)])[(2, 1)] == pytest.approx(PI2 / 4, rel=1e-14)
+    assert biangle_moments(-0.5, -0.5, -0.5, [(0, 3)])[(0, 3)] == 0.0
+    assert biangle_moments(-0.5, -0.5, 0.5, [(0, 3)])[(0, 3)] != 0.0
+    assert biangle_moments(-0.5, -0.5, -0.5, [(2, 1)])[(2, 1)] == pytest.approx(PI2 / 4, rel=1e-14)
 
 
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.5, -0.5)])
@@ -104,14 +99,13 @@ def test_moment_batch_equals_single_requests(ab, g):
     """Pairs that share a Gauss grid size share one grid in a batch; each
     moment must still come out bit for bit as when requested alone, for
     every oracle, since the MomentOracle cache keeps batch results."""
-    rc = jacobi_recurrence(*ab, 14)
     pairs = [(a, d - a) for d in range(21) for a in range(d + 1)]
-    batch = biangle_moments(rc, g, pairs)
+    batch = biangle_moments(*ab, g, pairs)
     assert list(batch) == pairs
     for p in pairs:
-        assert batch[p] == biangle_moments(rc, g, [p])[p]
-    for make in (lambda: SquareMomentOracle(*ab, g),
-                 lambda: SquareMomentOracle(*ab, -0.5, 2 if g < 0 else 3)):
+        assert batch[p] == biangle_moments(*ab, g, [p])[p]
+    for make in (lambda: moment_oracle(WeightSpec("square-W", *ab, g)),
+                 lambda: moment_oracle(WeightSpec("square-W", *ab, -0.5, 2 if g < 0 else 3))):
         batch = make().moments(pairs)
         for p in pairs:
             assert batch[p] == make().moment(*p)
@@ -120,8 +114,7 @@ def test_moment_batch_equals_single_requests(ab, g):
 @pytest.mark.parametrize("g", [-0.5, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_rule_node_count_and_degree(g, n):
-    rc = jacobi_recurrence(0.0, 0.0, n + 1)
-    rule = gauss_cubature_biangle(rc, n, g)
+    rule = gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.0, 0.0, g), n)
     assert rule.node_count == n * (n + 1) // 2
     assert rule.degree == 2 * n - 1
     assert np.all(rule.weights > 0)
@@ -134,9 +127,9 @@ def test_certification_through_declared_degree(ab, g):
     """Every rule integrates all monomials through 2n-1; degree 2n fails."""
     a, b = ab
     for n in (1, 2, 4, 6):
-        rc = jacobi_recurrence(a, b, n + 1)
-        rule = gauss_cubature_biangle(rc, n, g)
-        oracle = BiangleMomentOracle(jacobi_recurrence(a, b, n + 6), g)
+        spec = WeightSpec("biangle-gamma", a, b, g)
+        rule = gauss_cubature_biangle(spec, n)
+        oracle = moment_oracle(spec)
         report = certify(rule, oracle, 2 * n, rel_tol=1e-11)
         assert report.certified_degree == 2 * n - 1
         assert all(i + j == 2 * n for (i, j, _) in report.failures)
@@ -144,19 +137,17 @@ def test_certification_through_declared_degree(ab, g):
 
 def test_single_node_rule_is_the_centroid_rule():
     # n = 1, symmetric base weight: one node at the origin carrying the mass
-    rc = jacobi_recurrence(-0.5, -0.5, 2)
-    rule = gauss_cubature_biangle(rc, 1, -0.5)
+    rule = gauss_cubature_biangle(WeightSpec("biangle-gamma", -0.5, -0.5, -0.5), 1)
     assert rule.node_count == 1
     assert rule.nodes[0, 0] == 0.0 and rule.nodes[0, 1] == 0.0
     assert float(rule.weights[0]) == pytest.approx(PI2 / 2, rel=1e-15)
 
 
 def test_gamma_validation():
-    rc = jacobi_recurrence(0.0, 0.0, 4)
     with pytest.raises(ValueError):
-        gauss_cubature_biangle(rc, 2, 0.0)
+        gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.0, 0.0, 0.0), 2)
     with pytest.raises(ValueError):
-        gauss_cubature_biangle(rc, 0, -0.5)
+        gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.0, 0.0, -0.5), 0)
 
 
 @pytest.mark.parametrize("g", [-0.5, 0.5])
@@ -164,7 +155,7 @@ def test_orthogonal_basis_vanishes_at_nodes(g):
     """All n+1 degree-n basis members share the rule nodes as zeros."""
     rc = jacobi_recurrence(0.5, -0.5, 12)
     for n in (2, 4, 7):
-        rule = gauss_cubature_biangle(rc, n, g)
+        rule = gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.5, -0.5, g), n)
         u1 = np.linspace(-1.9, 1.9, 31)
         u2 = np.linspace(-0.99, 0.99, 31)
         U1, U2 = np.meshgrid(u1, u2)

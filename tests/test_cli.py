@@ -505,6 +505,21 @@ def test_verify_honours_the_gamma_of_a_composed_file(tmp_path, capsys):
     assert "composed family exists only for gamma = -1/2" in err and err.count("\n") == 1
 
 
+def test_verify_honours_the_ell_of_every_family(tmp_path, capsys):
+    """ell had been read only on composed files.  A square file now names
+    the composed weight of its ell, and a biangle file may not carry one."""
+    square, biangle = tmp_path / "s.json", tmp_path / "b.json"
+    assert run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0.0",
+               "--gamma", "-0.5", "--m", "2", "--out", str(square))[0] == 0
+    assert run(capsys, "build", "biangle", "--alpha", "0.5", "--beta", "0.0",
+               "--gamma", "-0.5", "--n", "3", "--out", str(biangle))[0] == 0
+    code, stdout, _ = _edit_and_verify(square, capsys, _set("ell", 2))
+    assert code == 3 and stdout.startswith("declared 7, certified 1 ")
+    code, stdout, err = _edit_and_verify(biangle, capsys, _set("ell", 2))
+    assert code == 1 and stdout == ""
+    assert "ell is a parameter of the square-W family only" in err
+
+
 _JUNK = st.sampled_from([None, True, -3, 0, 2, 3, 7, -1.5, 0.25, 2.5, 1e300,
                          math.nan, math.inf, "x", [], [0.5], {}])
 
@@ -638,6 +653,30 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, family):
     assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
     assert child.stdout == ""
     assert not out.exists()
+
+
+def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(
+        tmp_path, capsys):
+    """OpenBLAS splits a dot product of more than about 10,000 terms over
+    its threads, which moved the last bits of the report of this
+    12,960-node rule with the thread count; certify now sums chunks of at
+    most 8,192 nodes in a fixed order."""
+    rule = tmp_path / "rule.json"
+    code, _, err = run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0.0",
+                       "--gamma", "-0.5", "--m", "80", "--out", str(rule))
+    assert code == 0, err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        report = tmp_path / ("report%s.json" % threads)
+        child = subprocess.run(
+            [sys.executable, "-m", "cubamin.cli", "verify", str(rule),
+             "--max-degree", "15", "--report", str(report)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert child.returncode == 3 and child.stderr == ""
+        reports.append((child.stdout, report.read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_plot_biangle_outline_and_markers(tmp_path, capsys):

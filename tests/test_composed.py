@@ -8,7 +8,7 @@ import pytest
 import cubamin.composed as composed
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import SquareMomentOracle, certify
+from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import minimal_rule_even, moller_bound
 from identities import (
@@ -115,7 +115,7 @@ def test_substitution_identity_on_quadrature_grid(ell, m):
 
 @pytest.mark.parametrize("ell,m", [(1, 3), (2, 3), (3, 2), (4, 2)])
 def test_composed_rule_attains_the_bound(ell, m):
-    rule = composed_rule(ell, m, -0.5, -0.5)
+    rule = composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=ell), m)
     assert rule.node_count == 2 * ell * ell * m * m + 2 * ell * m
     assert rule.node_count == moller_bound(2 * ell * m)
     assert rule.degree == 4 * ell * m - 1
@@ -124,7 +124,7 @@ def test_composed_rule_attains_the_bound(ell, m):
 
 def test_ell_one_reduces_to_the_plain_square_rule():
     """Composing with a trivial fold reproduces the direct construction."""
-    folded = composed_rule(1, 3, -0.5, -0.5)
+    folded = composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=1), 3)
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     direct = minimal_rule_even(spec, 3)
     assert folded.node_count == direct.node_count
@@ -137,16 +137,18 @@ def test_ell_one_reduces_to_the_plain_square_rule():
 
 
 def test_composed_legendre_moments_frozen():
-    oracle = SquareMomentOracle(0.0, 0.0, -0.5, 2)
+    oracle = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 2))
     for (i, j), want in LEGENDRE_L2_MOMENTS.items():
         assert oracle.moment(i, j) == pytest.approx(want, rel=1e-13)
     # mass does not depend on the fold order
-    assert SquareMomentOracle(0.0, 0.0, -0.5, 5).moment(0, 0) == pytest.approx(4.0, rel=1e-13)
+    five = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 5))
+    assert five.moment(0, 0) == pytest.approx(4.0, rel=1e-13)
 
 
 def test_composed_rule_certifies_small_case():
-    rule = composed_rule(2, 2, -0.5, -0.5)
-    oracle = SquareMomentOracle(-0.5, -0.5, -0.5, 2)
+    spec = WeightSpec("square-W", -0.5, -0.5, ell=2)
+    rule = composed_rule(spec, 2)
+    oracle = moment_oracle(spec)
     report = certify(rule, oracle, rule.degree, rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 
@@ -154,24 +156,24 @@ def test_composed_rule_certifies_small_case():
 @pytest.mark.parametrize("ell,m,alpha,beta", [(2, 2, 0.0, 0.0), (3, 2, 0.5, -0.5)])
 def test_composed_rule_certifies_over_non_chebyshev_bases(ell, m, alpha, beta):
     """The rule is built on the base weight it is labelled with."""
-    rule = composed_rule(ell, m, alpha, beta)
+    rule = composed_rule(WeightSpec("square-W", alpha, beta, ell=ell), m)
     assert (rule.spec.alpha, rule.spec.beta) == (alpha, beta)
-    report = certify(rule, SquareMomentOracle(alpha, beta, -0.5, ell), rule.degree,
-                     rel_tol=1e-9)
+    report = certify(rule, moment_oracle(WeightSpec("square-W", alpha, beta, -0.5, ell)),
+                     rule.degree, rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 
 
 def test_composed_rule_parameter_validation():
     with pytest.raises(ValueError):
-        composed_rule(0, 2, -0.5, -0.5)
+        composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=0), 2)
     with pytest.raises(ValueError):
-        composed_rule(2, 0, -0.5, -0.5)
+        composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 0)
 
 
 @pytest.mark.parametrize("call", [
     lambda ell: WeightSpec("square-W", alpha=0.0, beta=0.0, ell=ell),
-    lambda ell: SquareMomentOracle(0, 0, -0.5, ell).moment(0, 0),
-    lambda ell: composed_rule(ell, 2, 0, 0),
+    lambda ell: moment_oracle(WeightSpec("square-W", 0, 0, -0.5, ell)).moment(0, 0),
+    lambda ell: composed_rule(WeightSpec("square-W", 0, 0, ell=ell), 2),
 ])
 @pytest.mark.parametrize("ell", [2.5, True])
 def test_a_non_integer_ell_is_refused_by_name(call, ell):
@@ -183,7 +185,8 @@ def test_a_non_integer_ell_is_refused_by_name(call, ell):
 
 def test_numpy_integer_ell_is_accepted():
     assert WeightSpec("square-W", alpha=0.0, beta=0.0, ell=np.int64(2)).ell == 2
-    assert composed_rule(np.int32(2), 1, 0.0, 0.0).node_count == 2 * 4 + 2 * 2
+    spec = WeightSpec("square-W", 0.0, 0.0, ell=np.int32(2))
+    assert composed_rule(spec, 1).node_count == 2 * 4 + 2 * 2
 
 
 def test_a_malformed_orbit_names_its_pair(monkeypatch):
@@ -198,4 +201,4 @@ def test_a_malformed_orbit_names_its_pair(monkeypatch):
 
     monkeypatch.setattr(composed, "fold_panel_angles", nudged)
     with pytest.raises(ConstructionError, match=r"orbit of pair \(1,1\) has \d+ points, expected 12"):
-        composed_rule(2, 3, -0.5, -0.5)
+        composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 3)

@@ -10,14 +10,14 @@ import pytest
 import cubamin.oracle as oracle_mod
 from cubamin.biangle import biangle_moments, gauss_cubature_biangle
 from cubamin.composed import composed_rule
-from cubamin.opq1d import fold_panel_angles, jacobi_recurrence
+from cubamin.opq1d import fold_panel_angles
 from cubamin.oracle import (
-    BiangleMomentOracle,
     DomainError,
     ExactnessReport,
     MomentOracle,
-    SquareMomentOracle,
     certify,
+    moment_oracle,
+    square_moments,
 )
 from cubamin.rules import CubatureRule2D, WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
@@ -56,7 +56,7 @@ def test_chebyshev_axis_moment_closed_form():
 @pytest.mark.parametrize("key", sorted(SQUARE_MOMENTS))
 def test_square_moments_match_symbolic_values(key):
     a, b, g = key
-    orc = SquareMomentOracle(a, b, g)
+    orc = moment_oracle(WeightSpec("square-W", a, b, g))
     mass = SQUARE_MOMENTS[key][(0, 0)]
     assert orc.mass == pytest.approx(mass, rel=1e-13)
     for (i, j), want in SQUARE_MOMENTS[key].items():
@@ -66,7 +66,7 @@ def test_square_moments_match_symbolic_values(key):
 
 def test_all_chebyshev_square_moments_factor():
     """With every exponent at -1/2 the double integral separates."""
-    orc = SquareMomentOracle(-0.5, -0.5, -0.5)
+    orc = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
     for i in range(0, 13):
         for j in range(0, 13 - i):
             want = chebyshev_moment_1d(i) * chebyshev_moment_1d(j)
@@ -75,40 +75,48 @@ def test_all_chebyshev_square_moments_factor():
 
 
 def test_square_structural_zeros_are_bit_exact():
-    orc = SquareMomentOracle(0.5, -0.5, -0.5)
+    orc = moment_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5))
     assert orc.moment(3, 2) == 0.0
     assert orc.moment(1, 0) == 0.0
-    sym = SquareMomentOracle(0.5, 0.5, -0.5)
+    sym = moment_oracle(WeightSpec("square-W", 0.5, 0.5, -0.5))
     assert sym.moment(3, 1) == 0.0
     assert sym.moment(2, 1) == 0.0
 
 
 def test_composed_structural_zeros():
-    assert SquareMomentOracle(0.5, -0.5, -0.5, 2).moment(1, 2) == 0.0
-    assert SquareMomentOracle(-0.5, -0.5, -0.5, 3).moment(1, 2) == 0.0
-    assert SquareMomentOracle(-0.5, -0.5, -0.5, 3).moment(2, 1) == 0.0
-    assert SquareMomentOracle(0.0, 0.0, -0.5, 2).moment(3, 2) == 0.0
+    assert moment_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5, 2)).moment(1, 2) == 0.0
+    assert moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(1, 2) == 0.0
+    assert moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(2, 1) == 0.0
+    assert moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 2)).moment(3, 2) == 0.0
 
 
 def test_composed_chebyshev_is_fold_independent():
     pairs = [(i, j) for i in range(0, 9, 2) for j in range(0, 9, 2)]
-    base = SquareMomentOracle(-0.5, -0.5, -0.5, 1)
+    base = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 1))
     for ell in (2, 3, 5):
-        orc = SquareMomentOracle(-0.5, -0.5, -0.5, ell)
+        orc = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, ell))
         for p in pairs:
             assert orc.moment(*p) == pytest.approx(base.moment(*p), rel=1e-12)
 
 
 def test_composed_trivial_fold_equals_square_oracle():
-    sq = SquareMomentOracle(0.0, 0.0, -0.5)
-    fo = SquareMomentOracle(0.0, 0.0, -0.5, 1)
+    sq = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5))
+    fo = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 1))
     for i in range(0, 7, 2):
         for j in range(0, 7, 2):
             assert fo.moment(i, j) == pytest.approx(sq.moment(i, j), rel=1e-12)
 
 
+@pytest.mark.parametrize("ell", [2.5, True, 2.0, 0])
+def test_square_moments_refuses_an_ell_that_is_not_a_positive_integer(ell):
+    """A float or bool ell once reached numpy and died there with a
+    TypeError; every parameter now goes through the WeightSpec check."""
+    with pytest.raises(ValueError, match="ell must be"):
+        square_moments(0, 0, -0.5, ell, [(0, 0)])
+
+
 def test_moments_batch_agrees_with_single_calls():
-    orc = SquareMomentOracle(0.5, -0.5, 0.5)
+    orc = moment_oracle(WeightSpec("square-W", 0.5, -0.5, 0.5))
     pairs = [(0, 0), (2, 2), (4, 0), (1, 1), (3, 3)]
     batch = orc.moments(pairs)
     assert set(batch) == set(pairs)
@@ -157,8 +165,7 @@ def test_folding_connects_square_and_curved_moments(params):
     by the constant 4^(-gamma) coming from the 4-to-1 cover.
     """
     al, be, g = params
-    orc = SquareMomentOracle(al, be, g)
-    rc = jacobi_recurrence(al, be, 16)
+    orc = moment_oracle(WeightSpec("square-W", al, be, g))
     mass = orc.moment(0, 0)
     for a in range(0, 5):
         for b in range(0, 5 - a):
@@ -168,7 +175,7 @@ def test_folding_connects_square_and_curved_moments(params):
                     c = comb(b, k) * comb(k, r) * (-1) ** (b - k)
                     via_square += c * orc.moment(a + 2 * r, a + 2 * (k - r))
             via_square *= 2.0 ** a
-            direct = biangle_moments(rc, g, [(a, b)])[(a, b)]
+            direct = biangle_moments(al, be, g, [(a, b)])[(a, b)]
             denom = max(abs(direct), abs(mass))
             assert abs(via_square - 4.0 ** (-g) * direct) <= 1e-12 * denom
 
@@ -206,7 +213,7 @@ class _BrokenOracle:
 def test_certified_degree_is_below_the_first_failure():
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    good = SquareMomentOracle(-0.5, -0.5, -0.5)
+    good = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
     clean = certify(rule, good, rule.degree, rel_tol=1e-9)
     assert clean.certified_degree == rule.degree
     assert clean.failures == ()
@@ -226,12 +233,12 @@ def _report_bits(rep):
 
 def _one_rule_per_family():
     return [
-        (gauss_cubature_biangle(jacobi_recurrence(0.5, -0.5, 8), 7, 0.5),
-         BiangleMomentOracle(jacobi_recurrence(0.5, -0.5, 16), 0.5)),
+        (gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.5, -0.5, 0.5), 7),
+         moment_oracle(WeightSpec("biangle-gamma", 0.5, -0.5, 0.5))),
         (minimal_rule_even(WeightSpec("square-W", alpha=0.0, beta=0.5, gamma=0.5), 4),
-         SquareMomentOracle(0.0, 0.5, 0.5)),
-        (minimal_rule_odd(-0.5, 0.0, -0.5, 2), SquareMomentOracle(-0.5, 0.0, -0.5)),
-        (composed_rule(3, 2, 0.5, 0.0), SquareMomentOracle(0.5, 0.0, -0.5, 3)),
+         moment_oracle(WeightSpec("square-W", 0.0, 0.5, 0.5))),
+        (minimal_rule_odd(WeightSpec("square-W", -0.5, 0.0, -0.5), 2), moment_oracle(WeightSpec("square-W", -0.5, 0.0, -0.5))),
+        (composed_rule(WeightSpec("square-W", 0.5, 0.0, ell=3), 2), moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5, 3))),
     ]
 
 
@@ -249,16 +256,16 @@ def test_certify_reports_match_the_strided_per_pair_loop(case):
 def test_certify_report_of_a_failing_rule_matches_the_strided_per_pair_loop():
     """A rule checked against another weight fails from low degree on."""
     rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 3)
-    wrong = SquareMomentOracle(0.5, 0.0, -0.5)
+    wrong = moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5))
     got = certify(rule, wrong, rule.degree)
     assert got.certified_degree < 2 and len(got.failures) > 10
     assert _report_bits(got) == _report_bits(reference_certify(rule, wrong, rule.degree))
 
 
 def test_certify_reports_worst_relative_error():
-    rc = jacobi_recurrence(-0.5, -0.5, 5)
-    rule = gauss_cubature_biangle(rc, 4, -0.5)
-    orc = BiangleMomentOracle(jacobi_recurrence(-0.5, -0.5, 10), -0.5)
+    spec = WeightSpec("biangle-gamma", -0.5, -0.5, -0.5)
+    rule = gauss_cubature_biangle(spec, 4)
+    orc = moment_oracle(spec)
     rep = certify(rule, orc, rule.degree, rel_tol=1e-11)
     assert rep.certified_degree == rule.degree
     assert 0.0 <= rep.worst_rel_error < 1e-11
@@ -270,7 +277,7 @@ def test_certify_rejects_a_non_finite_reference_moment(bad):
     relative error; certify refuses both instead of passing the monomial."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    good = SquareMomentOracle(-0.5, -0.5, -0.5)
+    good = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
     broken = MomentOracle(
         lambda pairs: {p: bad if p == (2, 2) else good.moment(*p) for p in pairs})
     with pytest.raises(OverflowError, match=r"x\^2 y\^2"):
@@ -329,17 +336,17 @@ def test_certify_rejects_a_node_outside_the_square():
     far = _with_nodes(rule, np.vstack([rule.nodes, [3.0, 3.0]]),
                       np.append(rule.weights, 1e-11))
     with pytest.raises(DomainError, match="outside the square"):
-        certify(far, SquareMomentOracle(-0.5, -0.5, -0.5), far.degree)
+        certify(far, moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5)), far.degree)
 
 
 def test_certify_rejects_a_node_outside_the_curved_domain():
-    rc = jacobi_recurrence(0.5, -0.5, 6)
-    rule = gauss_cubature_biangle(rc, 4, 0.5)
+    spec = WeightSpec("biangle-gamma", 0.5, -0.5, 0.5)
+    rule = gauss_cubature_biangle(spec, 4)
     # (0, 0.5) lies above the parabola u2 = u1^2 / 4
     off = _with_nodes(rule, np.vstack([rule.nodes, [0.0, 0.5]]),
                       np.append(rule.weights, 1e-11))
     with pytest.raises(DomainError, match="outside the biangle"):
-        certify(off, BiangleMomentOracle(rc, 0.5), off.degree)
+        certify(off, moment_oracle(spec), off.degree)
 
 
 def _even_pairs(degree):
@@ -357,11 +364,11 @@ def _panel_row(ell):
 # (oracle, ladder parameters, feature row, degree): the criterion-3 grid,
 # two points further out, and three folds
 _CROSS_CHECK = (
-    [(SquareMomentOracle(a, b, g), (a, b, g), _cos_power_row, 25)
+    [(moment_oracle(WeightSpec("square-W", a, b, g)), (a, b, g), _cos_power_row, 25)
      for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
-    + [(SquareMomentOracle(a, b, g), (a, b, g), _cos_power_row, 41)
+    + [(moment_oracle(WeightSpec("square-W", a, b, g)), (a, b, g), _cos_power_row, 41)
        for (a, b, g) in ((2.3, 0.7, -0.5), (-0.5, 0.5, 0.5))]
-    + [(SquareMomentOracle(0.5, 0.0, -0.5, ell), (0.5, 0.0, -0.5), _panel_row(ell), 25)
+    + [(moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5, ell)), (0.5, 0.0, -0.5), _panel_row(ell), 25)
        for ell in (2, 3, 4)]
 )
 
@@ -412,7 +419,7 @@ def test_both_moment_routes_match_known_answers(a, b, g):
     through degree 95 and the angular ladder through degree 33."""
     ref = _polynomial_weight_moments(a, b, g, 95)
     mass = ref[(0, 0)]
-    exact = SquareMomentOracle(a, b, g).moments(list(ref))
+    exact = moment_oracle(WeightSpec("square-W", a, b, g)).moments(list(ref))
     assert max(abs(exact[p] - v) for p, v in ref.items()) <= 1e-13 * mass
     pairs = _even_pairs(33)
     ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]

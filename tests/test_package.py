@@ -7,7 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cubamin
+from cubamin import (
+    WeightSpec,
+    composed_rule,
+    gauss_cubature_biangle,
+    minimal_rule_even,
+    minimal_rule_odd,
+)
 
 
 def test_every_imported_name_is_exported():
@@ -61,3 +70,35 @@ def test_readme_library_example_runs():
     blocks = readme.read_text().split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
+_BIANGLE = WeightSpec("biangle-gamma", alpha=0.5, beta=0.0, gamma=0.5)
+_SQUARE = WeightSpec("square-W", alpha=0.5, beta=0.0, gamma=0.5)
+_COMPOSED = WeightSpec("square-W", alpha=0.5, beta=0.0, gamma=-0.5, ell=2)
+
+
+@pytest.mark.parametrize("build,spec", [
+    (gauss_cubature_biangle, _BIANGLE),
+    (minimal_rule_even, _SQUARE),
+    (minimal_rule_odd, _SQUARE),
+    (composed_rule, _COMPOSED),
+])
+def test_every_builder_takes_a_spec_and_a_size(build, spec):
+    """The spec is the one carrier of a rule's weight: each builder labels
+    its rule with the spec it was given."""
+    rule = build(spec, 2)
+    assert rule.spec is spec and rule.param == 2
+
+
+@pytest.mark.parametrize("build,spec", [
+    (gauss_cubature_biangle, _SQUARE),
+    (minimal_rule_even, _BIANGLE),
+    (minimal_rule_even, _COMPOSED),
+    (minimal_rule_odd, _BIANGLE),
+    (minimal_rule_odd, _COMPOSED),
+    (composed_rule, _BIANGLE),
+    (composed_rule, _SQUARE),
+])
+def test_a_builder_refuses_a_spec_of_another_family_ell_or_gamma(build, spec):
+    with pytest.raises(ValueError, match="needs a"):
+        build(spec, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubamin.oracle import SquareMomentOracle, certify
+from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
     _merge_runs,
@@ -243,7 +243,7 @@ def test_even_rule_attains_the_bound(g, m):
     assert rule.degree == 4 * m - 1
     assert np.all(rule.weights > 0)
     assert np.all(np.abs(rule.nodes) <= 1 + 1e-12)
-    oracle = SquareMomentOracle(-0.5, -0.5, g)
+    oracle = moment_oracle(WeightSpec("square-W", -0.5, -0.5, g))
     assert float(rule.weights.sum()) == pytest.approx(oracle.mass, rel=1e-13)
 
 
@@ -252,14 +252,14 @@ def test_even_rule_certifies_small_cases(ab):
     a, b = ab
     spec = WeightSpec("square-W", alpha=a, beta=b, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    report = certify(rule, SquareMomentOracle(a, b, -0.5), rule.degree, rel_tol=1e-9)
+    report = certify(rule, moment_oracle(spec), rule.degree, rel_tol=1e-9)
     assert report.certified_degree >= rule.degree
 
 
 @pytest.mark.parametrize("g", [-0.5, 0.5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_odd_rule_attains_the_bound(g, m):
-    rule = minimal_rule_odd(-0.5, -0.5, g, m)
+    rule = minimal_rule_odd(WeightSpec("square-W", -0.5, -0.5, g), m)
     assert rule.node_count == 2 * (m + 1) ** 2 - 1
     assert rule.node_count == moller_bound(2 * m + 1)
     assert rule.degree == 4 * m + 1
@@ -275,7 +275,7 @@ def test_odd_m1_rule_matches_closed_form(key):
                 (-t, -s, w_orbit), (d1, d2, w_pair), (-d1, -d2, w_pair),
                 (0.0, 0.0, w_origin)]
     expected.sort()
-    rule = minimal_rule_odd(a, b, g, 1)
+    rule = minimal_rule_odd(WeightSpec("square-W", a, b, g), 1)
     assert rule.node_count == 7
     order = np.lexsort((rule.nodes[:, 1], rule.nodes[:, 0]))
     for row, (ex1, ex2, ew) in zip(order, expected):
