@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -52,17 +52,22 @@ _JSON_FIELDS = (
     "moller_bound",
 )
 
-# rows per block of the JSON rule writer
-_JSON_BLOCK_ROWS = 16384
+# rows per block of the rule writers
+_BLOCK_ROWS = 16384
 
-# each rule family's weight family, size flag and builder(spec, size); the
-# lambdas look their builder up when called, so that a module attribute
-# replaced at run time is the one that runs
+# each rule family's help line, weight family, build flags in usage order and
+# builder(spec, size); the size flag is n or m, and n, m and ell parse as int,
+# the Jacobi parameters as float.  The lambdas look their builder up when
+# called, so that a module attribute replaced at run time is the one that runs
 _FAMILIES = {
-    "biangle": ("biangle-gamma", "n", lambda spec, n: gauss_cubature_biangle(spec, n)),
-    "square-even": ("square-W", "m", lambda spec, m: minimal_rule_even(spec, m)),
-    "square-odd": ("square-W", "m", lambda spec, m: minimal_rule_odd(spec, m)),
-    "composed": ("square-W", "m", lambda spec, m: composed_rule(spec, m)),
+    "biangle": ("Gauss rule on the parabolic domain", "biangle-gamma", "alpha beta gamma n",
+                lambda spec, n: gauss_cubature_biangle(spec, n)),
+    "square-even": ("minimal rule of degree 4m-1 on the square", "square-W",
+                    "alpha beta gamma m", lambda spec, m: minimal_rule_even(spec, m)),
+    "square-odd": ("minimal rule of degree 4m+1 on the square", "square-W",
+                   "alpha beta gamma m", lambda spec, m: minimal_rule_odd(spec, m)),
+    "composed": ("folded minimal rule of degree 4*ell*m-1", "square-W", "ell m alpha beta",
+                 lambda spec, m: composed_rule(spec, m)),
 }
 
 
@@ -74,22 +79,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def format_float(v: float) -> str:
-    """Shortest decimal string that round-trips the 64-bit value."""
-    return repr(float(v))
+def _write_rows(fh: TextIO, nodes: np.ndarray, weights: np.ndarray,
+                sep: str, end: str, last_end: str) -> None:
+    """Write each row as x1 sep x2 sep weight end to the text stream fh, the
+    last row ending in last_end.  A value is its repr: the shortest round-trip
+    decimal, and json's format for a finite float.  Blocks of _BLOCK_ROWS rows
+    format each distinct value once, told apart by bits so -0.0 keeps its sign."""
+    table = np.column_stack([nodes, weights]).astype(float, copy=False)
+    for b0 in range(0, len(table), _BLOCK_ROWS):
+        block = table[b0 : b0 + _BLOCK_ROWS]
+        bits, where = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+        parts = np.empty((len(block), 6), dtype=object)
+        parts[:, 0::2] = text[where.reshape(-1, 3)]
+        parts[:, 1:5:2] = sep
+        parts[:, 5] = end
+        if b0 + _BLOCK_ROWS >= len(table):
+            parts[-1, 5] = last_end
+        fh.write("".join(parts.ravel().tolist()))
 
 
-def rule_to_csv(nodes: np.ndarray, weights: np.ndarray) -> str:
-    lines = [CSV_HEADER]
-    for row in np.column_stack([nodes, weights]).tolist():
-        lines.append(",".join(map(format_float, row)))
-    return "\n".join(lines) + "\n"
+def rule_to_csv(nodes: np.ndarray, weights: np.ndarray, fh: TextIO) -> None:
+    """Write the CSV rule file to the text stream fh: the header line, then
+    one x1,x2,weight line per node."""
+    fh.write(CSV_HEADER + "\n")
+    _write_rows(fh, nodes, weights, ",", "\n", "\n")
 
 
 def family_spec(family: str, alpha: float, beta: float, gamma: float, ell) -> WeightSpec:
     """The weight spec of a rule family; ell None, as files record it off the
     composed family, is 1.  Raises ValueError on invalid parameters."""
-    return WeightSpec(_FAMILIES[family][0], alpha, beta, gamma, 1 if ell is None else ell)
+    return WeightSpec(_FAMILIES[family][1], alpha, beta, gamma, 1 if ell is None else ell)
 
 
 def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
@@ -115,23 +135,10 @@ def rule_to_json(
 ) -> None:
     """Write the rule file to the text stream fh: byte for byte the
     json.dumps of the metadata fields and the [x1, x2, weight] rows, and a
-    newline.  The rows go out in blocks of _JSON_BLOCK_ROWS; a block formats
-    each of its distinct values once with repr, which is json's format for
-    a finite float.  Values are told apart by their bits, so -0.0 keeps its
-    sign."""
-    fh.write(json.dumps({k: meta[k] for k in _JSON_FIELDS})[:-1] + ', "nodes": [')
-    table = np.column_stack([nodes, weights]).astype(float, copy=False)
-    for b0 in range(0, len(table), _JSON_BLOCK_ROWS):
-        block = table[b0 : b0 + _JSON_BLOCK_ROWS]
-        bits, where = np.unique(block.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-        # per row: x1, ", ", x2, ", ", weight, "], [" (the last row "]")
-        parts = np.empty((len(block), 6), dtype=object)
-        parts[:, 0::2] = text[where.reshape(-1, 3)]
-        parts[:, 1::2] = ", "
-        parts[:, 5] = "], ["
-        parts[-1, 5] = "]"
-        fh.write((", [" if b0 else "[") + "".join(parts.ravel().tolist()))
+    newline."""
+    head = json.dumps({k: meta[k] for k in _JSON_FIELDS})[:-1] + ', "nodes": ['
+    fh.write(head + "[" * (len(weights) > 0))
+    _write_rows(fh, nodes, weights, ", ", "], [", "]")
     fh.write("]}\n")
 
 
@@ -198,40 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="print the node-count lower bound for degree 2n-1")
     b.add_argument("--n", type=int, required=True, help="half-degree parameter, n >= 1")
+    b.set_defaults(run=cmd_bound)
 
     bu = sub.add_parser("build", help="construct a rule and write it to a file")
+    bu.set_defaults(run=cmd_build)
     fam = bu.add_subparsers(dest="family", metavar="family", required=True)
-
-    def out_opts(sp):
+    for name, (help_text, _, flags, _) in _FAMILIES.items():
+        sp = fam.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument("--" + flag, type=int if flag in ("n", "m", "ell") else float,
+                            required=True)
         sp.add_argument("--out", default=None, help="output path (default rule.FORMAT)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
 
-    f_bi = fam.add_parser("biangle", help="Gauss rule on the parabolic domain")
-    f_bi.add_argument("--alpha", type=float, required=True)
-    f_bi.add_argument("--beta", type=float, required=True)
-    f_bi.add_argument("--gamma", type=float, required=True)
-    f_bi.add_argument("--n", type=int, required=True)
-    out_opts(f_bi)
-
-    for name, help_text in (
-        ("square-even", "minimal rule of degree 4m-1 on the square"),
-        ("square-odd", "minimal rule of degree 4m+1 on the square"),
-    ):
-        sp = fam.add_parser(name, help=help_text)
-        sp.add_argument("--alpha", type=float, required=True)
-        sp.add_argument("--beta", type=float, required=True)
-        sp.add_argument("--gamma", type=float, required=True)
-        sp.add_argument("--m", type=int, required=True)
-        out_opts(sp)
-
-    f_co = fam.add_parser("composed", help="folded minimal rule of degree 4*ell*m-1")
-    f_co.add_argument("--ell", type=int, required=True)
-    f_co.add_argument("--m", type=int, required=True)
-    f_co.add_argument("--alpha", type=float, required=True)
-    f_co.add_argument("--beta", type=float, required=True)
-    out_opts(f_co)
-
     v = sub.add_parser("verify", help="certify a rule file against reference moments")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("rule_file")
     v.add_argument("--max-degree", type=int, default=None,
                    help="test through this total degree (default: declared)")
@@ -239,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--report", default=None, help="write a JSON report here")
 
     pl = sub.add_parser("plot", help="draw the nodes as an SVG scatter")
+    pl.set_defaults(run=cmd_plot)
     pl.add_argument("rule_file")
     pl.add_argument("svg_file")
     pl.add_argument("--size", type=int, default=480, help="viewport side in pixels")
@@ -251,6 +240,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write_file(path: str, write: Callable[[TextIO], None]) -> None:
+    """Write the text file at path through write(fh): UTF-8, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write(fh)
+
+
 def cmd_bound(args) -> int:
     if args.n < 1:
         return _fail("--n must be >= 1", EXIT_USAGE)
@@ -259,7 +254,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_build(args) -> int:
-    _, flag, build = _FAMILIES[args.family]
+    _, _, flags, build = _FAMILIES[args.family]
+    flag = "n" if "n" in flags.split() else "m"
     try:
         spec = family_spec(args.family, args.alpha, args.beta,
                            getattr(args, "gamma", -0.5), getattr(args, "ell", None))
@@ -276,11 +272,9 @@ def cmd_build(args) -> int:
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
 
     out = args.out if args.out is not None else "rule.%s" % args.format
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        if args.format == "csv":
-            fh.write(rule_to_csv(rule.nodes, rule.weights))
-        else:
-            rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh)
+    _write_file(out, lambda fh: rule_to_csv(rule.nodes, rule.weights, fh)
+                if args.format == "csv"
+                else rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh))
     print(
         "wrote %s: %s, %d nodes, degree %d"
         % (out, rule.family, rule.node_count, rule.degree)
@@ -354,8 +348,7 @@ def cmd_verify(args) -> int:
                 "failures": [[i, j, rel] for (i, j, rel) in report.failures],
             }
         ) + "\n"
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        _write_file(args.report, lambda fh: fh.write(payload))
     print(
         "declared %d, certified %d through degree %d, worst rel err %.3e: %s"
         % (
@@ -464,8 +457,7 @@ def cmd_plot(args) -> int:
         return _fail("--size must be at least 32", EXIT_USAGE)
     family = None if meta is None else str(meta["family"])
     svg = render_svg(nodes, family, args.size)
-    with open(args.svg_file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    _write_file(args.svg_file, lambda fh: fh.write(svg))
     print("wrote %s: %d nodes" % (args.svg_file, len(nodes)))
     return EXIT_OK
 
@@ -476,13 +468,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "bound":
-        return cmd_bound(args)
-    if args.command == "build":
-        return cmd_build(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_plot(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

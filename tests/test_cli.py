@@ -383,7 +383,7 @@ def test_parse_rule_file_rejects_a_malformed_node_row(tmp_path, capsys, row):
         parse_rule_file(str(path))
 
 
-_B = cli._JSON_BLOCK_ROWS
+_B = cli._BLOCK_ROWS
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.0, 3.0, 0.1, 1.0 / 3.0]
 
 
@@ -407,6 +407,8 @@ def _tables(draw):
 @settings(max_examples=30, deadline=None)
 @given(_tables())
 def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
+    """Both writers at the block edges: JSON byte for byte json.dumps, CSV
+    the header line and one ",".join of the reprs per row."""
     meta = {"family": "square-even", "alpha": -0.5, "beta": 0.0, "gamma": 0.5,
             "ell": None, "param_n_or_m": 3, "degree": 11, "node_count": len(table),
             "moller_bound": 21}
@@ -414,6 +416,10 @@ def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
     cli.rule_to_json(meta, table[:, :2], table[:, 2], buf)
     want = dict(meta, nodes=table.tolist())
     assert buf.getvalue() == json.dumps(want) + "\n"
+    buf = io.StringIO()
+    cli.rule_to_csv(table[:, :2], table[:, 2], buf)
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert buf.getvalue() == "x1,x2,weight\n" + rows
 
 
 def _edit_and_verify(path, capsys, edit):
