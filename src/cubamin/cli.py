@@ -240,10 +240,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_file(path: str, write: Callable[[TextIO], None]) -> None:
-    """Write the text file at path through write(fh): UTF-8, LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write(fh)
+def _write_file(path: str, write: Callable[[TextIO], None]) -> bool:
+    """Write the text file at path through write(fh): UTF-8, LF line ends.
+    An OSError is one line on stderr and False."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+    except OSError as exc:
+        _fail("cannot write %s: %s" % (path, exc.strerror or exc), EXIT_USAGE)
+        return False
+    return True
 
 
 def cmd_bound(args) -> int:
@@ -272,9 +278,10 @@ def cmd_build(args) -> int:
         return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
 
     out = args.out if args.out is not None else "rule.%s" % args.format
-    _write_file(out, lambda fh: rule_to_csv(rule.nodes, rule.weights, fh)
-                if args.format == "csv"
-                else rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh))
+    if not _write_file(out, lambda fh: rule_to_csv(rule.nodes, rule.weights, fh)
+                       if args.format == "csv"
+                       else rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh)):
+        return EXIT_USAGE
     print(
         "wrote %s: %s, %d nodes, degree %d"
         % (out, rule.family, rule.node_count, rule.degree)
@@ -348,7 +355,8 @@ def cmd_verify(args) -> int:
                 "failures": [[i, j, rel] for (i, j, rel) in report.failures],
             }
         ) + "\n"
-        _write_file(args.report, lambda fh: fh.write(payload))
+        if not _write_file(args.report, lambda fh: fh.write(payload)):
+            return EXIT_USAGE
     print(
         "declared %d, certified %d through degree %d, worst rel err %.3e: %s"
         % (
@@ -448,16 +456,19 @@ def render_svg(
 
 def cmd_plot(args) -> int:
     try:
-        nodes, _, meta = parse_rule_file(args.rule_file)
+        nodes, weights, meta = parse_rule_file(args.rule_file)
     except _READ_ERRORS as exc:
         return _fail("cannot read rule file: %s" % exc, EXIT_USAGE)
     if len(nodes) == 0:
         return _fail("rule file has no nodes; nothing to plot", EXIT_USAGE)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        return _fail("rule file has a non-finite node or weight; nothing to plot", EXIT_USAGE)
     if args.size < 32:
         return _fail("--size must be at least 32", EXIT_USAGE)
     family = None if meta is None else str(meta["family"])
     svg = render_svg(nodes, family, args.size)
-    _write_file(args.svg_file, lambda fh: fh.write(svg))
+    if not _write_file(args.svg_file, lambda fh: fh.write(svg)):
+        return EXIT_USAGE
     print("wrote %s: %d nodes" % (args.svg_file, len(nodes)))
     return EXIT_OK
 

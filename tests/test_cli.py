@@ -741,3 +741,50 @@ def test_plot_accepts_csv_input(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", str(rule), str(svg))
     assert code == 0
     assert svg.read_text().count("<circle") == moller_bound(4)
+
+
+def _assert_cannot_write(code, stdout, err, path):
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1, err
+    assert err.startswith("cubamin: cannot write %s: " % path), err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_build_to_an_unwritable_path_exits_1_with_one_line(tmp_path, capsys, target):
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0",
+                            "--gamma", "-0.5", "--m", "3", "--out", str(out))
+    _assert_cannot_write(code, stdout, err, out)
+
+
+def test_verify_report_to_an_unwritable_path_exits_1_with_one_line(tmp_path, capsys):
+    rule = build_small_even(tmp_path, capsys)
+    report = tmp_path / "missing" / "r.json"
+    code, stdout, err = run(capsys, "verify", str(rule), "--report", str(report))
+    _assert_cannot_write(code, stdout, err, report)
+
+
+def test_plot_to_an_unwritable_path_exits_1_with_one_line(tmp_path, capsys):
+    rule = build_small_even(tmp_path, capsys)
+    svg = tmp_path / "missing" / "p.svg"
+    code, stdout, err = run(capsys, "plot", str(rule), str(svg))
+    _assert_cannot_write(code, stdout, err, svg)
+
+
+@pytest.mark.parametrize("fmt, bad", [("json", math.nan), ("json", math.inf),
+                                      ("csv", math.nan)])
+def test_plot_rejects_a_non_finite_node(tmp_path, capsys, fmt, bad):
+    """verify already rejects such files; plot drew nan or inf coordinates."""
+    rule = build_small_even(tmp_path, capsys, fmt=fmt)
+    if fmt == "json":
+        doc = json.loads(rule.read_text())
+        doc["nodes"][0][0] = bad  # json.dumps writes NaN and Infinity
+        rule.write_text(json.dumps(doc))
+    else:
+        header, first, rest = rule.read_text().split("\n", 2)
+        rule.write_text("\n".join([header, repr(bad) + first[first.index(","):], rest]))
+    svg = tmp_path / "p.svg"
+    code, stdout, err = run(capsys, "plot", str(rule), str(svg))
+    assert code == 1
+    assert stdout == "" and err.count("\n") == 1 and "non-finite" in err, err
+    assert not svg.exists()
