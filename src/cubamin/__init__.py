@@ -2,13 +2,7 @@
 the square and its folded curved domain, with independent moment
 certification."""
 
-from .biangle import (
-    biangle_moments,
-    eval_koornwinder,
-    gauss_cubature_biangle,
-    in_omega,
-    split_u_to_x,
-)
+from .biangle import biangle_moments, gauss_cubature_biangle, in_omega
 from .composed import composed_rule
 from .opq1d import (
     EigensolverError,
@@ -18,8 +12,6 @@ from .opq1d import (
     diagonal_zero_set,
     eval_jacobi_standard,
     eval_jacobi_standard_deriv,
-    eval_orthonormal,
-    eval_orthonormal_deriv,
     gauss_rule,
     jacobi_recurrence,
     quasi_S,
@@ -28,14 +20,12 @@ from .oracle import (
     DomainError,
     MomentOracle,
     OracleConvergenceError,
-    angular_moment_ladder,
     certify,
     moment_oracle,
     square_moments,
 )
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 from .squaremin import (
-    eval_Q_basis,
     merge_close_nodes,
     minimal_rule_even,
     minimal_rule_odd,
@@ -56,17 +46,12 @@ __all__ = [
     "RecurrenceCoeffs",
     "WeightSpec",
     "ZeroCountError",
-    "angular_moment_ladder",
     "biangle_moments",
     "certify",
     "composed_rule",
     "diagonal_zero_set",
-    "eval_Q_basis",
     "eval_jacobi_standard",
     "eval_jacobi_standard_deriv",
-    "eval_koornwinder",
-    "eval_orthonormal",
-    "eval_orthonormal_deriv",
     "gauss_cubature_biangle",
     "gauss_rule",
     "in_omega",
@@ -77,6 +62,5 @@ __all__ = [
     "moller_bound",
     "moment_oracle",
     "quasi_S",
-    "split_u_to_x",
     "square_moments",
 ]

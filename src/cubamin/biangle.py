@@ -16,25 +16,15 @@ n(n+1)/2 positive-weight nodes inside the closed domain.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
-from .opq1d import (
-    RecurrenceCoeffs,
-    divided_difference,
-    eval_orthonormal,
-    gauss_pairs,
-    gauss_rule,
-    jacobi_recurrence,
-)
+from .opq1d import RecurrenceCoeffs, gauss_pairs, gauss_rule, jacobi_recurrence
 from .rules import CubatureRule2D, WeightSpec
 
 __all__ = [
-    "split_u_to_x",
     "in_omega",
-    "eval_koornwinder",
     "gauss_cubature_biangle",
     "biangle_moments",
     "tensor_moments",
@@ -48,59 +38,6 @@ def in_omega(u1, u2, tol: float = 0.0) -> np.ndarray:
     above = u1 * u1 - 4.0 * u2 >= -tol
     below = 1.0 + u2 - np.abs(u1) >= -tol
     return above & below
-
-
-def split_u_to_x(u1, u2):
-    """Recover the unordered root pair {x1, x2} of z^2 - u1 z + u2.
-
-    The larger-magnitude root is taken from the quadratic formula and the
-    other from the product, avoiding cancellation.  Points outside the
-    domain (negative discriminant) produce a ValueError.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    disc = u1 * u1 - 4.0 * u2
-    if np.any(disc < -1e-13 * np.maximum(1.0, u1 * u1)):
-        raise ValueError("point below the parabolic arc has complex roots")
-    s = np.sqrt(np.maximum(disc, 0.0))
-    big = np.where(u1 >= 0.0, 0.5 * (u1 + s), 0.5 * (u1 - s))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        other = np.where(big != 0.0, u2 / np.where(big != 0.0, big, 1.0), 0.0)
-    return big, other
-
-
-def _pair_basis(rc: RecurrenceCoeffs, hi: int, lo: int, gamma: float, x1, x2):
-    """Koornwinder's pair kernel at the root pair (x1, x2): the symmetrized
-    product p_hi(x1) p_lo(x2) + p_hi(x2) p_lo(x1) for gamma = -1/2, the
-    divided difference of order hi+1 for gamma = +1/2."""
-    if gamma == -0.5:
-        return (
-            eval_orthonormal(rc, hi, x1) * eval_orthonormal(rc, lo, x2)
-            + eval_orthonormal(rc, hi, x2) * eval_orthonormal(rc, lo, x1)
-        )
-    if gamma == 0.5:
-        return divided_difference(rc, hi + 1, lo, x1, x2)
-    raise ValueError("gamma restricted to -1/2 and +1/2")
-
-
-def eval_koornwinder(
-    rc: RecurrenceCoeffs, n: int, k: int, gamma: float, p
-) -> np.ndarray:
-    """Orthonormal bivariate basis element of degree n, index 0 <= k <= n,
-    at points p with columns (u1, u2).
-
-    gamma = -1/2: symmetrized products of the 1-D orthonormal family,
-    scaled by 1/sqrt(2) at k = n.
-    gamma = +1/2: divided differences of order-(n+1) products; on the
-    parabolic arc (coincident roots) the quotient is replaced by its
-    derivative limit.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("index k must satisfy 0 <= k <= n")
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    x1, x2 = split_u_to_x(pts[:, 0], pts[:, 1])
-    out = _pair_basis(rc, n, k, gamma, x1, x2)
-    return out / math.sqrt(2.0) if gamma == -0.5 and k == n else out
 
 
 def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:

@@ -371,19 +371,21 @@ def cmd_verify(args) -> int:
 
 
 def _min_node_gap(nodes: np.ndarray) -> float:
-    """Smallest pairwise distance, chunked to stay memory-light."""
-    n = len(nodes)
+    """Smallest distance between two nodes, 0.0 for fewer than two.
+
+    The nodes are scanned sorted by x, each against the node k places on,
+    for k = 1, 2, ...  Rounding is monotone, so from shift k on no squared
+    distance dx*dx + dy*dy is below the smallest squared x-gap at shift k;
+    the scan stops once that gap reaches the best so far.  Every squared
+    distance is the all-pairs formula's, so the result is its float."""
+    order = np.argsort(nodes[:, 0], kind="stable")
+    x, y = nodes[order, 0], nodes[order, 1]
     best = math.inf
-    step = 512
-    for i0 in range(0, n, step):
-        a = nodes[i0 : i0 + step]
-        for j0 in range(i0, n, step):
-            b = nodes[j0 : j0 + step]
-            d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-            if i0 == j0:
-                np.fill_diagonal(d2, np.inf)
-            m = float(np.min(d2)) if d2.size else math.inf
-            best = min(best, m)
+    for k in range(1, len(x)):
+        dx2 = (x[k:] - x[:-k]) ** 2
+        if float(dx2.min()) >= best:
+            break
+        best = min(best, float(np.min(dx2 + (y[k:] - y[:-k]) ** 2)))
     return math.sqrt(best) if best < math.inf else 0.0
 
 

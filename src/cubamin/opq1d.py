@@ -1,20 +1,22 @@
 """One-dimensional orthogonal polynomials and Gauss quadrature.
 
-Monic three-term recurrences for Jacobi weights, orthonormal evaluation,
-classically normalized Jacobi polynomials, Gauss rules via an in-house
-Golub-Welsch (implicit-shift QL on the symmetrized tridiagonal matrix),
-and the even quasi-orthogonal combinations whose zeros supply the
-diagonal / anti-diagonal nodes of the odd-degree minimal square rules.
+Monic three-term recurrences for Jacobi weights, classically normalized
+Jacobi polynomials, Gauss rules via an in-house Golub-Welsch (implicit-shift
+QL on the symmetrized tridiagonal matrix), and the even quasi-orthogonal
+combinations whose zeros supply the diagonal / anti-diagonal nodes of the
+odd-degree minimal square rules.
 
 Also the pieces every explicit 2-D family shares: the unordered pairs of
-Gauss nodes with their product weights, the divided difference of
-orthonormal products, and the panel map of the degree-ell cosine fold.
+Gauss nodes with their product weights, and the panel map of the degree-ell
+cosine fold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -22,13 +24,10 @@ __all__ = [
     "RecurrenceCoeffs",
     "QuadratureRule1D",
     "jacobi_recurrence",
-    "eval_orthonormal",
-    "eval_orthonormal_deriv",
     "eval_jacobi_standard",
     "eval_jacobi_standard_deriv",
     "gauss_rule",
     "gauss_pairs",
-    "divided_difference",
     "fold_panel_angles",
     "quasi_S",
     "diagonal_zero_set",
@@ -124,70 +123,6 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
             "Jacobi weight alpha=%g, beta=%g exceeds float range" % (alpha, beta)
         ) from None
     return RecurrenceCoeffs(a=a, b=b, mu0=mu0)
-
-
-def eval_orthonormal(rc: RecurrenceCoeffs, n: int, t):
-    """Value of the orthonormal polynomial p_n at t (scalar or array)."""
-    return _orthonormal_series(rc, n, t)[0]
-
-
-def eval_orthonormal_deriv(rc: RecurrenceCoeffs, n: int, t):
-    """(p_n(t), p_n'(t)) via the differentiated recurrence."""
-    return _orthonormal_series(rc, n, t, want_deriv=True)
-
-
-def _orthonormal_series(rc: RecurrenceCoeffs, n: int, t, want_deriv: bool = False):
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    # p_n needs a_0..a_{n-1} and b_1..b_n
-    if n > rc.size or (n >= 1 and n - 1 > len(rc.b)):
-        raise ValueError("insufficient recurrence coefficients for degree %d" % n)
-    t = np.asarray(t, dtype=float)
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, 1.0 / math.sqrt(rc.mu0))
-    d_prev = np.zeros_like(t)
-    d = np.zeros_like(t)
-    for k in range(n):
-        sb_next = math.sqrt(rc.b[k]) if k < len(rc.b) else None
-        if sb_next is None:
-            raise ValueError("insufficient recurrence coefficients")
-        sb = math.sqrt(rc.b[k - 1]) if k >= 1 else 0.0
-        p_next = ((t - rc.a[k]) * p - sb * p_prev) / sb_next
-        if want_deriv:
-            d_next = (p + (t - rc.a[k]) * d - sb * d_prev) / sb_next
-            d_prev, d = d, d_next
-        p_prev, p = p, p_next
-    if want_deriv:
-        return p, d
-    return p, None
-
-
-def divided_difference(rc: RecurrenceCoeffs, hi: int, lo: int, x1, x2) -> np.ndarray:
-    """(p_hi(x1) p_lo(x2) - p_hi(x2) p_lo(x1)) / (x1 - x2) for the
-    orthonormal family of rc.
-
-    Where |x1 - x2| < 1e-5 the quotient is replaced by its limit
-    p_hi' p_lo - p_hi p_lo' at the midpoint, so coincident arguments (the
-    parabolic arc, the edges of the square) evaluate without cancellation.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    diff = x1 - x2
-    out = np.empty_like(diff)
-    near = np.abs(diff) < 1e-5
-    far = ~near
-    if np.any(far):
-        a, b = x1[far], x2[far]
-        out[far] = (
-            eval_orthonormal(rc, hi, a) * eval_orthonormal(rc, lo, b)
-            - eval_orthonormal(rc, hi, b) * eval_orthonormal(rc, lo, a)
-        ) / diff[far]
-    if np.any(near):
-        c = 0.5 * (x1[near] + x2[near])
-        p_hi, d_hi = eval_orthonormal_deriv(rc, hi, c)
-        p_lo, d_lo = eval_orthonormal_deriv(rc, lo, c)
-        out[near] = d_hi * p_lo - p_hi * d_lo
-    return out
 
 
 def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
@@ -356,18 +291,26 @@ def quasi_S(alpha: float, beta: float, m: int, sign: str, t):
         raise ValueError("sign must be '+' or '-'")
     t = np.asarray(t, dtype=float)
     s = 2.0 * t * t - 1.0
-    c_b1 = float(eval_jacobi_standard(alpha, beta + 1.0, m, np.array(1.0)))
-    c_a1 = float(eval_jacobi_standard(alpha + 1.0, beta, m, np.array(1.0)))
+    c_b1, c_a1 = _endpoint_values(alpha, beta, m)
     term1 = c_b1 * eval_jacobi_standard(alpha + 1.0, beta, m, s)
     term2 = eval_jacobi_standard(alpha, beta + 1.0, m, s) * c_a1
     return term1 - term2 if sign == "-" else term1 + term2
 
 
+@functools.lru_cache(maxsize=64)
+def _endpoint_values(alpha: float, beta: float, m: int) -> Tuple[float, float]:
+    """The constants P_m^{(a,b+1)}(1) and P_m^{(a+1,b)}(1) of quasi_S.  A
+    zero search calls quasi_S and its derivative hundreds of times with the
+    same (alpha, beta, m); cached, the constants are evaluated at most once
+    per search, to the same bits."""
+    return (float(eval_jacobi_standard(alpha, beta + 1.0, m, np.array(1.0))),
+            float(eval_jacobi_standard(alpha + 1.0, beta, m, np.array(1.0))))
+
+
 def _quasi_S_deriv(alpha: float, beta: float, m: int, sign: str, t):
     t = np.asarray(t, dtype=float)
     s = 2.0 * t * t - 1.0
-    c_b1 = float(eval_jacobi_standard(alpha, beta + 1.0, m, np.array(1.0)))
-    c_a1 = float(eval_jacobi_standard(alpha + 1.0, beta, m, np.array(1.0)))
+    c_b1, c_a1 = _endpoint_values(alpha, beta, m)
     d1 = c_b1 * eval_jacobi_standard_deriv(alpha + 1.0, beta, m, s)
     d2 = eval_jacobi_standard_deriv(alpha, beta + 1.0, m, s) * c_a1
     inner = d1 - d2 if sign == "-" else d1 + d2

@@ -17,7 +17,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import oracle as _oracle
-from .biangle import _pair_basis
 from .opq1d import diagonal_zero_set, gauss_pairs, gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
 
@@ -25,7 +24,6 @@ __all__ = [
     "moller_bound",
     "minimal_rule_even",
     "minimal_rule_odd",
-    "eval_Q_basis",
     "half_angle_orbit",
     "merge_close_nodes",
 ]
@@ -239,56 +237,3 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     wts = np.concatenate([np.full(n, w) for n, w in zip(multip, sol)])
     return _merged_rule(np.vstack(classes), wts, 2 * (m + 1) ** 2 - 1, degree=deg,
                         spec=spec, param=m, family="square-odd")
-
-
-def eval_Q_basis(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    n: int,
-    branch: int,
-    k: int,
-    x1,
-    x2,
-) -> np.ndarray:
-    """Degree-n orthogonal basis element (two branches) for the square
-    weight family: Koornwinder's pair kernel (biangle._pair_basis) at the
-    folded root pair
-    cos(th1 - th2) = x1 x2 + sqrt((1-x1^2)(1-x2^2)) and
-    cos(th1 + th2) = x1 x2 - sqrt((1-x1^2)(1-x2^2)).
-
-    Branch 2 carries the antisymmetric polynomial factor (x1^2 - x2^2)
-    for even n; odd degrees split into (x1 + x2) and (x1 - x2) branches
-    with correspondingly parameter-shifted 1-D families.
-    """
-    if gamma not in (-0.5, 0.5):
-        raise ValueError("gamma restricted to -1/2 and +1/2")
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if np.any(np.abs(x1) > 1.0) or np.any(np.abs(x2) > 1.0):
-        raise ValueError("points must lie in [-1,1]^2")
-    root = np.sqrt(np.maximum(1.0 - x1 * x1, 0.0) * np.maximum(1.0 - x2 * x2, 0.0))
-    cm = np.clip(x1 * x2 + root, -1.0, 1.0)
-    cp = np.clip(x1 * x2 - root, -1.0, 1.0)
-    half, rem = divmod(n, 2)
-    if rem == 0:
-        if branch == 1:
-            big, da, db, factor = half, 0.0, 0.0, 1.0
-        else:
-            if half < 1:
-                raise ValueError("branch 2 needs n >= 2 for even degrees")
-            big, da, db = half - 1, 1.0, 1.0
-            factor = x1 * x1 - x2 * x2
-    else:
-        if branch == 1:
-            big, da, db = half, 0.0, 1.0
-            factor = x1 + x2
-        else:
-            big, da, db = half, 1.0, 0.0
-            factor = x1 - x2
-    if not 0 <= k <= big:
-        raise ValueError("index k out of range for this degree and branch")
-    rc = jacobi_recurrence(alpha + da, beta + db, big + 3)
-    return factor * _pair_basis(rc, big, k, gamma, cm, cp)

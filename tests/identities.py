@@ -1,11 +1,20 @@
-"""The paper's identity checks and pointwise maps, used only by the tests.
+"""The paper's identity checks, pointwise maps and orthogonal bases, used
+only by the tests.
 
 None of these functions feeds a rule or a certificate.  They state the
 folding identities, the orbit structure and the weight formulas behind
 the constructions, and the tests hold the shipped code to them.
 preimage_angles runs the shipped opq1d.fold_panel_angles, the panel map
 of the composed builder.  reference_certify is certify's comparison loop
-as it was first written, which the shipped one must match bit for bit.
+as it was first written, which the shipped one must match bit for bit;
+reference_min_node_gap is the all-pairs scan that the plot's sorted scan
+must match.
+
+The orthogonal-basis evaluators (eval_orthonormal and its derivative,
+divided_difference, eval_koornwinder on the curved domain and eval_Q_basis
+on the square) serve criterion 5: the builders take their nodes straight
+from 1-D Gauss rules, and these check that the nodes are common zeros of
+the top-degree orthogonal polynomials, as the paper constructs them.
 """
 
 import math
@@ -13,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from cubamin.opq1d import RecurrenceCoeffs, eval_orthonormal, fold_panel_angles, gauss_rule
+from cubamin.opq1d import RecurrenceCoeffs, fold_panel_angles, gauss_rule, jacobi_recurrence
 from cubamin.rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 
@@ -189,3 +198,191 @@ def reference_certify(
         worst_rel_error=worst,
         failures=tuple(failures),
     )
+
+
+def eval_orthonormal(rc: RecurrenceCoeffs, n: int, t):
+    """Value of the orthonormal polynomial p_n at t (scalar or array)."""
+    return _orthonormal_series(rc, n, t)[0]
+
+
+def eval_orthonormal_deriv(rc: RecurrenceCoeffs, n: int, t):
+    """(p_n(t), p_n'(t)) via the differentiated recurrence."""
+    return _orthonormal_series(rc, n, t, want_deriv=True)
+
+
+def _orthonormal_series(rc: RecurrenceCoeffs, n: int, t, want_deriv: bool = False):
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    # p_n needs a_0..a_{n-1} and b_1..b_n
+    if n > rc.size or (n >= 1 and n - 1 > len(rc.b)):
+        raise ValueError("insufficient recurrence coefficients for degree %d" % n)
+    t = np.asarray(t, dtype=float)
+    p_prev = np.zeros_like(t)
+    p = np.full_like(t, 1.0 / math.sqrt(rc.mu0))
+    d_prev = np.zeros_like(t)
+    d = np.zeros_like(t)
+    for k in range(n):
+        sb_next = math.sqrt(rc.b[k]) if k < len(rc.b) else None
+        if sb_next is None:
+            raise ValueError("insufficient recurrence coefficients")
+        sb = math.sqrt(rc.b[k - 1]) if k >= 1 else 0.0
+        p_next = ((t - rc.a[k]) * p - sb * p_prev) / sb_next
+        if want_deriv:
+            d_next = (p + (t - rc.a[k]) * d - sb * d_prev) / sb_next
+            d_prev, d = d, d_next
+        p_prev, p = p, p_next
+    if want_deriv:
+        return p, d
+    return p, None
+
+
+def divided_difference(rc: RecurrenceCoeffs, hi: int, lo: int, x1, x2) -> np.ndarray:
+    """(p_hi(x1) p_lo(x2) - p_hi(x2) p_lo(x1)) / (x1 - x2) for the
+    orthonormal family of rc.
+
+    Where |x1 - x2| < 1e-5 the quotient is replaced by its limit
+    p_hi' p_lo - p_hi p_lo' at the midpoint, so coincident arguments (the
+    parabolic arc, the edges of the square) evaluate without cancellation.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    diff = x1 - x2
+    out = np.empty_like(diff)
+    near = np.abs(diff) < 1e-5
+    far = ~near
+    if np.any(far):
+        a, b = x1[far], x2[far]
+        out[far] = (
+            eval_orthonormal(rc, hi, a) * eval_orthonormal(rc, lo, b)
+            - eval_orthonormal(rc, hi, b) * eval_orthonormal(rc, lo, a)
+        ) / diff[far]
+    if np.any(near):
+        c = 0.5 * (x1[near] + x2[near])
+        p_hi, d_hi = eval_orthonormal_deriv(rc, hi, c)
+        p_lo, d_lo = eval_orthonormal_deriv(rc, lo, c)
+        out[near] = d_hi * p_lo - p_hi * d_lo
+    return out
+
+
+def split_u_to_x(u1, u2):
+    """Recover the unordered root pair {x1, x2} of z^2 - u1 z + u2.
+
+    The larger-magnitude root is taken from the quadratic formula and the
+    other from the product, avoiding cancellation.  Points outside the
+    domain (negative discriminant) produce a ValueError.
+    """
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    disc = u1 * u1 - 4.0 * u2
+    if np.any(disc < -1e-13 * np.maximum(1.0, u1 * u1)):
+        raise ValueError("point below the parabolic arc has complex roots")
+    s = np.sqrt(np.maximum(disc, 0.0))
+    big = np.where(u1 >= 0.0, 0.5 * (u1 + s), 0.5 * (u1 - s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        other = np.where(big != 0.0, u2 / np.where(big != 0.0, big, 1.0), 0.0)
+    return big, other
+
+
+def _pair_basis(rc: RecurrenceCoeffs, hi: int, lo: int, gamma: float, x1, x2):
+    """Koornwinder's pair kernel at the root pair (x1, x2): the symmetrized
+    product p_hi(x1) p_lo(x2) + p_hi(x2) p_lo(x1) for gamma = -1/2, the
+    divided difference of order hi+1 for gamma = +1/2."""
+    if gamma == -0.5:
+        return (
+            eval_orthonormal(rc, hi, x1) * eval_orthonormal(rc, lo, x2)
+            + eval_orthonormal(rc, hi, x2) * eval_orthonormal(rc, lo, x1)
+        )
+    if gamma == 0.5:
+        return divided_difference(rc, hi + 1, lo, x1, x2)
+    raise ValueError("gamma restricted to -1/2 and +1/2")
+
+
+def eval_koornwinder(
+    rc: RecurrenceCoeffs, n: int, k: int, gamma: float, p
+) -> np.ndarray:
+    """Orthonormal bivariate basis element of degree n, index 0 <= k <= n,
+    at points p with columns (u1, u2).
+
+    gamma = -1/2: symmetrized products of the 1-D orthonormal family,
+    scaled by 1/sqrt(2) at k = n.
+    gamma = +1/2: divided differences of order-(n+1) products; on the
+    parabolic arc (coincident roots) the quotient is replaced by its
+    derivative limit.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("index k must satisfy 0 <= k <= n")
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    x1, x2 = split_u_to_x(pts[:, 0], pts[:, 1])
+    out = _pair_basis(rc, n, k, gamma, x1, x2)
+    return out / math.sqrt(2.0) if gamma == -0.5 and k == n else out
+
+
+def eval_Q_basis(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    n: int,
+    branch: int,
+    k: int,
+    x1,
+    x2,
+) -> np.ndarray:
+    """Degree-n orthogonal basis element (two branches) for the square
+    weight family: Koornwinder's pair kernel (_pair_basis) at the folded
+    root pair
+    cos(th1 - th2) = x1 x2 + sqrt((1-x1^2)(1-x2^2)) and
+    cos(th1 + th2) = x1 x2 - sqrt((1-x1^2)(1-x2^2)).
+
+    Branch 2 carries the antisymmetric polynomial factor (x1^2 - x2^2)
+    for even n; odd degrees split into (x1 + x2) and (x1 - x2) branches
+    with correspondingly parameter-shifted 1-D families.
+    """
+    if gamma not in (-0.5, 0.5):
+        raise ValueError("gamma restricted to -1/2 and +1/2")
+    if branch not in (1, 2):
+        raise ValueError("branch must be 1 or 2")
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if np.any(np.abs(x1) > 1.0) or np.any(np.abs(x2) > 1.0):
+        raise ValueError("points must lie in [-1,1]^2")
+    root = np.sqrt(np.maximum(1.0 - x1 * x1, 0.0) * np.maximum(1.0 - x2 * x2, 0.0))
+    cm = np.clip(x1 * x2 + root, -1.0, 1.0)
+    cp = np.clip(x1 * x2 - root, -1.0, 1.0)
+    half, rem = divmod(n, 2)
+    if rem == 0:
+        if branch == 1:
+            big, da, db, factor = half, 0.0, 0.0, 1.0
+        else:
+            if half < 1:
+                raise ValueError("branch 2 needs n >= 2 for even degrees")
+            big, da, db = half - 1, 1.0, 1.0
+            factor = x1 * x1 - x2 * x2
+    else:
+        if branch == 1:
+            big, da, db = half, 0.0, 1.0
+            factor = x1 + x2
+        else:
+            big, da, db = half, 1.0, 0.0
+            factor = x1 - x2
+    if not 0 <= k <= big:
+        raise ValueError("index k out of range for this degree and branch")
+    rc = jacobi_recurrence(alpha + da, beta + db, big + 3)
+    return factor * _pair_basis(rc, big, k, gamma, cm, cp)
+
+
+def reference_min_node_gap(nodes: np.ndarray) -> float:
+    """Smallest pairwise distance by comparing every pair of nodes in
+    512-row blocks: the plot's node gap as it was first written."""
+    n = len(nodes)
+    best = math.inf
+    step = 512
+    for i0 in range(0, n, step):
+        a = nodes[i0 : i0 + step]
+        for j0 in range(i0, n, step):
+            b = nodes[j0 : j0 + step]
+            d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+            if i0 == j0:
+                np.fill_diagonal(d2, np.inf)
+            m = float(np.min(d2)) if d2.size else math.inf
+            best = min(best, m)
+    return math.sqrt(best) if best < math.inf else 0.0

@@ -15,24 +15,17 @@ import time
 
 import numpy as np
 
-from cubamin.biangle import (
-    eval_koornwinder,
-    gauss_cubature_biangle,
-    in_omega,
-)
+from cubamin.biangle import gauss_cubature_biangle, in_omega
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
-from cubamin.squaremin import (
-    eval_Q_basis,
-    minimal_rule_even,
-    minimal_rule_odd,
-    moller_bound,
-)
+from cubamin.squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 from identities import (
     chebyshev_moment_1d,
     composed_op_identity_check,
+    eval_koornwinder,
+    eval_Q_basis,
     folding_identity_check,
     orbit_sets,
     preimage_angles,

@@ -7,17 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubamin.biangle import (
-    biangle_moments,
-    eval_koornwinder,
-    gauss_cubature_biangle,
-    in_omega,
-    split_u_to_x,
-)
+from cubamin.biangle import biangle_moments, gauss_cubature_biangle, in_omega
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
-from identities import map_x_to_u
+from identities import eval_koornwinder, map_x_to_u, split_u_to_x
 
 PI2 = math.pi * math.pi
 

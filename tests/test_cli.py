@@ -23,6 +23,7 @@ import cubamin.oracle as oracle_mod
 from cubamin.cli import main, parse_rule_file
 from cubamin.rules import ConstructionError
 from cubamin.squaremin import moller_bound
+from identities import reference_min_node_gap
 
 
 def run(capsys, *argv):
@@ -741,6 +742,30 @@ def test_plot_accepts_csv_input(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", str(rule), str(svg))
     assert code == 0
     assert svg.read_text().count("<circle") == moller_bound(4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_min_node_gap_is_the_all_pairs_minimum(data):
+    """The plot's sorted scan returns the all-pairs scan's float, also when
+    nodes repeat or share an x- or a y-value."""
+    coord = st.floats(-2.0, 2.0)
+    pool = data.draw(st.lists(coord, min_size=1, max_size=5))
+    value = st.one_of(st.sampled_from(pool), coord)
+    rows = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=200))
+    nodes = np.array(rows, dtype=float)
+    assert cli._min_node_gap(nodes) == reference_min_node_gap(nodes)
+
+
+@pytest.mark.parametrize("rows,gap", [
+    ([[0.3, -0.2]], 0.0),
+    ([[0.5, 0.5], [0.1, 0.9], [0.5, 0.5]], 0.0),
+    ([[0.25, y] for y in (-1.0, -0.5, 0.0, 0.5, 1.0)], 0.5),
+    ([[x, 0.75] for x in (-1.0, -0.5, 0.0, 0.5, 1.0)], 0.5),
+])
+def test_min_node_gap_of_a_single_node_duplicates_and_shared_coordinates(rows, gap):
+    nodes = np.array(rows)
+    assert cli._min_node_gap(nodes) == reference_min_node_gap(nodes) == gap
 
 
 def _assert_cannot_write(code, stdout, err, path):

@@ -15,12 +15,11 @@ from cubamin.opq1d import (
     diagonal_zero_set,
     eval_jacobi_standard,
     eval_jacobi_standard_deriv,
-    eval_orthonormal,
-    eval_orthonormal_deriv,
     gauss_rule,
     jacobi_recurrence,
     quasi_S,
 )
+from identities import eval_orthonormal, eval_orthonormal_deriv
 
 # int_{-1}^{1} x^k (1-x)^a (1+x)^b dx, derived symbolically (Beta-function
 # expansion) and cross-checked against adaptive quadrature at 25 digits

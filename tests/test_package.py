@@ -1,7 +1,10 @@
 """Package surface: every name the top-level package imports is public,
-and the runtime needs numpy alone."""
+every public function runs on a documented path, and the runtime needs
+numpy alone."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cubamin
+from cubamin import cli
 from cubamin import (
     WeightSpec,
     composed_rule,
@@ -63,13 +67,63 @@ def test_runtime_imports_numpy_only():
     assert out.stdout.strip() == "[]"
 
 
-def test_readme_library_example_runs():
-    """The README's python block is the documented entry to the library;
-    it must run against the package as shipped."""
+def _run_readme_library_block():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = readme.read_text().split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
+def test_readme_library_example_runs():
+    """The README's python block is the documented entry to the library;
+    it must run against the package as shipped."""
+    _run_readme_library_block()
+
+
+def _public_code():
+    """Code object of every public module-level function and every public
+    method (property getters included) defined in the package, by name."""
+    found = {}
+    for path in sorted(Path(cubamin.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module("cubamin." + path.stem)
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for attr, fn in members:
+                fn = fn.fget if isinstance(fn, property) else fn
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    found[".".join(filter(None, (path.stem, name, attr)))] = fn.__code__
+    return found
+
+
+def test_every_public_function_runs_on_a_documented_path(tmp_path):
+    """The package ships only what builds, verifies or plots a rule: each
+    public function or method is called by some CLI command or by the
+    README library block."""
+    builds = ["biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 3",
+              "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 2",
+              "square-odd --alpha 0.5 --beta -0.5 --gamma -0.5 --m 1",
+              "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 1",
+              "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
+              "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5 --format csv"]
+    files = [str(tmp_path / ("r%d.%s" % (k, "csv" if "csv" in b else "json")))
+             for k, b in enumerate(builds)]
+    runs = [["bound", "--n", "4"]]
+    runs += [["build"] + b.split() + ["--out", out] for b, out in zip(builds, files)]
+    runs += [["verify", out] for out in files if out.endswith(".json")]
+    runs += [["plot", out, str(tmp_path / "plot.svg")] for out in (files[0], files[-1])]
+    called = set()
+    sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+    try:
+        codes = [cli.main(argv) for argv in runs]
+        _run_readme_library_block()
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    assert sorted(name for name, code in _public_code().items() if code not in called) == []
 
 
 _BIANGLE = WeightSpec("biangle-gamma", alpha=0.5, beta=0.0, gamma=0.5)

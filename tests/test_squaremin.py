@@ -11,14 +11,13 @@ from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
     _merge_runs,
-    eval_Q_basis,
     half_angle_orbit,
     merge_close_nodes,
     minimal_rule_even,
     minimal_rule_odd,
     moller_bound,
 )
-from identities import fold_to_biangle, weight_W
+from identities import eval_Q_basis, fold_to_biangle, weight_W
 
 PI2 = math.pi * math.pi
 
