@@ -317,33 +317,40 @@ def _quasi_S_deriv(alpha: float, beta: float, m: int, sign: str, t):
     return inner * 4.0 * t
 
 
-def _refine_zero(f, fprime, lo: float, hi: float) -> float:
-    """Bisection to width 1e-14 followed by 3 Newton polish steps."""
-    flo = f(lo)
+def _refine_zeros(f, fprime, lo, hi, flo) -> np.ndarray:
+    """Bisection of each bracket [lo, hi] with f(lo) = flo to width 1e-14,
+    then 3 Newton polish steps.  The brackets run in lockstep, one call of
+    f per step for all still live; each leaves a loop at the step and by
+    the test at which it would alone, so every zero keeps its bits."""
+    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
+    live = np.ones(len(lo), dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
+        live[hi - lo < 1e-14] = False
+        i = np.flatnonzero(live)
+        if i.size == 0:
             break
+        mid = 0.5 * (lo[i] + hi[i])
         fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        zero = fm == 0.0
+        lo[i[zero]] = hi[i[zero]] = mid[zero]
+        live[i[zero]] = False
+        same = ~zero & ((flo[i] < 0.0) == (fm < 0.0))
+        lo[i[same]], flo[i[same]] = mid[same], fm[same]
+        hi[i[~zero & ~same]] = mid[~zero & ~same]
     x = 0.5 * (lo + hi)
+    live[:] = True
     for _ in range(3):
-        fp = fprime(x)
-        if fp == 0.0:
+        i = np.flatnonzero(live)
+        if i.size == 0:
             break
-        step = f(x) / fp
-        if not math.isfinite(step):
-            break
-        xn = x - step
-        if abs(xn - x) > (hi - lo) + 1e-12:
-            break
-        x = xn
+        fp = fprime(x[i])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f(x[i]) / fp
+        xn = x[i] - step
+        ok = (fp != 0.0) & np.isfinite(step)
+        ok &= ~(np.abs(xn - x[i]) > (hi - lo)[i] + 1e-12)
+        x[i[ok]] = xn[ok]
+        live[i[~ok]] = False
     return x
 
 
@@ -351,18 +358,13 @@ def _positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
     """Zeros of an even function on (0,1), by sign bracketing on a grid."""
     ts = np.linspace(0.0, 1.0, grid_n + 1)
     vals = np.asarray(f(ts), dtype=float)
-    zeros = []
-    for i in range(len(ts) - 1):
-        lo, hi = ts[i], ts[i + 1]
-        vlo, vhi = vals[i], vals[i + 1]
-        if vlo == 0.0 and lo > 0.0:
-            zeros.append(lo)
-            continue
-        if (vlo < 0.0) != (vhi < 0.0):
-            z = _refine_zero(lambda x: float(f(x)), lambda x: float(fprime(x)), lo, hi)
-            if 0.0 < z < 1.0:
-                zeros.append(z)
-    zeros = sorted(set(round(z, 15) for z in zeros))
+    lo, hi, vlo, vhi = ts[:-1], ts[1:], vals[:-1], vals[1:]
+    on_grid = (vlo == 0.0) & (lo > 0.0)
+    bracket = ~on_grid & ((vlo < 0.0) != (vhi < 0.0))
+    z = _refine_zeros(f, fprime, lo[bracket], hi[bracket], vlo[bracket])
+    z = np.concatenate([lo[on_grid], z[(0.0 < z) & (z < 1.0)]])
+    # numpy's round, as on the np.float64 zeros of the per-bracket loop
+    zeros = sorted(set(np.round(z, 15).tolist()))
     if len(zeros) != m_expected:
         raise ZeroCountError(
             "expected %d positive zeros, found %d" % (m_expected, len(zeros))

@@ -8,7 +8,9 @@ preimage_angles runs the shipped opq1d.fold_panel_angles, the panel map
 of the composed builder.  reference_certify is certify's comparison loop
 as it was first written, which the shipped one must match bit for bit;
 reference_min_node_gap is the all-pairs scan that the plot's sorted scan
-must match.
+must match.  reference_positive_zeros is the one-bracket-at-a-time zero
+search of the odd builder's diagonal abscissas, which the lockstep search
+in opq1d must match bit for bit.
 
 The orthogonal-basis evaluators (eval_orthonormal and its derivative,
 divided_difference, eval_koornwinder on the curved domain and eval_Q_basis
@@ -22,7 +24,13 @@ from typing import Tuple
 
 import numpy as np
 
-from cubamin.opq1d import RecurrenceCoeffs, fold_panel_angles, gauss_rule, jacobi_recurrence
+from cubamin.opq1d import (
+    RecurrenceCoeffs,
+    ZeroCountError,
+    fold_panel_angles,
+    gauss_rule,
+    jacobi_recurrence,
+)
 from cubamin.rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 
@@ -386,3 +394,58 @@ def reference_min_node_gap(nodes: np.ndarray) -> float:
             m = float(np.min(d2)) if d2.size else math.inf
             best = min(best, m)
     return math.sqrt(best) if best < math.inf else 0.0
+
+
+def _reference_refine_zero(f, fprime, lo: float, hi: float) -> float:
+    """Bisection to width 1e-14 followed by 3 Newton polish steps."""
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-14:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(3):
+        fp = fprime(x)
+        if fp == 0.0:
+            break
+        step = f(x) / fp
+        if not math.isfinite(step):
+            break
+        xn = x - step
+        if abs(xn - x) > (hi - lo) + 1e-12:
+            break
+        x = xn
+    return x
+
+
+def reference_positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
+    """Zeros of an even function on (0,1), by sign bracketing on a grid:
+    opq1d._positive_zeros as it was first written, refining one bracket
+    at a time through 0-d evaluations of f."""
+    ts = np.linspace(0.0, 1.0, grid_n + 1)
+    vals = np.asarray(f(ts), dtype=float)
+    zeros = []
+    for i in range(len(ts) - 1):
+        lo, hi = ts[i], ts[i + 1]
+        vlo, vhi = vals[i], vals[i + 1]
+        if vlo == 0.0 and lo > 0.0:
+            zeros.append(lo)
+            continue
+        if (vlo < 0.0) != (vhi < 0.0):
+            z = _reference_refine_zero(lambda x: float(f(x)), lambda x: float(fprime(x)), lo, hi)
+            if 0.0 < z < 1.0:
+                zeros.append(z)
+    zeros = sorted(set(round(z, 15) for z in zeros))
+    if len(zeros) != m_expected:
+        raise ZeroCountError(
+            "expected %d positive zeros, found %d" % (m_expected, len(zeros))
+        )
+    return np.array(zeros)

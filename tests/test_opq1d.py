@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubamin import opq1d
 from cubamin.opq1d import (
     EigensolverError,
     RecurrenceCoeffs,
@@ -19,7 +20,7 @@ from cubamin.opq1d import (
     jacobi_recurrence,
     quasi_S,
 )
-from identities import eval_orthonormal, eval_orthonormal_deriv
+from identities import eval_orthonormal, eval_orthonormal_deriv, reference_positive_zeros
 
 # int_{-1}^{1} x^k (1-x)^a (1+x)^b dx, derived symbolically (Beta-function
 # expansion) and cross-checked against adaptive quadrature at 25 digits
@@ -235,6 +236,46 @@ def test_diagonal_zero_set_rejects_bad_sign():
     with pytest.raises(ValueError):
         quasi_S(0.0, 0.0, 2, "0", np.array(0.5))
 
+
+
+def _zero_set_or_error(alpha, beta, m, sign):
+    try:
+        return [float(z).hex() for z in diagonal_zero_set(alpha, beta, m, sign)]
+    except (RuntimeError, ArithmeticError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    alpha=st.floats(-1.0, 4.0, exclude_min=True),
+    beta=st.floats(-1.0, 4.0, exclude_min=True),
+    m=st.integers(1, 10),
+    sign=st.sampled_from("+-"),
+)
+def test_lockstep_zero_search_matches_the_per_bracket_search(alpha, beta, m, sign):
+    """The lockstep refinement gives every abscissa the bits of the
+    one-bracket-at-a-time search, and fails where it fails."""
+    got = _zero_set_or_error(alpha, beta, m, sign)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opq1d, "_positive_zeros", reference_positive_zeros)
+        want = _zero_set_or_error(alpha, beta, m, sign)
+    assert got == want
+
+
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_zero_search_evaluates_the_combination_a_few_dozen_times(monkeypatch, sign):
+    """All brackets share each bisection and Newton step: at m = 12 the
+    search calls quasi_S at most 60 times, where one bracket at a time
+    took about 45 calls per bracket."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quasi_S(*args)
+
+    monkeypatch.setattr(opq1d, "quasi_S", counted)
+    assert len(diagonal_zero_set(0.5, 0.0, 12, sign)) == 25
+    assert len(calls) <= 60
 
 # sha256 of nodes.tobytes() + weights.tobytes() of the m-point Gauss rule of
 # jacobi_recurrence(alpha, beta, m), keyed by (alpha, beta, m) and recorded
