@@ -371,15 +371,18 @@ def cmd_verify(args) -> int:
 
 
 def _min_node_gap(nodes: np.ndarray) -> float:
-    """Smallest distance between two nodes, 0.0 for fewer than two.
+    """Smallest distance between two of at least one node, 0.0 for one.
 
-    The nodes are scanned sorted by x, each against the node k places on,
-    for k = 1, 2, ...  Rounding is monotone, so from shift k on no squared
-    distance dx*dx + dy*dy is below the smallest squared x-gap at shift k;
-    the scan stops once that gap reaches the best so far.  Every squared
-    distance is the all-pairs formula's, so the result is its float."""
-    order = np.argsort(nodes[:, 0], kind="stable")
-    x, y = nodes[order, 0], nodes[order, 1]
+    The nodes are scanned sorted along the axis of larger spread, x below,
+    each against the node k places on, for k = 1, 2, ...  Rounding is
+    monotone, so from shift k on no squared distance dx*dx + dy*dy is below
+    the smallest squared x-gap at shift k; the scan stops once that gap
+    reaches the best so far.  Every squared distance is the all-pairs
+    formula's, whichever axis is x, so the result is its float.  Nodes on
+    one vertical line would share every x and never stop the scan early."""
+    a = int(np.ptp(nodes[:, 1]) > np.ptp(nodes[:, 0]))
+    order = np.argsort(nodes[:, a], kind="stable")
+    x, y = nodes[order, a], nodes[order, 1 - a]
     best = math.inf
     for k in range(1, len(x)):
         dx2 = (x[k:] - x[:-k]) ** 2

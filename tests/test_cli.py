@@ -757,6 +757,20 @@ def test_min_node_gap_is_the_all_pairs_minimum(data):
     assert cli._min_node_gap(nodes) == reference_min_node_gap(nodes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_min_node_gap_on_one_vertical_or_horizontal_line(data):
+    """Nodes on one line parallel to an axis share one coordinate; the scan
+    runs along the other and still returns the all-pairs float."""
+    coord = st.floats(-2.0, 2.0)
+    along = data.draw(st.lists(coord, min_size=1, max_size=200))
+    at = data.draw(coord)
+    nodes = np.array([(at, v) for v in along], dtype=float)
+    if data.draw(st.booleans()):
+        nodes = nodes[:, ::-1].copy()
+    assert cli._min_node_gap(nodes) == reference_min_node_gap(nodes)
+
+
 @pytest.mark.parametrize("rows,gap", [
     ([[0.3, -0.2]], 0.0),
     ([[0.5, 0.5], [0.1, 0.9], [0.5, 0.5]], 0.0),
