@@ -2,7 +2,7 @@
 the square and its folded curved domain, with independent moment
 certification."""
 
-from .biangle import biangle_moments, gauss_cubature_biangle, in_omega
+from .biangle import gauss_cubature_biangle, in_omega
 from .composed import composed_rule
 from .opq1d import (
     EigensolverError,
@@ -22,9 +22,8 @@ from .oracle import (
     OracleConvergenceError,
     certify,
     moment_oracle,
-    square_moments,
 )
-from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
+from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec, rule_shape
 from .squaremin import (
     merge_close_nodes,
     minimal_rule_even,
@@ -46,7 +45,6 @@ __all__ = [
     "RecurrenceCoeffs",
     "WeightSpec",
     "ZeroCountError",
-    "biangle_moments",
     "certify",
     "composed_rule",
     "diagonal_zero_set",
@@ -62,5 +60,5 @@ __all__ = [
     "moller_bound",
     "moment_oracle",
     "quasi_S",
-    "square_moments",
+    "rule_shape",
 ]

@@ -16,18 +16,14 @@ n(n+1)/2 positive-weight nodes inside the closed domain.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Tuple
-
 import numpy as np
 
-from .opq1d import RecurrenceCoeffs, gauss_pairs, gauss_rule, jacobi_recurrence
-from .rules import CubatureRule2D, WeightSpec
+from .opq1d import gauss_pairs, gauss_rule, jacobi_recurrence
+from .rules import CubatureRule2D, WeightSpec, rule_shape
 
 __all__ = [
     "in_omega",
     "gauss_cubature_biangle",
-    "biangle_moments",
-    "tensor_moments",
 ]
 
 
@@ -68,69 +64,8 @@ def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:
     return CubatureRule2D(
         nodes=np.column_stack([t[J] + t[K], t[J] * t[K]]),
         weights=weights,
-        degree=2 * n - 1,
+        degree=rule_shape("biangle", n)[0],
         spec=spec,
         param=n,
         family="biangle",
     ).sorted_rule()
-
-
-def tensor_moments(
-    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]],
-    npts: Callable, images: Callable, row: Callable,
-) -> Dict[Tuple[int, int], float]:
-    """Exact moments on Koornwinder's tensor grid, one per pair (i, j).
-
-    The grid is the npts(i + j)-point Gauss grid (Y1, Y2) of rc's weight,
-    with cell weights 1/2 lam_a lam_b |y_a - y_b|^(2 gamma + 1).  images
-    maps it to per-axis coordinate arrays C and index links (a, b); the
-    pair sums row(C[a], i) row(C[b], j) over the links.  Sized by its own
-    degree, a moment does not depend on the batch; rows are kept per grid.
-    """
-    if gamma not in (-0.5, 0.5):
-        raise ValueError("gamma restricted to -1/2 and +1/2")
-    out: Dict[Tuple[int, int], float] = {}
-    grid = None
-    for (i, j) in sorted(pairs, key=lambda p: npts(p[0] + p[1])):
-        if grid != npts(i + j):
-            grid = npts(i + j)
-            q = gauss_rule(rc, grid)
-            Y1, Y2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
-            gap = np.abs(Y1 - Y2) ** (2.0 * gamma + 1.0)
-            W = 0.5 * np.outer(q.weights, q.weights) * gap
-            coords, links = images(Y1, Y2)
-            rows = {}
-        for p in (i, j):
-            if p not in rows:
-                rows[p] = [row(c, p) for c in coords]
-        linked = sum(rows[i][a] * rows[j][b] for a, b in links)
-        out[(i, j)] = float(np.sum(W * linked))
-    return out
-
-
-def biangle_moments(
-    alpha: float, beta: float, gamma: float, pairs: Iterable[Tuple[int, int]]
-) -> Dict[Tuple[int, int], float]:
-    """Reference moments of u1^a u2^b against the Jacobi(alpha, beta)
-    biangle weight, on the tensor grid at u = (y1 + y2, y1 y2); (a+b)//2 + 2
-    points are exact.  For an even 1-D weight, odd a dies by reflecting both
-    coordinates, and a = 0 with odd b and no coupling factor leaves the lone
-    term mu_b^2 with an odd 1-D moment.
-    """
-    pairs = list(pairs)
-    if any(min(p) < 0 for p in pairs):
-        raise ValueError("exponents must be nonnegative")
-
-    def npts(d: int) -> int:
-        return d // 2 + 2
-
-    rc = jacobi_recurrence(alpha, beta, max([npts(a + b) for a, b in pairs], default=1))
-    even = bool(np.all(rc.a == 0.0))
-    live = [(a, b) for (a, b) in pairs if not (even and (
-        a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)))]
-    got = tensor_moments(
-        rc, gamma, live, npts,
-        images=lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]),
-        row=lambda u, p: u**p,
-    )
-    return {p: got.get(p, 0.0) for p in pairs}

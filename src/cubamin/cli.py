@@ -22,7 +22,7 @@ from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
 from .opq1d import EigensolverError, ZeroCountError
 from .oracle import DomainError, OracleConvergenceError, certify, moment_oracle
-from .rules import ConstructionError, CubatureRule2D, WeightSpec
+from .rules import ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
 EXIT_OK = 0
@@ -300,6 +300,26 @@ def oracle_for(meta: Dict[str, object]):
     return moment_oracle(spec), spec
 
 
+def metadata_mismatch(meta: Dict[str, object]) -> Optional[str]:
+    """Why the file's degree, node_count, moller_bound or ell disagree with
+    rule_shape of its family, param_n_or_m and ell, or None.  Only the
+    composed family carries an ell, so a file cannot ask for the work of a
+    weight its rule was not built for."""
+    fam, size, ell = meta["family"], meta["param_n_or_m"], meta["ell"]
+    if fam != "composed" and ell is not None:
+        return "ell is %r, but only a composed rule file carries one" % (ell,)
+    if size < 1:
+        return "param_n_or_m is %d, but must be >= 1" % size
+    degree, count = rule_shape(fam, size, 1 if ell is None else ell)
+    want = {"degree": degree, "node_count": count,
+            "moller_bound": moller_bound((degree + 1) // 2)}
+    for key, value in want.items():
+        if not (_is_int(meta[key]) and meta[key] == value):
+            return "%s is %r, but a %s rule with param_n_or_m %d%s has %d" % (
+                key, meta[key], fam, size, "" if ell is None else " and ell %d" % ell, value)
+    return None
+
+
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         return _fail("--tol must be a finite positive number", EXIT_USAGE)
@@ -325,6 +345,9 @@ def cmd_verify(args) -> int:
             "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE
         )
     oracle, spec = picked
+    mismatch = metadata_mismatch(meta)
+    if mismatch is not None:
+        return _fail("rule file metadata disagree: %s" % mismatch, EXIT_USAGE)
     try:
         rule = CubatureRule2D(
             nodes=nodes,
@@ -352,6 +375,7 @@ def cmd_verify(args) -> int:
                 "certified_degree": report.certified_degree,
                 "worst_rel_error": report.worst_rel_error,
                 "ok": ok,
+                "basis": "chebyshev",
                 "failures": [[i, j, rel] for (i, j, rel) in report.failures],
             }
         ) + "\n"

@@ -79,5 +79,4 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
             "orbit of pair (%d,%d) has %d points, expected %d"
             % (J[i], K[i], got[i], want[i])
         )
-    return _merged_rule(pts, wts, 2 * ell * ell * m * m + 2 * ell * m,
-                        degree=4 * ell * m - 1, spec=spec, param=m, family="composed")
+    return _merged_rule(pts, wts, spec, m, "composed")

@@ -1,23 +1,27 @@
 """Independent reference moments and the exactness certification engine.
 
-Every verify oracle runs one exact routine, biangle.tensor_moments, on the
-tensor Gauss grid of Koornwinder's weight.  The fold y_k = cos phi_k
-(phi1, phi2 = theta1 -+ theta2) turns the square kernel in x = cos(theta)
-into the Jacobi(a, b) tensor weight times ((y1 - y2)/2)^(2g+1); a square or
-composed moment contracts per-axis feature rows at the grid's angle images.
-moment_oracle(spec) builds the one cached MomentOracle for every family.  The angular ladder, a
-doubling ladder on Duffy panels of the angle triangle with the boundary
-factors in Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
+certify compares a rule with its weight in the Chebyshev basis of the
+domain, T_i(x1) T_j(x2) on the square and T_i(u1/2) T_j(u2) on the curved
+domain, where every product is at most 1 in magnitude.  Both sides are one
+Gram contraction, sum_k w_k T_i(a_k) T_j(b_k): over the rule's nodes, and
+over Koornwinder's tensor Gauss grid of the weight (MomentOracle.gram).  The
+fold y_k = cos phi_k (phi1, phi2 = theta1 -+ theta2) turns the square kernel
+in x = cos(theta) into the Jacobi(a, b) tensor weight times
+((y1 - y2)/2)^(2g+1), so the square and composed tables contract per-axis
+rows at the grid's angle images.  The angular ladder, a doubling ladder on
+Duffy panels of the angle triangle with the boundary factors in
+Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .biangle import biangle_moments, in_omega, tensor_moments
+from .biangle import in_omega
 from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
 from .rules import CubatureRule2D, ExactnessReport, WeightSpec
 
@@ -25,7 +29,6 @@ __all__ = [
     "OracleConvergenceError",
     "DomainError",
     "angular_moment_ladder",
-    "square_moments",
     "cos_basis_moments",
     "certify",
     "MomentOracle",
@@ -45,8 +48,9 @@ class DomainError(ValueError):
 # rounding of nodes built on the boundary, nothing visibly outside
 _DOMAIN_SLACK = 1e-12
 
-# nodes per np.dot in certify: OpenBLAS threads longer dots, moving last bits
-_DOT_CHUNK = 8192
+# points per Gram contraction: bounds the rows held at once; einsum sums
+# each entry in one fixed order, whatever the number of BLAS threads
+_CHUNK = 8192
 
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
@@ -170,43 +174,6 @@ def _fold_images(ell: int, y1: np.ndarray, y2: np.ndarray):
     return coords, [(0, 1), (1, 0), (2, 3), (3, 2)]
 
 
-def square_moments(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    ell: int,
-    pairs: Iterable[Tuple[int, int]],
-) -> Dict[Tuple[int, int], float]:
-    """Moments of x1^i x2^j against the square weight pushed through the
-    degree-ell fold (ell = 1: the square weight itself; ell > 1: the
-    composed weight, gamma = -1/2), on the Jacobi(alpha, beta) tensor grid.
-
-    The feature row is the panel sum of folded powers, which is a
-    polynomial of degree at most p in cos theta, so (i+j)//4 + 2 points
-    (+1 for gamma = +1/2) are exact.  Odd total degree is zero by central
-    symmetry.  Folded arguments flip sign under x -> -x only for odd ell,
-    so odd-odd exponents vanish by single-axis reflection for even ell or
-    alpha == beta.
-    """
-    WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)  # raises on bad parameters
-    pairs = list(pairs)
-    if any(min(p) < 0 for p in pairs):
-        raise ValueError("exponents must be nonnegative")
-
-    def npts(d: int) -> int:
-        return d // 4 + 2 + int(gamma == 0.5)
-
-    reflect = ell % 2 == 0 or alpha == beta
-    live = [(i, j) for (i, j) in pairs
-            if (i + j) % 2 == 0 and not (reflect and i % 2 == 1)]
-    rc = jacobi_recurrence(alpha, beta, max([npts(i + j) for i, j in live], default=1))
-    got = tensor_moments(rc, gamma, live, npts,
-                         lambda y1, y2: _fold_images(ell, y1, y2),
-                         lambda c, p: np.sum(c**p, axis=0) / ell)
-    scale = 2.0 ** (-2.0 * gamma - 2.0)
-    return {p: scale * got.get(p, 0.0) for p in pairs}
-
-
 def cos_basis_moments(
     alpha: float,
     beta: float,
@@ -220,57 +187,92 @@ def cos_basis_moments(
     )[-1]
 
 
+def _chebyshev_rows(c: np.ndarray, degree: int) -> np.ndarray:
+    """T_0(c), ..., T_degree(c) by the three-term recurrence, one row each."""
+    rows = np.empty((degree + 1,) + c.shape)
+    rows[0] = 1.0
+    if degree >= 1:
+        rows[1] = c
+    two_c = 2.0 * c
+    for p in range(2, degree + 1):
+        np.multiply(two_c, rows[p - 1], out=rows[p])
+        rows[p] -= rows[p - 2]
+    return rows
+
+
+def _gram(weights: np.ndarray, coords: List[np.ndarray],
+          links: Sequence[Tuple[int, int]], degree: int) -> np.ndarray:
+    """G[i, j] = sum over points k and links (a, b) of
+    w_k R_i(C[a][:, k]) R_j(C[b][:, k]), for i, j <= degree, where each
+    C[a] has a leading axis of panels and R_p is the panel mean of T_p.
+    One einsum per chunk of _CHUNK points and link, not a matrix product:
+    a threaded GEMM sums in an order that moves the last bits."""
+    out = np.zeros((degree + 1, degree + 1))
+    for c0 in range(0, len(weights), _CHUNK):
+        part = slice(c0, c0 + _CHUNK)
+        rows = [sum(_chebyshev_rows(panel, degree) for panel in c[:, part]) / len(c)
+                for c in coords]
+        for a, b in links:
+            out += np.einsum("ik,jk->ij", rows[a] * weights[part], rows[b], optimize=False)
+    return out
+
+
+@dataclass(frozen=True)
 class MomentOracle:
-    """Cached moment source: compute(pairs) returns {(i, j): moment} for a
-    batch of exponent pairs, and each pair is computed once."""
+    """Reference moments of the weight of spec in the Chebyshev basis of its
+    domain, from the tensor Gauss grid of its Jacobi(alpha, beta) weight."""
 
-    def __init__(
-        self, compute: Callable[[List[Tuple[int, int]]], Dict[Tuple[int, int], float]]
-    ):
-        self._compute = compute
-        self._cache: Dict[Tuple[int, int], float] = {}
+    spec: WeightSpec
 
-    def moments(self, pairs: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], float]:
-        missing = [p for p in pairs if p not in self._cache]
-        if missing:
-            self._cache.update(self._compute(missing))
-        return {p: self._cache[p] for p in pairs}
+    def gram(self, degree: int) -> np.ndarray:
+        """Table of the integrals of T_i(x1) T_j(x2) (square) or
+        T_i(u1/2) T_j(u2) (curved domain), exact for i + j <= degree.
 
-    def moment(self, i: int, j: int) -> float:
-        return self.moments([(i, j)])[(i, j)]
-
-    @property
-    def mass(self) -> float:
-        return self.moment(0, 0)
+        One grid serves the whole table: degree//4 + 2 points (+1 for
+        gamma = +1/2) on the square, degree//2 + 2 on the curved domain.
+        Its cells (y1, y2) weigh 1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
+        The curved domain reads its rows at u = (y1 + y2, y1 y2).  The
+        square reads them at the fold images of _fold_images, each row the
+        mean over the ell panel preimages, scaled by 2^(-2 gamma - 2).
+        """
+        spec = self.spec
+        a, b, g = spec.alpha, spec.beta, spec.gamma
+        curved = spec.family == "biangle-gamma"
+        npts = degree // 2 + 2 if curved else degree // 4 + 2 + int(g == 0.5)
+        q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
+        y1 = np.repeat(q.nodes, npts)
+        y2 = np.tile(q.nodes, npts)
+        w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
+        if curved:
+            return _gram(w, [0.5 * (y1 + y2)[None], (y1 * y2)[None]], [(0, 1)], degree)
+        coords, links = _fold_images(spec.ell, y1, y2)
+        return _gram(w * 2.0 ** (-2.0 * g - 2.0), coords, links, degree)
 
 
 def moment_oracle(spec: WeightSpec) -> MomentOracle:
-    """Cached moment source for the weight of spec: biangle_moments for the
-    curved domain, square_moments for the square and composed weights."""
-    a, b, g = spec.alpha, spec.beta, spec.gamma
-    if spec.family == "biangle-gamma":
-        return MomentOracle(lambda pairs: biangle_moments(a, b, g, pairs))
-    return MomentOracle(lambda pairs: square_moments(a, b, g, spec.ell, pairs))
+    """Reference moments for the weight of spec, of every family."""
+    return MomentOracle(spec)
 
 
 def certify(
     rule: CubatureRule2D,
-    moments,
+    oracle: MomentOracle,
     max_degree: int,
     rel_tol: float = 1e-9,
 ) -> ExactnessReport:
-    """Compare the rule against reference moments for every monomial of
-    total degree <= max_degree.
+    """Compare the rule with oracle.gram(max_degree) on every Chebyshev
+    product T_i T_j of total degree i + j <= max_degree.
 
-    The per-monomial relative error is |rule - moment| divided by
-    max(|moment|, mass * scale) with scale the sup of |x^i y^j| over the
-    node set, so zero moments are handled without blowups.
+    The rule side is the same Gram contraction over the nodes, at
+    (x1, x2) on the square and (u1/2, u2) on the curved domain.  Every
+    product is at most 1 in magnitude there, so the error of a product is
+    |rule - reference| divided by the mass, the reference T_0 T_0 entry.
 
     Raises ValueError unless rel_tol is finite and positive and
     max_degree >= 0, and DomainError, before any moment is computed,
     when a node lies outside the rule's closed domain by more than
-    1e-12: such a node would inflate the scale and hide its own error.
-    Raises OverflowError when a reference moment is infinite or NaN,
+    1e-12: such a node would carry products beyond 1 in magnitude.
+    Raises OverflowError when a reference entry is infinite or NaN,
     which no comparison could fail.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
@@ -289,50 +291,26 @@ def certify(
             "node %d at (%r, %r) lies outside the %s domain"
             % (bad, float(x[bad]), float(y[bad]), rule.domain)
         )
-    pairs = [
-        (i, d - i) for d in range(max_degree + 1) for i in range(d + 1)
-    ]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ref = moments.moments(pairs)
-    for (i, j) in pairs:
-        if not math.isfinite(ref[(i, j)]):
-            raise OverflowError("reference moment of x^%d y^%d is %r: the weight's "
-                                "moments exceed float range" % (i, j, ref[(i, j)]))
-    mass = moments.mass
-    # powers as contiguous rows, each the one before times the base, as in
-    # np.vander; x^i is carried as one running row
-    yp = np.empty((max_degree + 1, len(y)))
-    yp[0] = 1.0
-    for k in range(1, max_degree + 1):
-        yp[k] = yp[k - 1] * y
-    xi = yp[0].copy()
-    vals = np.empty_like(yp)
-    w = rule.weights
-    failures = []
-    worst = 0.0
-    bad_degrees = set()
-    for i in range(max_degree + 1):
-        # the products x^i y^j for every j; one dot per pair and chunk,
-        # added left to right, rather than one matrix product, which would
-        # sum in another order and move the last bits of the report
-        block = np.multiply(xi, yp[: max_degree + 1 - i], out=vals[: max_degree + 1 - i])
-        scales = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
-        for j, row in enumerate(block):
-            approx = float(np.dot(w[:_DOT_CHUNK], row[:_DOT_CHUNK]))
-            for c in range(_DOT_CHUNK, len(w), _DOT_CHUNK):
-                approx += float(np.dot(w[c : c + _DOT_CHUNK], row[c : c + _DOT_CHUNK]))
-            denom = max(abs(ref[(i, j)]), abs(mass) * float(scales[j]), 1e-300)
-            rel = abs(approx - ref[(i, j)]) / denom
-            worst = max(worst, rel)
-            if rel > rel_tol:
-                failures.append((i, j, rel))
-                bad_degrees.add(i + j)
-        xi = xi * x
-    certified = max_degree if not bad_degrees else min(bad_degrees) - 1
-    failures.sort(key=lambda t: (t[0] + t[1], t[0]))
+        ref = oracle.gram(max_degree)
+    i, j = np.indices(ref.shape)
+    live = i + j <= max_degree
+    broken = np.argwhere(live & ~np.isfinite(ref))
+    if len(broken):
+        bi, bj = broken[np.argmin(broken.sum(axis=1))]
+        raise OverflowError("reference moment of T_%d T_%d is %r: the weight's "
+                            "moments exceed float range" % (bi, bj, float(ref[bi, bj])))
+    if rule.domain == "biangle":
+        x = 0.5 * x
+    got = _gram(rule.weights, [x[None], y[None]], [(0, 1)], max_degree)
+    rel = np.abs(got - ref) / max(abs(float(ref[0, 0])), 1e-300)
+    fail = live & ~(rel <= rel_tol)
+    order = np.lexsort((i[fail], (i + j)[fail]))
+    failures = tuple(zip(i[fail][order].tolist(), j[fail][order].tolist(),
+                         rel[fail][order].tolist()))
     return ExactnessReport(
         max_degree_tested=max_degree,
-        certified_degree=certified,
-        worst_rel_error=worst,
-        failures=tuple(failures),
+        certified_degree=max_degree if not failures else failures[0][0] + failures[0][1] - 1,
+        worst_rel_error=float(rel[live].max()),
+        failures=failures,
     )

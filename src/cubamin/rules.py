@@ -4,15 +4,30 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError"]
+__all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError",
+           "rule_shape"]
 
 
 class ConstructionError(RuntimeError):
     """A rule could not be built to contract; nothing partial is returned."""
+
+
+def rule_shape(family: str, size: int, ell: int = 1) -> Tuple[int, int]:
+    """Degree and node count of the rule of a family at size n (biangle)
+    or m, and ell for the composed family."""
+    if family == "biangle":
+        return 2 * size - 1, size * (size + 1) // 2
+    if family == "square-even":
+        return 4 * size - 1, 2 * size * (size + 1)
+    if family == "square-odd":
+        return 4 * size + 1, 2 * (size + 1) ** 2 - 1
+    if family == "composed":
+        return 4 * ell * size - 1, 2 * ell * ell * size * size + 2 * ell * size
+    raise ValueError("unknown rule family %r" % (family,))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .opq1d import diagonal_zero_set, gauss_pairs, gauss_rule, jacobi_recurrence
-from .rules import ConstructionError, CubatureRule2D, WeightSpec
+from .rules import ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 
 __all__ = [
     "moller_bound",
@@ -117,18 +117,20 @@ def _merge_runs(
 
 
 def _merged_rule(
-    pts: np.ndarray, wts: np.ndarray, expected: int, **fields
+    pts: np.ndarray, wts: np.ndarray, spec: WeightSpec, size: int, family: str
 ) -> CubatureRule2D:
-    """The square rule on the merged points, which must number expected.
-    The merge returns its rows sorted by (x1, x2), the row order of every
-    rule file."""
+    """The rule of family at size on the merged points, which must number
+    the node count of rule_shape.  The merge returns its rows sorted by
+    (x1, x2), the row order of every rule file."""
+    degree, expected = rule_shape(family, size, spec.ell)
     nodes, weights = merge_close_nodes(pts, wts)
     if len(nodes) != expected:
         raise ConstructionError(
             "%s rule has %d nodes after merging, expected %d"
-            % (fields["family"], len(nodes), expected)
+            % (family, len(nodes), expected)
         )
-    return CubatureRule2D(nodes=nodes, weights=weights, **fields)
+    return CubatureRule2D(nodes=nodes, weights=weights, degree=degree, spec=spec,
+                          param=size, family=family)
 
 
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
@@ -154,8 +156,7 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
         gap = q.nodes[J] - q.nodes[K]
         w4 = w4 * gap * gap / 8.0
     pts = half_angle_orbit(q.nodes[J], q.nodes[K]).reshape(-1, 2)
-    return _merged_rule(pts, np.repeat(w4, 4), 2 * m * (m + 1), degree=4 * m - 1,
-                        spec=spec, param=m, family="square-even")
+    return _merged_rule(pts, np.repeat(w4, 4), spec, m, "square-even")
 
 
 def _symmetrized_cos_rows(
@@ -203,7 +204,7 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
         classes.append(np.array([[x, y], [-x, -y]]))
     multip = [len(c) for c in classes]
 
-    deg = 4 * m + 1
+    deg = rule_shape("square-odd", m)[0]
     pairs = [
         (i, j)
         for j in range(deg + 1)
@@ -235,5 +236,4 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
         )
 
     wts = np.concatenate([np.full(n, w) for n, w in zip(multip, sol)])
-    return _merged_rule(np.vstack(classes), wts, 2 * (m + 1) ** 2 - 1, degree=deg,
-                        spec=spec, param=m, family="square-odd")
+    return _merged_rule(np.vstack(classes), wts, spec, m, "square-odd")

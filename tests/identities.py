@@ -5,10 +5,13 @@ None of these functions feeds a rule or a certificate.  They state the
 folding identities, the orbit structure and the weight formulas behind
 the constructions, and the tests hold the shipped code to them.
 preimage_angles runs the shipped opq1d.fold_panel_angles, the panel map
-of the composed builder.  reference_certify is certify's comparison loop
-as it was first written, which the shipped one must match bit for bit;
-reference_min_node_gap is the all-pairs scan that the plot's sorted scan
-must match.  reference_positive_zeros is the one-bracket-at-a-time zero
+of the composed builder.  reference_certify is the monomial certificate
+that certify replaced: it compares each x^i y^j with the moments of
+monomial_oracle, which runs tensor_moments, the exact engine that sized
+one Gauss grid per pair, and it must agree with certify on the degree
+every rule is exact through; monomials_from_gram maps certify's Chebyshev
+tables onto the same moments.  reference_min_node_gap is the all-pairs
+scan that the plot's sorted scan must match.  reference_positive_zeros is the one-bracket-at-a-time zero
 search of the odd builder's diagonal abscissas, which the lockstep search
 in opq1d must match bit for bit.
 
@@ -20,7 +23,7 @@ the top-degree orthogonal polynomials, as the paper constructs them.
 """
 
 import math
-from typing import Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from cubamin.opq1d import (
     gauss_rule,
     jacobi_recurrence,
 )
+from cubamin.oracle import _fold_images
 from cubamin.rules import CubatureRule2D, ExactnessReport, WeightSpec
 
 
@@ -175,11 +179,159 @@ def composed_op_identity_check(
     return worst
 
 
+def tensor_moments(
+    rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]],
+    npts: Callable, images: Callable, row: Callable,
+) -> Dict[Tuple[int, int], float]:
+    """Exact moments on Koornwinder's tensor grid, one per pair (i, j).
+
+    The grid is the npts(i + j)-point Gauss grid (Y1, Y2) of rc's weight,
+    with cell weights 1/2 lam_a lam_b |y_a - y_b|^(2 gamma + 1).  images
+    maps it to per-axis coordinate arrays C and index links (a, b); the
+    pair sums row(C[a], i) row(C[b], j) over the links.  Sized by its own
+    degree, a moment does not depend on the batch; rows are kept per grid.
+    """
+    if gamma not in (-0.5, 0.5):
+        raise ValueError("gamma restricted to -1/2 and +1/2")
+    out: Dict[Tuple[int, int], float] = {}
+    grid = None
+    for (i, j) in sorted(pairs, key=lambda p: npts(p[0] + p[1])):
+        if grid != npts(i + j):
+            grid = npts(i + j)
+            q = gauss_rule(rc, grid)
+            Y1, Y2 = np.meshgrid(q.nodes, q.nodes, indexing="ij")
+            gap = np.abs(Y1 - Y2) ** (2.0 * gamma + 1.0)
+            W = 0.5 * np.outer(q.weights, q.weights) * gap
+            coords, links = images(Y1, Y2)
+            rows = {}
+        for p in (i, j):
+            if p not in rows:
+                rows[p] = [row(c, p) for c in coords]
+        linked = sum(rows[i][a] * rows[j][b] for a, b in links)
+        out[(i, j)] = float(np.sum(W * linked))
+    return out
+
+
+def biangle_moments(
+    alpha: float, beta: float, gamma: float, pairs: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], float]:
+    """Reference moments of u1^a u2^b against the Jacobi(alpha, beta)
+    biangle weight, on the tensor grid at u = (y1 + y2, y1 y2); (a+b)//2 + 2
+    points are exact.  For an even 1-D weight, odd a dies by reflecting both
+    coordinates, and a = 0 with odd b and no coupling factor leaves the lone
+    term mu_b^2 with an odd 1-D moment.
+    """
+    pairs = list(pairs)
+    if any(min(p) < 0 for p in pairs):
+        raise ValueError("exponents must be nonnegative")
+
+    def npts(d: int) -> int:
+        return d // 2 + 2
+
+    rc = jacobi_recurrence(alpha, beta, max([npts(a + b) for a, b in pairs], default=1))
+    even = bool(np.all(rc.a == 0.0))
+    live = [(a, b) for (a, b) in pairs if not (even and (
+        a % 2 == 1 or (gamma == -0.5 and a == 0 and b % 2 == 1)))]
+    got = tensor_moments(
+        rc, gamma, live, npts,
+        images=lambda y1, y2: ([y1 + y2, y1 * y2], [(0, 1)]),
+        row=lambda u, p: u**p,
+    )
+    return {p: got.get(p, 0.0) for p in pairs}
+
+
+def square_moments(
+    alpha: float,
+    beta: float,
+    gamma: float,
+    ell: int,
+    pairs: Iterable[Tuple[int, int]],
+) -> Dict[Tuple[int, int], float]:
+    """Moments of x1^i x2^j against the square weight pushed through the
+    degree-ell fold (ell = 1: the square weight itself; ell > 1: the
+    composed weight, gamma = -1/2), on the Jacobi(alpha, beta) tensor grid.
+
+    The feature row is the panel sum of folded powers, which is a
+    polynomial of degree at most p in cos theta, so (i+j)//4 + 2 points
+    (+1 for gamma = +1/2) are exact.  Odd total degree is zero by central
+    symmetry.  Folded arguments flip sign under x -> -x only for odd ell,
+    so odd-odd exponents vanish by single-axis reflection for even ell or
+    alpha == beta.
+    """
+    WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma, ell=ell)  # raises on bad parameters
+    pairs = list(pairs)
+    if any(min(p) < 0 for p in pairs):
+        raise ValueError("exponents must be nonnegative")
+
+    def npts(d: int) -> int:
+        return d // 4 + 2 + int(gamma == 0.5)
+
+    reflect = ell % 2 == 0 or alpha == beta
+    live = [(i, j) for (i, j) in pairs
+            if (i + j) % 2 == 0 and not (reflect and i % 2 == 1)]
+    rc = jacobi_recurrence(alpha, beta, max([npts(i + j) for i, j in live], default=1))
+    got = tensor_moments(rc, gamma, live, npts,
+                         lambda y1, y2: _fold_images(ell, y1, y2),
+                         lambda c, p: np.sum(c**p, axis=0) / ell)
+    scale = 2.0 ** (-2.0 * gamma - 2.0)
+    return {p: scale * got.get(p, 0.0) for p in pairs}
+
+
+class MonomialOracle:
+    """Cached monomial moments: compute(pairs) returns {(i, j): moment} for
+    a batch of exponent pairs, and each pair is computed once."""
+
+    def __init__(
+        self, compute: Callable[[List[Tuple[int, int]]], Dict[Tuple[int, int], float]]
+    ):
+        self._compute = compute
+        self._cache: Dict[Tuple[int, int], float] = {}
+
+    def moments(self, pairs) -> Dict[Tuple[int, int], float]:
+        missing = [p for p in pairs if p not in self._cache]
+        if missing:
+            self._cache.update(self._compute(missing))
+        return {p: self._cache[p] for p in pairs}
+
+    def moment(self, i: int, j: int) -> float:
+        return self.moments([(i, j)])[(i, j)]
+
+    @property
+    def mass(self) -> float:
+        return self.moment(0, 0)
+
+
+def monomial_oracle(spec: WeightSpec) -> MonomialOracle:
+    """Moments of x1^i x2^j (square) or u1^i u2^j (curved domain) against
+    the weight of spec."""
+    a, b, g = spec.alpha, spec.beta, spec.gamma
+    if spec.family == "biangle-gamma":
+        return MonomialOracle(lambda pairs: biangle_moments(a, b, g, pairs))
+    return MonomialOracle(lambda pairs: square_moments(a, b, g, spec.ell, pairs))
+
+
+def monomials_from_gram(gram: np.ndarray, curved: bool) -> np.ndarray:
+    """Moments of x1^i x2^j (square) or u1^i u2^j (curved domain) from a
+    table of Chebyshev moments (MomentOracle.gram), valid for i + j up to
+    the table's exact degree.  The change of basis x^k = sum_a P[k, a]
+    T_a(x) has coefficients that are nonnegative, sum to 1 and vanish for
+    a > k, so it adds no more than the table's own error; the curved
+    table is read at u1/2, so row i is scaled by 2^i."""
+    n = len(gram)
+    P = np.zeros((n, n))
+    for k in range(n):
+        P[k, : k + 1] = np.polynomial.chebyshev.poly2cheb([0.0] * k + [1.0])
+    out = P @ gram @ P.T
+    return out * 2.0 ** np.arange(n)[:, None] if curved else out
+
+
 def reference_certify(
-    rule: CubatureRule2D, moments, max_degree: int, rel_tol: float = 1e-9
+    rule: CubatureRule2D, moments: MonomialOracle, max_degree: int, rel_tol: float = 1e-9
 ) -> ExactnessReport:
-    """oracle.certify's comparison as a per-pair loop over strided columns
-    of np.vander tables, without its input and domain checks."""
+    """The monomial certificate, without certify's input and domain checks:
+    the error of x^i y^j is |rule - moment| divided by max(|moment|,
+    mass * max |x^i y^j| over the nodes).  Its defect at degree 2n falls
+    as 4^-n, so on large rules it passes degrees the rule does not have."""
     pairs = [(i, d - i) for d in range(max_degree + 1) for i in range(d + 1)]
     ref = moments.moments(pairs)
     mass = moments.mass

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubamin.biangle import biangle_moments, gauss_cubature_biangle, in_omega
+from cubamin.biangle import gauss_cubature_biangle, in_omega
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import certify, moment_oracle
 from cubamin.rules import WeightSpec
-from identities import eval_koornwinder, map_x_to_u, split_u_to_x
+from identities import (
+    biangle_moments,
+    eval_koornwinder,
+    map_x_to_u,
+    monomial_oracle,
+    split_u_to_x,
+)
 
 PI2 = math.pi * math.pi
 
@@ -92,14 +98,14 @@ def test_structural_zero_moments_are_exact():
 def test_moment_batch_equals_single_requests(ab, g):
     """Pairs that share a Gauss grid size share one grid in a batch; each
     moment must still come out bit for bit as when requested alone, for
-    every oracle, since the MomentOracle cache keeps batch results."""
+    monomial oracle, since its cache keeps batch results."""
     pairs = [(a, d - a) for d in range(21) for a in range(d + 1)]
     batch = biangle_moments(*ab, g, pairs)
     assert list(batch) == pairs
     for p in pairs:
         assert batch[p] == biangle_moments(*ab, g, [p])[p]
-    for make in (lambda: moment_oracle(WeightSpec("square-W", *ab, g)),
-                 lambda: moment_oracle(WeightSpec("square-W", *ab, -0.5, 2 if g < 0 else 3))):
+    for make in (lambda: monomial_oracle(WeightSpec("square-W", *ab, g)),
+                 lambda: monomial_oracle(WeightSpec("square-W", *ab, -0.5, 2 if g < 0 else 3))):
         batch = make().moments(pairs)
         for p in pairs:
             assert batch[p] == make().moment(*p)
@@ -118,7 +124,7 @@ def test_rule_node_count_and_degree(g, n):
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.5, -0.5)])
 @pytest.mark.parametrize("g", [-0.5, 0.5])
 def test_certification_through_declared_degree(ab, g):
-    """Every rule integrates all monomials through 2n-1; degree 2n fails."""
+    """Every rule integrates all polynomials through 2n-1; degree 2n fails."""
     a, b = ab
     for n in (1, 2, 4, 6):
         spec = WeightSpec("biangle-gamma", a, b, g)

@@ -305,7 +305,7 @@ def test_verify_unknown_family_is_unverifiable(tmp_path, capsys):
     assert "hexagon" in err
 
 
-@pytest.mark.parametrize("alpha, beta", [(520.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
+@pytest.mark.parametrize("alpha, beta", [(521.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
 @pytest.mark.parametrize("family", [
     "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
     "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
@@ -314,8 +314,10 @@ def test_verify_unknown_family_is_unverifiable(tmp_path, capsys):
 def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
                                                          family, alpha, beta):
     """A file whose alpha puts the reference moments beyond float range (at
-    1100 the 1-D recurrence mass, at 520 and 600 the tensor grid's sums)
-    exits 4 with one line; it never certifies against infinite moments."""
+    1100 the 1-D recurrence mass, at 521 and 600 the tensor grid's cell
+    weights) exits 4 with one line; it never certifies against infinite
+    moments.  Every Chebyshev moment is bounded by the mass, so the first
+    alpha that overflows is the same for every family and degree."""
     out = tmp_path / "rule.json"
     code, _, err = run(capsys, "build", *family.split(), "--out", str(out))
     assert code == 0, err
@@ -326,6 +328,21 @@ def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
     code, stdout, err = run(capsys, "verify", str(out))
     assert (code, stdout) == (4, "")
     assert err.startswith("cubamin: moment oracle failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family", [
+    "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
+    "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
+    "composed --alpha -0.5 --beta -0.5 --ell 2 --m 1",
+])
+def test_verify_one_alpha_below_the_overflow_fails_the_rule(tmp_path, capsys, family):
+    """At alpha = 520 the mass is near 2e307 but finite; the rule, built
+    for alpha = -1/2, fails against it."""
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
+    code, stdout, err = _edit_and_verify(out, capsys,
+                                         lambda doc: doc.update(alpha=520.0, beta=0.0))
+    assert (code, err) == (3, "") and stdout.endswith(": FAIL\n")
 
 
 def test_verify_never_runs_the_angular_ladder(tmp_path, capsys, monkeypatch):
@@ -450,9 +467,9 @@ def test_verify_rejects_an_infinite_node(tmp_path, capsys):
 
 
 def test_verify_rejects_a_node_outside_the_square(tmp_path, capsys):
+    # the file keeps its node count, which must match its family and m
     def edit(doc):
-        doc["nodes"].append([3.0, 3.0, 1e-11])
-        doc["node_count"] += 1
+        doc["nodes"][0] = [3.0, 3.0, 1e-11]
 
     code, stdout, err = _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit)
     assert code == 3
@@ -513,18 +530,64 @@ def test_verify_honours_the_gamma_of_a_composed_file(tmp_path, capsys):
 
 
 def test_verify_honours_the_ell_of_every_family(tmp_path, capsys):
-    """ell had been read only on composed files.  A square file now names
-    the composed weight of its ell, and a biangle file may not carry one."""
+    """ell had been read only on composed files, then a square file named
+    the composed weight of its ell.  Only a composed file carries one now,
+    and a biangle file with one fails the weight check first."""
     square, biangle = tmp_path / "s.json", tmp_path / "b.json"
     assert run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0.0",
                "--gamma", "-0.5", "--m", "2", "--out", str(square))[0] == 0
     assert run(capsys, "build", "biangle", "--alpha", "0.5", "--beta", "0.0",
                "--gamma", "-0.5", "--n", "3", "--out", str(biangle))[0] == 0
-    code, stdout, _ = _edit_and_verify(square, capsys, _set("ell", 2))
-    assert code == 3 and stdout.startswith("declared 7, certified 1 ")
+    code, stdout, err = _edit_and_verify(square, capsys, _set("ell", 2))
+    assert code == 1 and stdout == "" and err.count("\n") == 1
+    assert "only a composed rule file carries one" in err
     code, stdout, err = _edit_and_verify(biangle, capsys, _set("ell", 2))
     assert code == 1 and stdout == ""
     assert "ell is a parameter of the square-W family only" in err
+
+
+def _golden_m10(tmp_path, capsys):
+    path = tmp_path / "m10.json"
+    assert run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0.0",
+               "--gamma", "-0.5", "--m", "10", "--out", str(path))[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"degree": 37}, "degree is 37, but a square-even rule with param_n_or_m 10 has 39"),
+    ({"ell": 1000000}, "ell is 1000000, but only a composed rule file carries one"),
+    ({"ell": 1000}, "ell is 1000, but only a composed rule file carries one"),
+    ({"moller_bound": 7, "param_n_or_m": 3},
+     "degree is 39, but a square-even rule with param_n_or_m 3 has 11"),
+    ({"moller_bound": "many"}, "moller_bound is 'many', but"),
+    ({"param_n_or_m": 0}, "param_n_or_m is 0, but must be >= 1"),
+], ids=["degree-37", "ell-1e6", "ell-1000", "bound-7-m-3", "bound-many", "m-0"])
+def test_verify_rejects_metadata_that_disagree_with_the_family(tmp_path, capsys, fields,
+                                                               message):
+    """The file's claim is checked before any moment: a degree-39 rule had
+    certified at a declared 37, and an ell of 10^6 on a square file had
+    asked for a composed weight of degree 4 * 10^6 - 1, which ran for
+    minutes."""
+    path = _golden_m10(tmp_path, capsys)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "certify", lambda *a, **k: calls.append(a))
+        code, stdout, err = _edit_and_verify(path, capsys, lambda doc: doc.update(fields))
+    assert (code, stdout, calls) == (1, "", [])
+    assert err.startswith("cubamin: rule file metadata disagree: " + message)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ell,m", [(2, 3), (5, 1)])
+def test_verify_reads_the_ell_of_a_composed_file_into_its_shape(tmp_path, capsys, ell, m):
+    """A composed file whose ell is edited no longer matches its degree."""
+    path = tmp_path / "c.json"
+    assert run(capsys, "build", "composed", "--ell", str(ell), "--m", str(m), "--alpha", "0.5",
+               "--beta", "0.0", "--out", str(path))[0] == 0
+    code, stdout, err = _edit_and_verify(path, capsys, _set("ell", ell + 1))
+    assert code == 1 and stdout == ""
+    assert "degree is %d, but a composed rule with param_n_or_m %d and ell %d has %d" % (
+        4 * ell * m - 1, m, ell + 1, 4 * (ell + 1) * m - 1) in err
 
 
 _JUNK = st.sampled_from([None, True, -3, 0, 2, 3, 7, -1.5, 0.25, 2.5, 1e300,
@@ -604,6 +667,8 @@ def test_build_reproduces_the_recorded_rule_bytes(tmp_path, capsys, key):
     code, _, err = run(capsys, "build", *key.split(), "--out", str(out))
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
+    meta, _ = out.read_text().split(', "nodes": ', 1)
+    assert cli.metadata_mismatch(json.loads(meta + "}")) is None
 
 
 @pytest.mark.parametrize("alpha", ["300", "1000"])
@@ -664,10 +729,10 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, family):
 
 def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(
         tmp_path, capsys):
-    """OpenBLAS splits a dot product of more than about 10,000 terms over
-    its threads, which moved the last bits of the report of this
-    12,960-node rule with the thread count; certify now sums chunks of at
-    most 8,192 nodes in a fixed order."""
+    """A matrix product of the Gram tables moved the last bits of the report
+    of this 12,960-node rule with the OpenBLAS thread count; certify sums
+    each table in chunks of at most 8,192 nodes with einsum, in a fixed
+    order, so one child under each thread count writes the same bytes."""
     rule = tmp_path / "rule.json"
     code, _, err = run(capsys, "build", "square-even", "--alpha", "0.5", "--beta", "0.0",
                        "--gamma", "-0.5", "--m", "80", "--out", str(rule))
@@ -678,10 +743,11 @@ def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(
         report = tmp_path / ("report%s.json" % threads)
         child = subprocess.run(
             [sys.executable, "-m", "cubamin.cli", "verify", str(rule),
-             "--max-degree", "15", "--report", str(report)],
+             "--max-degree", "40", "--report", str(report)],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
         assert child.returncode == 3 and child.stderr == ""
+        assert child.stdout.startswith("declared 319, certified 40 through degree 40, ")
         reports.append((child.stdout, report.read_bytes()))
     assert reports[0] == reports[1]
 

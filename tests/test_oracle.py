@@ -1,4 +1,8 @@
-"""Reference moments and the exactness certifier."""
+"""Reference moments and the exactness certifier.
+
+The monomial oracle of tests/identities.py is the engine certify used
+before its Chebyshev tables; the tests of its own properties (values,
+structural zeros, batches) stay here, and it checks the shipped tables."""
 
 import math
 from fractions import Fraction
@@ -8,20 +12,25 @@ import numpy as np
 import pytest
 
 import cubamin.oracle as oracle_mod
-from cubamin.biangle import biangle_moments, gauss_cubature_biangle
+from cubamin.biangle import gauss_cubature_biangle
 from cubamin.composed import composed_rule
 from cubamin.opq1d import fold_panel_angles
 from cubamin.oracle import (
     DomainError,
     ExactnessReport,
-    MomentOracle,
     certify,
     moment_oracle,
-    square_moments,
 )
 from cubamin.rules import CubatureRule2D, WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
-from identities import chebyshev_moment_1d, reference_certify
+from identities import (
+    biangle_moments,
+    chebyshev_moment_1d,
+    monomial_oracle,
+    monomials_from_gram,
+    reference_certify,
+    square_moments,
+)
 
 PI = math.pi
 PI2 = math.pi * math.pi
@@ -56,7 +65,7 @@ def test_chebyshev_axis_moment_closed_form():
 @pytest.mark.parametrize("key", sorted(SQUARE_MOMENTS))
 def test_square_moments_match_symbolic_values(key):
     a, b, g = key
-    orc = moment_oracle(WeightSpec("square-W", a, b, g))
+    orc = monomial_oracle(WeightSpec("square-W", a, b, g))
     mass = SQUARE_MOMENTS[key][(0, 0)]
     assert orc.mass == pytest.approx(mass, rel=1e-13)
     for (i, j), want in SQUARE_MOMENTS[key].items():
@@ -66,7 +75,7 @@ def test_square_moments_match_symbolic_values(key):
 
 def test_all_chebyshev_square_moments_factor():
     """With every exponent at -1/2 the double integral separates."""
-    orc = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
+    orc = monomial_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
     for i in range(0, 13):
         for j in range(0, 13 - i):
             want = chebyshev_moment_1d(i) * chebyshev_moment_1d(j)
@@ -75,33 +84,33 @@ def test_all_chebyshev_square_moments_factor():
 
 
 def test_square_structural_zeros_are_bit_exact():
-    orc = moment_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5))
+    orc = monomial_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5))
     assert orc.moment(3, 2) == 0.0
     assert orc.moment(1, 0) == 0.0
-    sym = moment_oracle(WeightSpec("square-W", 0.5, 0.5, -0.5))
+    sym = monomial_oracle(WeightSpec("square-W", 0.5, 0.5, -0.5))
     assert sym.moment(3, 1) == 0.0
     assert sym.moment(2, 1) == 0.0
 
 
 def test_composed_structural_zeros():
-    assert moment_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5, 2)).moment(1, 2) == 0.0
-    assert moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(1, 2) == 0.0
-    assert moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(2, 1) == 0.0
-    assert moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 2)).moment(3, 2) == 0.0
+    assert monomial_oracle(WeightSpec("square-W", 0.5, -0.5, -0.5, 2)).moment(1, 2) == 0.0
+    assert monomial_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(1, 2) == 0.0
+    assert monomial_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 3)).moment(2, 1) == 0.0
+    assert monomial_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 2)).moment(3, 2) == 0.0
 
 
 def test_composed_chebyshev_is_fold_independent():
     pairs = [(i, j) for i in range(0, 9, 2) for j in range(0, 9, 2)]
-    base = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 1))
+    base = monomial_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, 1))
     for ell in (2, 3, 5):
-        orc = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, ell))
+        orc = monomial_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5, ell))
         for p in pairs:
             assert orc.moment(*p) == pytest.approx(base.moment(*p), rel=1e-12)
 
 
 def test_composed_trivial_fold_equals_square_oracle():
-    sq = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5))
-    fo = moment_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 1))
+    sq = monomial_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5))
+    fo = monomial_oracle(WeightSpec("square-W", 0.0, 0.0, -0.5, 1))
     for i in range(0, 7, 2):
         for j in range(0, 7, 2):
             assert fo.moment(i, j) == pytest.approx(sq.moment(i, j), rel=1e-12)
@@ -116,7 +125,7 @@ def test_square_moments_refuses_an_ell_that_is_not_a_positive_integer(ell):
 
 
 def test_moments_batch_agrees_with_single_calls():
-    orc = moment_oracle(WeightSpec("square-W", 0.5, -0.5, 0.5))
+    orc = monomial_oracle(WeightSpec("square-W", 0.5, -0.5, 0.5))
     pairs = [(0, 0), (2, 2), (4, 0), (1, 1), (3, 3)]
     batch = orc.moments(pairs)
     assert set(batch) == set(pairs)
@@ -165,7 +174,7 @@ def test_folding_connects_square_and_curved_moments(params):
     by the constant 4^(-gamma) coming from the 4-to-1 cover.
     """
     al, be, g = params
-    orc = moment_oracle(WeightSpec("square-W", al, be, g))
+    orc = monomial_oracle(WeightSpec("square-W", al, be, g))
     mass = orc.moment(0, 0)
     for a in range(0, 5):
         for b in range(0, 5 - a):
@@ -193,21 +202,23 @@ def test_report_validation():
 
 
 class _BrokenOracle:
-    """Delegates to a real oracle but corrupts one chosen moment."""
+    """Delegates to a real oracle but replaces one entry of its table, by
+    default with the entry plus a tenth of the mass."""
 
-    def __init__(self, inner, bad_pair):
+    def __init__(self, inner, bad_pair, value=None):
         self._inner = inner
         self._bad = bad_pair
+        self._value = value
 
-    @property
-    def mass(self):
-        return self._inner.mass
-
-    def moments(self, pairs):
-        out = dict(self._inner.moments(pairs))
-        if self._bad in out:
-            out[self._bad] = out[self._bad] + 0.1 * self.mass
+    def gram(self, degree):
+        out = self._inner.gram(degree).copy()
+        out[self._bad] = out[self._bad] + 0.1 * out[0, 0] if self._value is None else self._value
         return out
+
+
+class _NoMoments:
+    def gram(self, degree):
+        raise AssertionError("moments requested")
 
 
 def test_certified_degree_is_below_the_first_failure():
@@ -222,44 +233,95 @@ def test_certified_degree_is_below_the_first_failure():
     broken = _BrokenOracle(good, (2, 2))
     rep = certify(rule, broken, rule.degree, rel_tol=1e-9)
     assert rep.certified_degree == 3
-    assert any((i, j) == (2, 2) for (i, j, _) in rep.failures)
+    assert [(i, j) for (i, j, _) in rep.failures] == [(2, 2)]
 
 
-def _report_bits(rep):
-    """The report's fields, every float as its exact hex form."""
-    return (rep.max_degree_tested, rep.certified_degree, rep.worst_rel_error.hex(),
-            tuple((i, j, rel.hex()) for (i, j, rel) in rep.failures))
+PARAMS = (-0.5, 0.0, 0.5)
 
 
-def _one_rule_per_family():
-    return [
-        (gauss_cubature_biangle(WeightSpec("biangle-gamma", 0.5, -0.5, 0.5), 7),
-         moment_oracle(WeightSpec("biangle-gamma", 0.5, -0.5, 0.5))),
-        (minimal_rule_even(WeightSpec("square-W", alpha=0.0, beta=0.5, gamma=0.5), 4),
-         moment_oracle(WeightSpec("square-W", 0.0, 0.5, 0.5))),
-        (minimal_rule_odd(WeightSpec("square-W", -0.5, 0.0, -0.5), 2), moment_oracle(WeightSpec("square-W", -0.5, 0.0, -0.5))),
-        (composed_rule(WeightSpec("square-W", 0.5, 0.0, ell=3), 2), moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5, 3))),
-    ]
+def _criterion_3_grid(family):
+    """(rule, spec) over the grid of criterion 3 in tests/test_acceptance.py."""
+    specs = [(a, b, g) for a in PARAMS for b in PARAMS for g in (-0.5, 0.5)]
+    if family == "biangle":
+        return [(gauss_cubature_biangle(spec, n), spec) for a, b, g in specs
+                for spec in [WeightSpec("biangle-gamma", a, b, g)] for n in range(1, 13)]
+    if family == "composed":
+        return [(composed_rule(spec, m), spec) for ell in range(1, 4)
+                for spec in [WeightSpec("square-W", -0.5, -0.5, ell=ell)] for m in range(1, 5)]
+    build, sizes = {"square-even": (minimal_rule_even, range(1, 9)),
+                    "square-odd": (minimal_rule_odd, range(1, 6))}[family]
+    return [(build(spec, m), spec) for a, b, g in specs
+            for spec in [WeightSpec("square-W", a, b, g)] for m in sizes]
 
 
-@pytest.mark.parametrize("case", range(4))
-def test_certify_reports_match_the_strided_per_pair_loop(case):
-    """Row-wise products and one dot per pair keep every report bit: at the
-    declared degree, and two degrees past it, where monomials fail."""
-    rule, oracle = _one_rule_per_family()[case]
-    for degree in (rule.degree, rule.degree + 2):
-        got = certify(rule, oracle, degree)
-        assert _report_bits(got) == _report_bits(reference_certify(rule, oracle, degree))
-    assert got.failures
+@pytest.mark.parametrize("family", ["biangle", "square-even", "square-odd", "composed"])
+def test_certify_and_the_monomial_certificate_agree_on_the_declared_degree(family):
+    """Two routes to one claim: the Chebyshev tables of certify and the
+    monomial moments of the per-pair engine (tests/identities.py) both
+    find every rule of the criterion-3 grid exact through its declared
+    degree, at the tolerances of criterion 3."""
+    tol = 1e-11 if family == "biangle" else 1e-9
+    for rule, spec in _criterion_3_grid(family):
+        sharp = certify(rule, moment_oracle(spec), rule.degree, rel_tol=tol)
+        monomial = reference_certify(rule, monomial_oracle(spec), rule.degree, rel_tol=tol)
+        assert sharp.certified_degree == monomial.certified_degree == rule.degree, spec
 
 
-def test_certify_report_of_a_failing_rule_matches_the_strided_per_pair_loop():
+def test_both_certificates_fail_a_rule_of_another_weight():
     """A rule checked against another weight fails from low degree on."""
     rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 3)
-    wrong = moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5))
-    got = certify(rule, wrong, rule.degree)
-    assert got.certified_degree < 2 and len(got.failures) > 10
-    assert _report_bits(got) == _report_bits(reference_certify(rule, wrong, rule.degree))
+    wrong = WeightSpec("square-W", 0.5, 0.0, -0.5)
+    got = certify(rule, moment_oracle(wrong), rule.degree)
+    ref = reference_certify(rule, monomial_oracle(wrong), rule.degree)
+    assert got.certified_degree == ref.certified_degree == -1
+    assert len(got.failures) > 10 and len(ref.failures) > 10
+
+
+_CHANGE_OF_BASIS_SPECS = (
+    [WeightSpec("square-W", a, b, g) for a in (-0.5, 0.5, 1.7) for b in (0.0, 0.3)
+     for g in (-0.5, 0.5)]
+    + [WeightSpec("square-W", a, 0.5, -0.5, ell) for a in (-0.5, 0.5) for ell in (2, 3)]
+    + [WeightSpec("biangle-gamma", a, b, g) for a in (-0.5, 0.5, 1.7) for b in (0.0, 0.3)
+       for g in (-0.5, 0.5)]
+)
+
+
+@pytest.mark.parametrize("spec", _CHANGE_OF_BASIS_SPECS)
+def test_chebyshev_tables_match_the_monomial_moments(spec):
+    """Through degree 12, the exact change of basis x^k = sum P[k, a] T_a
+    maps the Chebyshev table onto the monomial moments to 1e-13 of the
+    mass times the sup of the monomial over the domain (2^i for u1^i on
+    the curved domain, 1 on the square)."""
+    curved = spec.family == "biangle-gamma"
+    monomial = monomial_oracle(spec)
+    for degree in range(13):
+        got = monomials_from_gram(moment_oracle(spec).gram(degree), curved)
+        for (i, j), want in monomial.moments(
+                [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]).items():
+            scale = 2.0**i if curved else 1.0
+            assert abs(got[i, j] - want) <= 1e-13 * monomial.mass * scale, (degree, i, j)
+
+
+# the rules on which the monomial certificate passed two degrees past the
+# declared one; the Chebyshev certificate stops at the declared degree
+_SHARPNESS = [
+    (minimal_rule_even, WeightSpec("square-W", 0.5, 0.0, -0.5), 10),
+    (minimal_rule_even, WeightSpec("square-W", 0.5, 0.0, -0.5), 20),
+    (minimal_rule_odd, WeightSpec("square-W", 0.5, 0.0, -0.5), 8),
+    (minimal_rule_odd, WeightSpec("square-W", 0.5, 0.0, 0.5), 10),
+    (composed_rule, WeightSpec("square-W", 0.5, 0.0, -0.5, 4), 3),
+    (composed_rule, WeightSpec("square-W", 0.5, 0.0, -0.5, 4), 6),
+    (gauss_cubature_biangle, WeightSpec("biangle-gamma", -0.5, -0.5, -0.5), 20),
+    (gauss_cubature_biangle, WeightSpec("biangle-gamma", -0.5, -0.5, -0.5), 40),
+]
+
+
+@pytest.mark.parametrize("build,spec,size", _SHARPNESS)
+def test_certify_stops_at_the_declared_degree(build, spec, size):
+    rule = build(spec, size)
+    report = certify(rule, moment_oracle(spec), rule.degree + 2)
+    assert report.certified_degree == rule.degree
+    assert min(i + j for (i, j, _) in report.failures) == rule.degree + 1
 
 
 def test_certify_reports_worst_relative_error():
@@ -274,28 +336,22 @@ def test_certify_reports_worst_relative_error():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_certify_rejects_a_non_finite_reference_moment(bad):
     """A NaN moment fails no comparison and an infinite one has a zero
-    relative error; certify refuses both instead of passing the monomial."""
+    relative error; certify refuses both instead of passing the product."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    good = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
-    broken = MomentOracle(
-        lambda pairs: {p: bad if p == (2, 2) else good.moment(*p) for p in pairs})
-    with pytest.raises(OverflowError, match=r"x\^2 y\^2"):
+    broken = _BrokenOracle(moment_oracle(spec), (2, 2), bad)
+    with pytest.raises(OverflowError, match=r"T_2 T_2"):
         certify(rule, broken, rule.degree)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_certify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
-    """No monomial fails a NaN or infinite tolerance, so such a certificate
+    """No product fails a NaN or infinite tolerance, so such a certificate
     would pass any rule; certify refuses it before asking for a moment."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 2)
-
-    def no_moments(pairs):
-        raise AssertionError("moments requested")
-
     with pytest.raises(ValueError, match="rel_tol"):
-        certify(rule, MomentOracle(no_moments), rule.degree, rel_tol=tol)
+        certify(rule, _NoMoments(), rule.degree, rel_tol=tol)
 
 
 @pytest.mark.parametrize("max_degree", [-1, -5])
@@ -304,12 +360,8 @@ def test_certify_rejects_a_negative_max_degree(max_degree):
     failures; certify refuses both before asking for a moment."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 2)
-
-    def no_moments(pairs):
-        raise AssertionError("moments requested")
-
     with pytest.raises(ValueError, match="max_degree"):
-        certify(rule, MomentOracle(no_moments), max_degree)
+        certify(rule, _NoMoments(), max_degree)
 
 
 def _with_nodes(rule, nodes, weights):
@@ -357,18 +409,22 @@ def _cos_power_row(t, p):
     return np.cos(t) ** p
 
 
+def _chebyshev_row(t, p):
+    return np.cos(p * t)
+
+
 def _panel_row(ell):
-    return lambda t, p: np.sum(np.cos(fold_panel_angles(ell, t)) ** p, axis=0) / ell
+    return lambda t, p: np.mean(np.cos(p * fold_panel_angles(ell, t)), axis=0)
 
 
-# (oracle, ladder parameters, feature row, degree): the criterion-3 grid,
-# two points further out, and three folds
+# (spec, ladder parameters, feature row, degree): the criterion-3 grid, two
+# points further out, and three folds; at x = cos(t), T_p(x) = cos(p t)
 _CROSS_CHECK = (
-    [(moment_oracle(WeightSpec("square-W", a, b, g)), (a, b, g), _cos_power_row, 25)
+    [(WeightSpec("square-W", a, b, g), (a, b, g), _chebyshev_row, 25)
      for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
-    + [(moment_oracle(WeightSpec("square-W", a, b, g)), (a, b, g), _cos_power_row, 41)
+    + [(WeightSpec("square-W", a, b, g), (a, b, g), _chebyshev_row, 41)
        for (a, b, g) in ((2.3, 0.7, -0.5), (-0.5, 0.5, 0.5))]
-    + [(moment_oracle(WeightSpec("square-W", 0.5, 0.0, -0.5, ell)), (0.5, 0.0, -0.5), _panel_row(ell), 25)
+    + [(WeightSpec("square-W", 0.5, 0.0, -0.5, ell), (0.5, 0.0, -0.5), _panel_row(ell), 25)
        for ell in (2, 3, 4)]
 )
 
@@ -376,11 +432,11 @@ _CROSS_CHECK = (
 def test_exact_engine_agrees_with_the_angular_ladder():
     """The tensor grid in fold coordinates and the angular ladder integrate
     the same kernel by independent routes; they agree to roundoff."""
-    for orc, params, row, degree in _CROSS_CHECK:
+    for spec, params, row, degree in _CROSS_CHECK:
         pairs = _even_pairs(degree)
         ladder = oracle_mod.angular_moment_ladder(*params, pairs, row)[-1]
-        exact = orc.moments(pairs)
-        err = max(abs(exact[p] - v) for p, v in zip(pairs, ladder)) / orc.mass
+        exact = moment_oracle(spec).gram(degree)
+        err = max(abs(exact[p] - v) for p, v in zip(pairs, ladder)) / exact[0, 0]
         assert err <= 1e-13, (params, degree, err)
 
 
@@ -415,11 +471,12 @@ def _polynomial_weight_moments(alpha, beta, gamma, degree):
 @pytest.mark.parametrize("b", [-0.5, 0.5])
 def test_both_moment_routes_match_known_answers(a, b, g):
     """At half-integer alpha, beta the square weight is a polynomial times
-    prod (1 - x_k^2)^gamma: exact Beta sums audit the exact engine
+    prod (1 - x_k^2)^gamma: exact Beta sums audit the exact engine's
+    Chebyshev table, mapped onto monomials by the exact change of basis,
     through degree 95 and the angular ladder through degree 33."""
     ref = _polynomial_weight_moments(a, b, g, 95)
     mass = ref[(0, 0)]
-    exact = moment_oracle(WeightSpec("square-W", a, b, g)).moments(list(ref))
+    exact = monomials_from_gram(moment_oracle(WeightSpec("square-W", a, b, g)).gram(95), False)
     assert max(abs(exact[p] - v) for p, v in ref.items()) <= 1e-13 * mass
     pairs = _even_pairs(33)
     ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
