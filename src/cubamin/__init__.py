@@ -16,13 +16,7 @@ from .opq1d import (
     jacobi_recurrence,
     quasi_S,
 )
-from .oracle import (
-    DomainError,
-    MomentOracle,
-    OracleConvergenceError,
-    certify,
-    moment_oracle,
-)
+from .oracle import DomainError, OracleConvergenceError, certify, reference_gram
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec, rule_shape
 from .squaremin import (
     merge_close_nodes,
@@ -39,7 +33,6 @@ __all__ = [
     "DomainError",
     "EigensolverError",
     "ExactnessReport",
-    "MomentOracle",
     "OracleConvergenceError",
     "QuadratureRule1D",
     "RecurrenceCoeffs",
@@ -58,7 +51,7 @@ __all__ = [
     "minimal_rule_even",
     "minimal_rule_odd",
     "moller_bound",
-    "moment_oracle",
     "quasi_S",
+    "reference_gram",
     "rule_shape",
 ]

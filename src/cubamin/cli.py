@@ -3,8 +3,8 @@ print node-count bounds, and draw SVG scatter plots.
 
 Exit codes: 0 success, 1 invalid arguments or unreadable or malformed
 input, 2 rule construction failure, 3 verification failure (including a
-node outside the domain), 4 file cannot be verified (no metadata, a family
-no oracle covers, or an oracle failure).
+node outside the domain), 4 file cannot be verified (no metadata, an
+unknown family or a null weight parameter, or an oracle failure).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
 from .opq1d import EigensolverError, ZeroCountError
-from .oracle import DomainError, OracleConvergenceError, certify, moment_oracle
+from .oracle import DomainError, OracleConvergenceError, certify
 from .rules import ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
@@ -33,12 +33,14 @@ EXIT_UNVERIFIABLE = 4
 
 CSV_HEADER = "x1,x2,weight"
 
-# reading a rule file: unreadable, malformed, or a number beyond float range
-_READ_ERRORS = (OSError, ValueError, OverflowError)
+# reading a rule file: unreadable, malformed, a number beyond float range,
+# or JSON nested deeper than the parser's recursion limit
+_READ_ERRORS = (OSError, ValueError, OverflowError, RecursionError)
 # building a rule; extreme Jacobi parameters overflow the recurrence mass,
-# lose a zero, or keep an odd-rule oracle ladder from settling
+# lose a zero, or keep an odd-rule oracle ladder from settling, and a size
+# beyond memory fails at its first allocation
 _BUILD_ERRORS = (ConstructionError, EigensolverError, ValueError, OverflowError,
-                 ZeroCountError, OracleConvergenceError)
+                 ZeroCountError, OracleConvergenceError, MemoryError)
 
 _JSON_FIELDS = (
     "family",
@@ -289,17 +291,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def oracle_for(meta: Dict[str, object]):
-    """Moment oracle and weight spec for a file's metadata, or None when no
-    oracle covers the family.  Raises ValueError on invalid parameters."""
-    fam = meta["family"]
-    params = [meta[k] for k in ("alpha", "beta", "gamma")]
-    if not (isinstance(fam, str) and fam in _FAMILIES) or None in params:
-        return None
-    spec = family_spec(fam, *map(float, params), meta["ell"])
-    return moment_oracle(spec), spec
-
-
 def metadata_mismatch(meta: Dict[str, object]) -> Optional[str]:
     """Why the file's degree, node_count, moller_bound or ell disagree with
     rule_shape of its family, param_n_or_m and ell, or None.  Only the
@@ -336,15 +327,14 @@ def cmd_verify(args) -> int:
         )
     declared = meta["degree"]
     max_degree = args.max_degree if args.max_degree is not None else declared
+    fam = meta["family"]
+    params = [meta[k] for k in ("alpha", "beta", "gamma")]
+    if not (isinstance(fam, str) and fam in _FAMILIES) or None in params:
+        return _fail("no moment oracle for family %r" % (fam,), EXIT_UNVERIFIABLE)
     try:
-        picked = oracle_for(meta)
+        spec = family_spec(fam, *map(float, params), meta["ell"])
     except ValueError as exc:
         return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
-    if picked is None:
-        return _fail(
-            "no moment oracle for family %r" % (meta["family"],), EXIT_UNVERIFIABLE
-        )
-    oracle, spec = picked
     mismatch = metadata_mismatch(meta)
     if mismatch is not None:
         return _fail("rule file metadata disagree: %s" % mismatch, EXIT_USAGE)
@@ -355,12 +345,12 @@ def cmd_verify(args) -> int:
             degree=declared,
             spec=spec,
             param=meta["param_n_or_m"],
-            family=str(meta["family"]),
+            family=fam,
         )
     except (ConstructionError, ValueError) as exc:
         return _fail("rule file fails basic validation: %s" % exc, EXIT_USAGE)
     try:
-        report = certify(rule, oracle, max_degree, rel_tol=args.tol)
+        report = certify(rule, max_degree, rel_tol=args.tol)
     except DomainError as exc:
         return _fail("rule fails verification: %s" % exc, EXIT_VERIFICATION)
     except (EigensolverError, OverflowError) as exc:
@@ -404,15 +394,16 @@ def _min_node_gap(nodes: np.ndarray) -> float:
     reaches the best so far.  Every squared distance is the all-pairs
     formula's, whichever axis is x, so the result is its float.  Nodes on
     one vertical line would share every x and never stop the scan early."""
-    a = int(np.ptp(nodes[:, 1]) > np.ptp(nodes[:, 0]))
-    order = np.argsort(nodes[:, a], kind="stable")
-    x, y = nodes[order, a], nodes[order, 1 - a]
-    best = math.inf
-    for k in range(1, len(x)):
-        dx2 = (x[k:] - x[:-k]) ** 2
-        if float(dx2.min()) >= best:
-            break
-        best = min(best, float(np.min(dx2 + (y[k:] - y[:-k]) ** 2)))
+    with np.errstate(over="ignore"):  # a spread or distance beyond float range is +inf
+        a = int(np.ptp(nodes[:, 1]) > np.ptp(nodes[:, 0]))
+        order = np.argsort(nodes[:, a], kind="stable")
+        x, y = nodes[order, a], nodes[order, 1 - a]
+        best = math.inf
+        for k in range(1, len(x)):
+            dx2 = (x[k:] - x[:-k]) ** 2
+            if float(dx2.min()) >= best:
+                break
+            best = min(best, float(np.min(dx2 + (y[k:] - y[:-k]) ** 2)))
     return math.sqrt(best) if best < math.inf else 0.0
 
 
@@ -422,7 +413,8 @@ def render_svg(
     """Scatter of the nodes inside the domain outline.
 
     family None (a CSV file) falls back on the bounding box: any node
-    outside the unit square implies the curved domain.
+    outside the unit square implies the curved domain.  Raises
+    OverflowError when a node's pixel position is beyond float range.
     """
     curved = family == "biangle" or (
         family is None and bool(np.any(np.abs(nodes[:, 0]) > 1.0 + 1e-12))
@@ -475,6 +467,9 @@ def render_svg(
     )
     for x, y in nodes:
         u, v = px(float(x), float(y))
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise OverflowError("node (%r, %r) lies beyond the plot's float range"
+                                % (float(x), float(y)))
         parts.append(
             '<circle cx="%.4f" cy="%.4f" r="%.4f" fill="#000000"/>'
             % (u, v, radius)
@@ -495,7 +490,10 @@ def cmd_plot(args) -> int:
     if args.size < 32:
         return _fail("--size must be at least 32", EXIT_USAGE)
     family = None if meta is None else str(meta["family"])
-    svg = render_svg(nodes, family, args.size)
+    try:
+        svg = render_svg(nodes, family, args.size)
+    except OverflowError as exc:
+        return _fail("cannot plot rule file: %s" % exc, EXIT_USAGE)
     if not _write_file(args.svg_file, lambda fh: fh.write(svg)):
         return EXIT_USAGE
     print("wrote %s: %d nodes" % (args.svg_file, len(nodes)))

@@ -4,7 +4,7 @@ certify compares a rule with its weight in the Chebyshev basis of the
 domain, T_i(x1) T_j(x2) on the square and T_i(u1/2) T_j(u2) on the curved
 domain, where every product is at most 1 in magnitude.  Both sides are one
 Gram contraction, sum_k w_k T_i(a_k) T_j(b_k): over the rule's nodes, and
-over Koornwinder's tensor Gauss grid of the weight (MomentOracle.gram).  The
+over Koornwinder's tensor Gauss grid of the weight (reference_gram).  The
 fold y_k = cos phi_k (phi1, phi2 = theta1 -+ theta2) turns the square kernel
 in x = cos(theta) into the Jacobi(a, b) tensor weight times
 ((y1 - y2)/2)^(2g+1), so the square and composed tables contract per-axis
@@ -16,7 +16,6 @@ Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +30,7 @@ __all__ = [
     "angular_moment_ladder",
     "cos_basis_moments",
     "certify",
-    "MomentOracle",
-    "moment_oracle",
+    "reference_gram",
 ]
 
 
@@ -217,51 +215,35 @@ def _gram(weights: np.ndarray, coords: List[np.ndarray],
     return out
 
 
-@dataclass(frozen=True)
-class MomentOracle:
-    """Reference moments of the weight of spec in the Chebyshev basis of its
-    domain, from the tensor Gauss grid of its Jacobi(alpha, beta) weight."""
+def reference_gram(spec: WeightSpec, degree: int) -> np.ndarray:
+    """Table of the integrals of T_i(x1) T_j(x2) (square) or T_i(u1/2)
+    T_j(u2) (curved domain) against the weight of spec, exact for
+    i + j <= degree, from the tensor Gauss grid of its Jacobi(alpha, beta)
+    weight.
 
-    spec: WeightSpec
-
-    def gram(self, degree: int) -> np.ndarray:
-        """Table of the integrals of T_i(x1) T_j(x2) (square) or
-        T_i(u1/2) T_j(u2) (curved domain), exact for i + j <= degree.
-
-        One grid serves the whole table: degree//4 + 2 points (+1 for
-        gamma = +1/2) on the square, degree//2 + 2 on the curved domain.
-        Its cells (y1, y2) weigh 1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
-        The curved domain reads its rows at u = (y1 + y2, y1 y2).  The
-        square reads them at the fold images of _fold_images, each row the
-        mean over the ell panel preimages, scaled by 2^(-2 gamma - 2).
-        """
-        spec = self.spec
-        a, b, g = spec.alpha, spec.beta, spec.gamma
-        curved = spec.family == "biangle-gamma"
-        npts = degree // 2 + 2 if curved else degree // 4 + 2 + int(g == 0.5)
-        q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
-        y1 = np.repeat(q.nodes, npts)
-        y2 = np.tile(q.nodes, npts)
-        w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
-        if curved:
-            return _gram(w, [0.5 * (y1 + y2)[None], (y1 * y2)[None]], [(0, 1)], degree)
-        coords, links = _fold_images(spec.ell, y1, y2)
-        return _gram(w * 2.0 ** (-2.0 * g - 2.0), coords, links, degree)
+    One grid serves the whole table: degree//4 + 2 points (+1 for
+    gamma = +1/2) on the square, degree//2 + 2 on the curved domain.
+    Its cells (y1, y2) weigh 1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
+    The curved domain reads its rows at u = (y1 + y2, y1 y2).  The
+    square reads them at the fold images of _fold_images, each row the
+    mean over the ell panel preimages, scaled by 2^(-2 gamma - 2).
+    """
+    a, b, g = spec.alpha, spec.beta, spec.gamma
+    curved = spec.family == "biangle-gamma"
+    npts = degree // 2 + 2 if curved else degree // 4 + 2 + int(g == 0.5)
+    q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
+    y1 = np.repeat(q.nodes, npts)
+    y2 = np.tile(q.nodes, npts)
+    w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
+    if curved:
+        return _gram(w, [0.5 * (y1 + y2)[None], (y1 * y2)[None]], [(0, 1)], degree)
+    coords, links = _fold_images(spec.ell, y1, y2)
+    return _gram(w * 2.0 ** (-2.0 * g - 2.0), coords, links, degree)
 
 
-def moment_oracle(spec: WeightSpec) -> MomentOracle:
-    """Reference moments for the weight of spec, of every family."""
-    return MomentOracle(spec)
-
-
-def certify(
-    rule: CubatureRule2D,
-    oracle: MomentOracle,
-    max_degree: int,
-    rel_tol: float = 1e-9,
-) -> ExactnessReport:
-    """Compare the rule with oracle.gram(max_degree) on every Chebyshev
-    product T_i T_j of total degree i + j <= max_degree.
+def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> ExactnessReport:
+    """Compare the rule with reference_gram(rule.spec, max_degree) on every
+    Chebyshev product T_i T_j of total degree i + j <= max_degree.
 
     The rule side is the same Gram contraction over the nodes, at
     (x1, x2) on the square and (u1/2, u2) on the curved domain.  Every
@@ -292,7 +274,7 @@ def certify(
             % (bad, float(x[bad]), float(y[bad]), rule.domain)
         )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ref = oracle.gram(max_degree)
+        ref = reference_gram(rule.spec, max_degree)
     i, j = np.indices(ref.shape)
     live = i + j <= max_degree
     broken = np.argwhere(live & ~np.isfinite(ref))

@@ -312,7 +312,7 @@ def monomial_oracle(spec: WeightSpec) -> MonomialOracle:
 
 def monomials_from_gram(gram: np.ndarray, curved: bool) -> np.ndarray:
     """Moments of x1^i x2^j (square) or u1^i u2^j (curved domain) from a
-    table of Chebyshev moments (MomentOracle.gram), valid for i + j up to
+    table of Chebyshev moments (reference_gram), valid for i + j up to
     the table's exact degree.  The change of basis x^k = sum_a P[k, a]
     T_a(x) has coefficients that are nonnegative, sum to 1 and vanish for
     a > k, so it adds no more than the table's own error; the curved

@@ -16,7 +16,7 @@ import numpy as np
 from cubamin.biangle import gauss_cubature_biangle, in_omega
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
-from cubamin.oracle import certify, moment_oracle
+from cubamin.oracle import certify, reference_gram
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 from identities import (
@@ -85,31 +85,28 @@ def test_criterion_3_certification_across_the_parameter_grid():
     for a, b in itertools.product(PARAMS, PARAMS):
         for g in GAMMAS:
             spec = WeightSpec("biangle-gamma", a, b, g)
-            oracle = moment_oracle(spec)
             for n in range(1, 13):
                 rule = gauss_cubature_biangle(spec, n)
-                report = certify(rule, oracle, 2 * n, rel_tol=1e-11)
+                report = certify(rule, 2 * n, rel_tol=1e-11)
                 assert first_failure_is_next_degree(report, 2 * n - 1), (a, b, g, n)
 
     # even square rules, m <= 8 at 1e-9
     for a, b in itertools.product(PARAMS, PARAMS):
         for g in GAMMAS:
             spec = WeightSpec("square-W", alpha=a, beta=b, gamma=g)
-            oracle = moment_oracle(spec)
             for m in range(1, 9):
                 rule = minimal_rule_even(spec, m)
-                report = certify(rule, oracle, 4 * m, rel_tol=1e-9)
+                report = certify(rule, 4 * m, rel_tol=1e-9)
                 assert first_failure_is_next_degree(report, 4 * m - 1), (a, b, g, m)
 
     # odd square rules, m <= 5 at 1e-9, all weights positive
     for a, b in itertools.product(PARAMS, PARAMS):
         for g in GAMMAS:
             spec = WeightSpec("square-W", alpha=a, beta=b, gamma=g)
-            oracle = moment_oracle(spec)
             for m in range(1, 6):
                 rule = minimal_rule_odd(spec, m)
                 assert np.all(rule.weights > 0), (a, b, g, m)
-                report = certify(rule, oracle, 4 * m + 2, rel_tol=1e-9)
+                report = certify(rule, 4 * m + 2, rel_tol=1e-9)
                 assert first_failure_is_next_degree(report, 4 * m + 1), (a, b, g, m)
 
     # composed rules at the product-weight point, ell <= 3, m <= 4 at 1e-9
@@ -117,8 +114,7 @@ def test_criterion_3_certification_across_the_parameter_grid():
         for m in range(1, 5):
             spec = WeightSpec("square-W", -0.5, -0.5, ell=ell)
             rule = composed_rule(spec, m)
-            oracle = moment_oracle(spec)
-            report = certify(rule, oracle, 4 * ell * m, rel_tol=1e-9)
+            report = certify(rule, 4 * ell * m, rel_tol=1e-9)
             assert first_failure_is_next_degree(report, 4 * ell * m - 1), (ell, m)
 
     elapsed = time.perf_counter() - t_start
@@ -128,7 +124,7 @@ def test_criterion_3_certification_across_the_parameter_grid():
 
 
 def test_criterion_4_product_moments_in_the_chebyshev_case():
-    table = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5)).gram(24)
+    table = reference_gram(WeightSpec("square-W", -0.5, -0.5, -0.5), 24)
     got = monomials_from_gram(table, False)
     for i in range(0, 25):
         for j in range(0, 25 - i):
@@ -229,7 +225,7 @@ def test_criterion_7_mass_integrals_and_constant_direction():
 
     spec_plus = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=0.5)
     plus_mass = float(minimal_rule_even(spec_plus, 4).weights.sum())
-    oracle_mass = moment_oracle(spec_plus).gram(0)[0, 0]
+    oracle_mass = reference_gram(spec_plus, 0)[0, 0]
     assert abs(plus_mass - PI2 / 4) <= 1e-12 * PI2
     assert abs(plus_mass - oracle_mass) <= 1e-12 * oracle_mass
     # quadrupling the normalization would land on pi^2, off by 4x

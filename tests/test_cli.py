@@ -640,12 +640,15 @@ def test_verify_fuzzed_rule_files_exit_with_documented_codes(
     doc = data.draw(_mutated(odd_m1_doc))
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["verify", str(path)])
-    assert code in (0, 1, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    assert err.getvalue().count("\n") <= 1
+    svg = tmp_path_factory.getbasetemp() / "fuzzed.svg"
+    for argv, codes in ((["verify", str(path)], (0, 1, 3, 4)),
+                        (["plot", str(path), str(svg)], (0, 1))):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in codes, argv
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") <= 1
 
 
 GOLDEN = json.loads(
@@ -724,6 +727,20 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, family):
     assert child.stderr.startswith("cubamin: construction failed: ")
     assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
     assert child.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [
+    "biangle --alpha 0 --beta 0 --gamma -0.5 --n 1000000000000000",
+    "composed --ell 1000000000000000 --m 1 --alpha 0 --beta 0",
+])
+def test_build_of_a_size_beyond_memory_exits_2_with_one_line(tmp_path, capsys, family):
+    """Each size asks for 7.11 PiB at its first allocation, which fails at
+    once; numpy's MemoryError had ended in a traceback with exit 1."""
+    out = tmp_path / "rule.json"
+    code, stdout, err = run(capsys, "build", *family.split(), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("cubamin: construction failed: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -874,6 +891,41 @@ def test_plot_to_an_unwritable_path_exits_1_with_one_line(tmp_path, capsys):
     svg = tmp_path / "missing" / "p.svg"
     code, stdout, err = run(capsys, "plot", str(rule), str(svg))
     _assert_cannot_write(code, stdout, err, svg)
+
+
+@pytest.mark.parametrize("command", ["verify", "plot"])
+def test_a_rule_file_nested_beyond_the_recursion_limit_exits_1(tmp_path, capsys, command):
+    """json.loads raises RecursionError on such a file; it had ended in a
+    traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"family": ' + "[" * 100000 + "]" * 100000 + "}")
+    argv = [command, str(path)] + ([str(tmp_path / "p.svg")] if command == "plot" else [])
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("cubamin: cannot read rule file: ") and err.count("\n") == 1, err
+
+
+def test_plot_of_a_node_at_1e200_warns_nothing(tmp_path, capsys):
+    """Its squared distances overflow to +inf inside the gap scan; under the
+    RuntimeWarning-as-error filter that had failed the plot."""
+    rule = tmp_path / "far.csv"
+    rule.write_text("x1,x2,weight\n0.1,0.2,1.0\n1e200,0.3,1.0\n-0.5,0.5,1.0\n")
+    code, stdout, err = run(capsys, "plot", str(rule), str(tmp_path / "p.svg"))
+    assert (code, err) == (0, "")
+    assert stdout.startswith("wrote ")
+
+
+def test_plot_of_a_node_without_a_finite_pixel_position_exits_1(tmp_path, capsys):
+    """At the largest float the node's pixel position is infinite; the SVG
+    had carried cx="inf"."""
+    rule = tmp_path / "edge.csv"
+    rule.write_text("x1,x2,weight\n0.1,0.2,1.0\n1.7976931348623157e308,0.3,1.0\n"
+                    "-1.7976931348623157e308,0.5,1.0\n")
+    svg = tmp_path / "p.svg"
+    code, stdout, err = run(capsys, "plot", str(rule), str(svg))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("cubamin: cannot plot rule file: ") and err.count("\n") == 1, err
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("fmt, bad", [("json", math.nan), ("json", math.inf),

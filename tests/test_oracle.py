@@ -4,6 +4,7 @@ The monomial oracle of tests/identities.py is the engine certify used
 before its Chebyshev tables; the tests of its own properties (values,
 structural zeros, batches) stay here, and it checks the shipped tables."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from math import comb
@@ -19,7 +20,7 @@ from cubamin.oracle import (
     DomainError,
     ExactnessReport,
     certify,
-    moment_oracle,
+    reference_gram,
 )
 from cubamin.rules import CubatureRule2D, WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
@@ -201,37 +202,33 @@ def test_report_validation():
     assert rep.certified_degree == 5
 
 
-class _BrokenOracle:
-    """Delegates to a real oracle but replaces one entry of its table, by
+def _break_reference(monkeypatch, bad_pair, value=None):
+    """Make certify read reference tables with one entry replaced, by
     default with the entry plus a tenth of the mass."""
+    real = oracle_mod.reference_gram
 
-    def __init__(self, inner, bad_pair, value=None):
-        self._inner = inner
-        self._bad = bad_pair
-        self._value = value
-
-    def gram(self, degree):
-        out = self._inner.gram(degree).copy()
-        out[self._bad] = out[self._bad] + 0.1 * out[0, 0] if self._value is None else self._value
+    def broken(spec, degree):
+        out = real(spec, degree).copy()
+        out[bad_pair] = out[bad_pair] + 0.1 * out[0, 0] if value is None else value
         return out
 
-
-class _NoMoments:
-    def gram(self, degree):
-        raise AssertionError("moments requested")
+    monkeypatch.setattr(oracle_mod, "reference_gram", broken)
 
 
-def test_certified_degree_is_below_the_first_failure():
+def _no_moments(spec, degree):
+    raise AssertionError("moments requested")
+
+
+def test_certified_degree_is_below_the_first_failure(monkeypatch):
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    good = moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5))
-    clean = certify(rule, good, rule.degree, rel_tol=1e-9)
+    clean = certify(rule, rule.degree, rel_tol=1e-9)
     assert clean.certified_degree == rule.degree
     assert clean.failures == ()
     # corrupt a single degree-4 reference: certification stops at 3 even
     # though every higher degree still matches
-    broken = _BrokenOracle(good, (2, 2))
-    rep = certify(rule, broken, rule.degree, rel_tol=1e-9)
+    _break_reference(monkeypatch, (2, 2))
+    rep = certify(rule, rule.degree, rel_tol=1e-9)
     assert rep.certified_degree == 3
     assert [(i, j) for (i, j, _) in rep.failures] == [(2, 2)]
 
@@ -262,7 +259,7 @@ def test_certify_and_the_monomial_certificate_agree_on_the_declared_degree(famil
     degree, at the tolerances of criterion 3."""
     tol = 1e-11 if family == "biangle" else 1e-9
     for rule, spec in _criterion_3_grid(family):
-        sharp = certify(rule, moment_oracle(spec), rule.degree, rel_tol=tol)
+        sharp = certify(rule, rule.degree, rel_tol=tol)
         monomial = reference_certify(rule, monomial_oracle(spec), rule.degree, rel_tol=tol)
         assert sharp.certified_degree == monomial.certified_degree == rule.degree, spec
 
@@ -271,7 +268,7 @@ def test_both_certificates_fail_a_rule_of_another_weight():
     """A rule checked against another weight fails from low degree on."""
     rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 3)
     wrong = WeightSpec("square-W", 0.5, 0.0, -0.5)
-    got = certify(rule, moment_oracle(wrong), rule.degree)
+    got = certify(dataclasses.replace(rule, spec=wrong), rule.degree)
     ref = reference_certify(rule, monomial_oracle(wrong), rule.degree)
     assert got.certified_degree == ref.certified_degree == -1
     assert len(got.failures) > 10 and len(ref.failures) > 10
@@ -295,7 +292,7 @@ def test_chebyshev_tables_match_the_monomial_moments(spec):
     curved = spec.family == "biangle-gamma"
     monomial = monomial_oracle(spec)
     for degree in range(13):
-        got = monomials_from_gram(moment_oracle(spec).gram(degree), curved)
+        got = monomials_from_gram(reference_gram(spec, degree), curved)
         for (i, j), want in monomial.moments(
                 [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]).items():
             scale = 2.0**i if curved else 1.0
@@ -319,7 +316,7 @@ _SHARPNESS = [
 @pytest.mark.parametrize("build,spec,size", _SHARPNESS)
 def test_certify_stops_at_the_declared_degree(build, spec, size):
     rule = build(spec, size)
-    report = certify(rule, moment_oracle(spec), rule.degree + 2)
+    report = certify(rule, rule.degree + 2)
     assert report.certified_degree == rule.degree
     assert min(i + j for (i, j, _) in report.failures) == rule.degree + 1
 
@@ -327,41 +324,42 @@ def test_certify_stops_at_the_declared_degree(build, spec, size):
 def test_certify_reports_worst_relative_error():
     spec = WeightSpec("biangle-gamma", -0.5, -0.5, -0.5)
     rule = gauss_cubature_biangle(spec, 4)
-    orc = moment_oracle(spec)
-    rep = certify(rule, orc, rule.degree, rel_tol=1e-11)
+    rep = certify(rule, rule.degree, rel_tol=1e-11)
     assert rep.certified_degree == rule.degree
     assert 0.0 <= rep.worst_rel_error < 1e-11
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_certify_rejects_a_non_finite_reference_moment(bad):
+def test_certify_rejects_a_non_finite_reference_moment(monkeypatch, bad):
     """A NaN moment fails no comparison and an infinite one has a zero
     relative error; certify refuses both instead of passing the product."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 3)
-    broken = _BrokenOracle(moment_oracle(spec), (2, 2), bad)
+    _break_reference(monkeypatch, (2, 2), bad)
     with pytest.raises(OverflowError, match=r"T_2 T_2"):
-        certify(rule, broken, rule.degree)
+        certify(rule, rule.degree)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
-def test_certify_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+def test_certify_rejects_a_tolerance_that_is_not_finite_and_positive(monkeypatch, tol):
     """No product fails a NaN or infinite tolerance, so such a certificate
     would pass any rule; certify refuses it before asking for a moment."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 2)
+    monkeypatch.setattr(oracle_mod, "reference_gram", _no_moments)
     with pytest.raises(ValueError, match="rel_tol"):
-        certify(rule, _NoMoments(), rule.degree, rel_tol=tol)
+        certify(rule, rule.degree, rel_tol=tol)
 
 
 @pytest.mark.parametrize("max_degree", [-1, -5])
-def test_certify_rejects_a_negative_max_degree(max_degree):
+def test_certify_rejects_a_negative_max_degree(monkeypatch, max_degree):
     """-5 had died inside numpy and -1 had certified degree -1 with no
     failures; certify refuses both before asking for a moment."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
     rule = minimal_rule_even(spec, 2)
+    monkeypatch.setattr(oracle_mod, "reference_gram", _no_moments)
     with pytest.raises(ValueError, match="max_degree"):
-        certify(rule, _NoMoments(), max_degree)
+        certify(rule, max_degree)
 
 
 def _with_nodes(rule, nodes, weights):
@@ -388,7 +386,7 @@ def test_certify_rejects_a_node_outside_the_square():
     far = _with_nodes(rule, np.vstack([rule.nodes, [3.0, 3.0]]),
                       np.append(rule.weights, 1e-11))
     with pytest.raises(DomainError, match="outside the square"):
-        certify(far, moment_oracle(WeightSpec("square-W", -0.5, -0.5, -0.5)), far.degree)
+        certify(far, far.degree)
 
 
 def test_certify_rejects_a_node_outside_the_curved_domain():
@@ -398,7 +396,7 @@ def test_certify_rejects_a_node_outside_the_curved_domain():
     off = _with_nodes(rule, np.vstack([rule.nodes, [0.0, 0.5]]),
                       np.append(rule.weights, 1e-11))
     with pytest.raises(DomainError, match="outside the biangle"):
-        certify(off, moment_oracle(spec), off.degree)
+        certify(off, off.degree)
 
 
 def _even_pairs(degree):
@@ -435,7 +433,7 @@ def test_exact_engine_agrees_with_the_angular_ladder():
     for spec, params, row, degree in _CROSS_CHECK:
         pairs = _even_pairs(degree)
         ladder = oracle_mod.angular_moment_ladder(*params, pairs, row)[-1]
-        exact = moment_oracle(spec).gram(degree)
+        exact = reference_gram(spec, degree)
         err = max(abs(exact[p] - v) for p, v in zip(pairs, ladder)) / exact[0, 0]
         assert err <= 1e-13, (params, degree, err)
 
@@ -476,7 +474,7 @@ def test_both_moment_routes_match_known_answers(a, b, g):
     through degree 95 and the angular ladder through degree 33."""
     ref = _polynomial_weight_moments(a, b, g, 95)
     mass = ref[(0, 0)]
-    exact = monomials_from_gram(moment_oracle(WeightSpec("square-W", a, b, g)).gram(95), False)
+    exact = monomials_from_gram(reference_gram(WeightSpec("square-W", a, b, g), 95), False)
     assert max(abs(exact[p] - v) for p, v in ref.items()) <= 1e-13 * mass
     pairs = _even_pairs(33)
     ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
