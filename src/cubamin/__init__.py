@@ -5,10 +5,8 @@ certification."""
 from .biangle import gauss_cubature_biangle, in_omega
 from .composed import composed_rule
 from .opq1d import (
-    EigensolverError,
     QuadratureRule1D,
     RecurrenceCoeffs,
-    ZeroCountError,
     diagonal_zero_set,
     eval_jacobi_standard,
     eval_jacobi_standard_deriv,
@@ -16,7 +14,7 @@ from .opq1d import (
     jacobi_recurrence,
     quasi_S,
 )
-from .oracle import DomainError, OracleConvergenceError, certify, reference_gram
+from .oracle import DomainError, certify, reference_gram
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec, rule_shape
 from .squaremin import (
     merge_close_nodes,
@@ -31,13 +29,10 @@ __all__ = [
     "ConstructionError",
     "CubatureRule2D",
     "DomainError",
-    "EigensolverError",
     "ExactnessReport",
-    "OracleConvergenceError",
     "QuadratureRule1D",
     "RecurrenceCoeffs",
     "WeightSpec",
-    "ZeroCountError",
     "certify",
     "composed_rule",
     "diagonal_zero_set",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .opq1d import gauss_pairs, gauss_rule, jacobi_recurrence
-from .rules import CubatureRule2D, WeightSpec, rule_shape
+from .rules import CubatureRule2D, WeightSpec
 
 __all__ = [
     "in_omega",
@@ -64,7 +64,6 @@ def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:
     return CubatureRule2D(
         nodes=np.column_stack([t[J] + t[K], t[J] * t[K]]),
         weights=weights,
-        degree=rule_shape("biangle", n)[0],
         spec=spec,
         param=n,
         family="biangle",

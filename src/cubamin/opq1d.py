@@ -20,6 +20,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .rules import ConstructionError
+
 __all__ = [
     "RecurrenceCoeffs",
     "QuadratureRule1D",
@@ -31,17 +33,7 @@ __all__ = [
     "fold_panel_angles",
     "quasi_S",
     "diagonal_zero_set",
-    "EigensolverError",
-    "ZeroCountError",
 ]
-
-
-class EigensolverError(RuntimeError):
-    """QL iteration failed to converge; no partial rule is returned."""
-
-
-class ZeroCountError(RuntimeError):
-    """A zero set did not have the expected number of elements."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,6 @@ class QuadratureRule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    m: int
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -189,7 +180,7 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, max_iter_total: int):
                 break
             iters += 1
             if iters > max_iter_total:
-                raise EigensolverError(
+                raise ConstructionError(
                     "QL iteration exceeded %d sweeps" % max_iter_total
                 )
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
@@ -232,9 +223,7 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
     if rc.size < m or len(rc.b) < m - 1:
         raise ValueError("recurrence data does not cover m = %d" % m)
     if m == 1:
-        return QuadratureRule1D(
-            nodes=np.array([rc.a[0]]), weights=np.array([rc.mu0]), m=1
-        )
+        return QuadratureRule1D(nodes=np.array([rc.a[0]]), weights=np.array([rc.mu0]))
     d = rc.a[:m].copy()
     e = np.sqrt(rc.b[: m - 1])
     vals, q = _ql_implicit(d, e, max_iter_total=50 * m)
@@ -247,10 +236,10 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
     if np.any(weights <= 0.0):
-        raise EigensolverError("nonpositive Gauss weight; eigensolve unreliable")
+        raise ConstructionError("nonpositive Gauss weight; eigensolve unreliable")
     if np.any(np.diff(nodes) <= 0.0):
-        raise EigensolverError("Gauss nodes not strictly increasing")
-    return QuadratureRule1D(nodes=nodes, weights=weights, m=m)
+        raise ConstructionError("Gauss nodes not strictly increasing")
+    return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
 def gauss_pairs(q: QuadratureRule1D, strict: bool):
@@ -258,7 +247,7 @@ def gauss_pairs(q: QuadratureRule1D, strict: bool):
     in row-major upper-triangle order, with the product weights
     lam_j lam_k.  Every explicit 2-D family pushes these pairs through its
     own point map."""
-    J, K = np.triu_indices(q.m, k=1 if strict else 0)
+    J, K = np.triu_indices(len(q.nodes), k=1 if strict else 0)
     # a product past the float range stays inf, without a numpy warning:
     # the 2-D rule built on it fails its finiteness check with a one-line
     # diagnostic, and minimal_rule_odd uses only the index pairs
@@ -366,7 +355,7 @@ def _positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
     # numpy's round, as on the np.float64 zeros of the per-bracket loop
     zeros = sorted(set(np.round(z, 15).tolist()))
     if len(zeros) != m_expected:
-        raise ZeroCountError(
+        raise ConstructionError(
             "expected %d positive zeros, found %d" % (m_expected, len(zeros))
         )
     return np.array(zeros)
@@ -384,7 +373,7 @@ def diagonal_zero_set(alpha: float, beta: float, m: int, sign: str) -> np.ndarra
     combination with (alpha, beta) swapped; the forced zeros of D at t = +-1
     are excluded.
 
-    Raises ZeroCountError when the count is not exactly 2m+1.
+    Raises ConstructionError when the count is not exactly 2m+1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -421,5 +410,5 @@ def diagonal_zero_set(alpha: float, beta: float, m: int, sign: str) -> np.ndarra
     else:
         raise ValueError("sign must be '+' or '-'")
     if np.any(pos >= 1.0) or np.any(pos <= 0.0):
-        raise ZeroCountError("zero escaped the open interval (0, 1)")
+        raise ConstructionError("zero escaped the open interval (0, 1)")
     return np.concatenate([-pos[::-1], [0.0], pos])

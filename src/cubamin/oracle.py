@@ -22,20 +22,15 @@ import numpy as np
 
 from .biangle import in_omega
 from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
-from .rules import CubatureRule2D, ExactnessReport, WeightSpec
+from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 
 __all__ = [
-    "OracleConvergenceError",
     "DomainError",
     "angular_moment_ladder",
     "cos_basis_moments",
     "certify",
     "reference_gram",
 ]
-
-
-class OracleConvergenceError(RuntimeError):
-    """The doubling ladder did not reach the requested agreement."""
 
 
 class DomainError(ValueError):
@@ -153,7 +148,7 @@ def angular_moment_ladder(
         n *= 2
     last, prev = levels[-1], levels[-2]
     achieved = float(np.max(np.abs(last - prev)) / (np.max(np.abs(last)) + 1e-300))
-    raise OracleConvergenceError(
+    raise ConstructionError(
         "moment ladder did not converge to %.1e after %d doublings "
         "(achieved %.1e)" % (rtol, max_doublings, achieved)
     )
@@ -292,7 +287,6 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
                          rel[fail][order].tolist()))
     return ExactnessReport(
         max_degree_tested=max_degree,
-        certified_degree=max_degree if not failures else failures[0][0] + failures[0][1] - 1,
         worst_rel_error=float(rel[live].max()),
         failures=failures,
     )

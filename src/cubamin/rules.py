@@ -13,7 +13,7 @@ __all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError
 
 
 class ConstructionError(RuntimeError):
-    """A rule could not be built to contract; nothing partial is returned."""
+    """A rule or a reference could not be built to contract; nothing partial is returned."""
 
 
 def rule_shape(family: str, size: int, ell: int = 1) -> Tuple[int, int]:
@@ -69,29 +69,33 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class CubatureRule2D:
-    """Nodes, positive weights, and declared exactness degree of a 2D rule."""
+    """Nodes and positive weights of a 2D rule; its degree is its family's at param."""
 
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
-    degree: int
     spec: WeightSpec
     param: int  # n for Gauss-type rules, m for the minimal families
-    family: str = "unknown"
+    family: str
 
     def __post_init__(self):
+        if self.param < 1:
+            raise ValueError("param must be >= 1, got %r" % (self.param,))
+        rule_shape(self.family, self.param, self.spec.ell)  # raises on an unknown family
         nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(
             self, "weights", np.asarray(self.weights, dtype=float)
         )
-        if self.degree < 1 or self.degree % 2 == 0:
-            raise ValueError("declared degree must be odd and positive")
         if len(self.weights) != len(nodes):
             raise ValueError("node/weight length mismatch")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(self.weights))):
             raise ValueError("non-finite node or weight")
         if np.any(self.weights <= 0.0):
             raise ConstructionError("nonpositive cubature weight")
+
+    @property
+    def degree(self) -> int:
+        return rule_shape(self.family, self.param, self.spec.ell)[0]
 
     @property
     def domain(self) -> str:
@@ -109,7 +113,6 @@ class CubatureRule2D:
         return CubatureRule2D(
             nodes=self.nodes[order],
             weights=self.weights[order],
-            degree=self.degree,
             spec=self.spec,
             param=self.param,
             family=self.family,
@@ -121,13 +124,12 @@ class ExactnessReport:
     """Outcome of certifying a rule against reference moments."""
 
     max_degree_tested: int
-    certified_degree: int
     worst_rel_error: float
     failures: tuple = field(default_factory=tuple)  # ((i, j, rel_err), ...)
 
-    def __post_init__(self):
-        if self.certified_degree > self.max_degree_tested:
-            raise ValueError("certified_degree cannot exceed max_degree_tested")
-        has_fail = len(self.failures) > 0
-        if has_fail != (self.certified_degree < self.max_degree_tested):
-            raise ValueError("failures inconsistent with certified_degree")
+    @property
+    def certified_degree(self) -> int:
+        """One below the lowest failing total degree; all tested if none failed."""
+        if not self.failures:
+            return self.max_degree_tested
+        return min(i + j for i, j, _ in self.failures) - 1

@@ -122,15 +122,14 @@ def _merged_rule(
     """The rule of family at size on the merged points, which must number
     the node count of rule_shape.  The merge returns its rows sorted by
     (x1, x2), the row order of every rule file."""
-    degree, expected = rule_shape(family, size, spec.ell)
+    expected = rule_shape(family, size, spec.ell)[1]
     nodes, weights = merge_close_nodes(pts, wts)
     if len(nodes) != expected:
         raise ConstructionError(
             "%s rule has %d nodes after merging, expected %d"
             % (family, len(nodes), expected)
         )
-    return CubatureRule2D(nodes=nodes, weights=weights, degree=degree, spec=spec,
-                          param=size, family=family)
+    return CubatureRule2D(nodes=nodes, weights=weights, spec=spec, param=size, family=family)
 
 
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:

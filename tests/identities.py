@@ -29,13 +29,12 @@ import numpy as np
 
 from cubamin.opq1d import (
     RecurrenceCoeffs,
-    ZeroCountError,
     fold_panel_angles,
     gauss_rule,
     jacobi_recurrence,
 )
 from cubamin.oracle import _fold_images
-from cubamin.rules import CubatureRule2D, ExactnessReport, WeightSpec
+from cubamin.rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 
 
 def chebyshev_moment_1d(i: int) -> float:
@@ -339,7 +338,6 @@ def reference_certify(
     yp = np.vander(rule.nodes[:, 1], max_degree + 1, increasing=True)
     failures = []
     worst = 0.0
-    bad_degrees = set()
     for (i, j) in pairs:
         vals = xp[:, i] * yp[:, j]
         approx = float(np.dot(rule.weights, vals))
@@ -349,12 +347,9 @@ def reference_certify(
         worst = max(worst, rel)
         if rel > rel_tol:
             failures.append((i, j, rel))
-            bad_degrees.add(i + j)
-    certified = max_degree if not bad_degrees else min(bad_degrees) - 1
     failures.sort(key=lambda t: (t[0] + t[1], t[0]))
     return ExactnessReport(
         max_degree_tested=max_degree,
-        certified_degree=certified,
         worst_rel_error=worst,
         failures=tuple(failures),
     )
@@ -597,7 +592,7 @@ def reference_positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndar
                 zeros.append(z)
     zeros = sorted(set(round(z, 15) for z in zeros))
     if len(zeros) != m_expected:
-        raise ZeroCountError(
+        raise ConstructionError(
             "expected %d positive zeros, found %d" % (m_expected, len(zeros))
         )
     return np.array(zeros)

@@ -190,16 +190,13 @@ def test_folding_connects_square_and_curved_moments(params):
             assert abs(via_square - 4.0 ** (-g) * direct) <= 1e-12 * denom
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        ExactnessReport(max_degree_tested=5, certified_degree=6,
-                        worst_rel_error=0.0, failures=())
-    with pytest.raises(ValueError):
-        ExactnessReport(max_degree_tested=5, certified_degree=3,
-                        worst_rel_error=0.1, failures=())
-    rep = ExactnessReport(max_degree_tested=5, certified_degree=5,
-                          worst_rel_error=3e-14, failures=())
-    assert rep.certified_degree == 5
+def test_report_derives_its_certified_degree():
+    """One below the lowest failing total degree, in whatever order the
+    failures come; the whole tested range when nothing failed."""
+    assert ExactnessReport(max_degree_tested=5, worst_rel_error=3e-14).certified_degree == 5
+    rep = ExactnessReport(max_degree_tested=9, worst_rel_error=0.1,
+                          failures=((4, 3, 0.1), (0, 5, 0.01), (3, 3, 0.05)))
+    assert rep.certified_degree == 4
 
 
 def _break_reference(monkeypatch, bad_pair, value=None):
@@ -363,8 +360,8 @@ def test_certify_rejects_a_negative_max_degree(monkeypatch, max_degree):
 
 
 def _with_nodes(rule, nodes, weights):
-    return CubatureRule2D(nodes=nodes, weights=weights, degree=rule.degree,
-                          spec=rule.spec, param=rule.param, family=rule.family)
+    return CubatureRule2D(nodes=nodes, weights=weights, spec=rule.spec,
+                          param=rule.param, family=rule.family)
 
 
 def test_rules_reject_non_finite_values():
@@ -376,6 +373,17 @@ def test_rules_reject_non_finite_values():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         _with_nodes(rule, bad, rule.weights)
+
+
+def test_rules_refuse_a_family_or_size_without_a_shape():
+    """The declared degree is the family's at param, so a rule of no
+    family, or of size 0, has none and is refused at construction."""
+    rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 2)
+    assert rule.degree == 7
+    with pytest.raises(ValueError, match="unknown rule family 'square'"):
+        dataclasses.replace(rule, family="square")
+    with pytest.raises(ValueError, match="param must be >= 1, got 0"):
+        dataclasses.replace(rule, param=0)
 
 
 def test_certify_rejects_a_node_outside_the_square():
