@@ -2,9 +2,12 @@
 print node-count bounds, and draw SVG scatter plots.
 
 Exit codes: 0 success, 1 invalid arguments or unreadable or malformed
-input, 2 rule construction failure, 3 verification failure (including a
+input, 2 rule construction failure (a ConstructionError, or a parameter or
+size beyond float range or memory), 3 verification failure (including a
 node outside the domain), 4 file cannot be verified (no metadata, an
-unknown family or a null weight parameter, or an oracle failure).
+unknown family, a null weight parameter, or an oracle failure: a reference
+that cannot be built, moments beyond float range, or a --max-degree beyond
+memory).
 """
 
 from __future__ import annotations
@@ -326,11 +329,15 @@ def cmd_verify(args) -> int:
     declared = meta["degree"]
     max_degree = args.max_degree if args.max_degree is not None else declared
     fam = meta["family"]
-    params = [meta[k] for k in ("alpha", "beta", "gamma")]
-    if not (isinstance(fam, str) and fam in _FAMILIES) or None in params:
+    if not (isinstance(fam, str) and fam in _FAMILIES):
         return _fail("no moment oracle for family %r" % (fam,), EXIT_UNVERIFIABLE)
+    params = ("alpha", "beta", "gamma")
+    nulls = [k for k in params if meta[k] is None]
+    if nulls:
+        return _fail("no moment oracle for family %r with null %s" % (fam, ", ".join(nulls)),
+                     EXIT_UNVERIFIABLE)
     try:
-        spec = family_spec(fam, *map(float, params), meta["ell"])
+        spec = family_spec(fam, *(float(meta[k]) for k in params), meta["ell"])
     except ValueError as exc:
         return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
     mismatch = metadata_mismatch(meta)
@@ -350,7 +357,7 @@ def cmd_verify(args) -> int:
         report = certify(rule, max_degree, rel_tol=args.tol)
     except DomainError as exc:
         return _fail("rule fails verification: %s" % exc, EXIT_VERIFICATION)
-    except (ConstructionError, OverflowError) as exc:
+    except (ConstructionError, OverflowError, MemoryError) as exc:
         return _fail("moment oracle failed: %s" % exc, EXIT_UNVERIFIABLE)
 
     ok = report.certified_degree >= declared

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import filecmp
+import functools
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubamin.cli as cli
+import cubamin.opq1d as opq1d_mod
 import cubamin.oracle as oracle_mod
 from cubamin.cli import main, parse_rule_file
 from cubamin.rules import ConstructionError
@@ -302,7 +304,39 @@ def test_verify_unknown_family_is_unverifiable(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", str(out))
     assert code == 4
-    assert "hexagon" in err
+    assert err == "cubamin: no moment oracle for family 'hexagon'\n"
+    # an unknown family is named as such, whatever its weight parameters
+    assert _edit_and_verify(out, capsys, lambda doc: doc.update(alpha=None)) == (
+        4, "", "cubamin: no moment oracle for family 'hexagon'\n")
+
+
+@pytest.mark.parametrize("family, field", [
+    ("square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2", "alpha"),
+    ("square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2", "beta"),
+    ("square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2", "gamma"),
+    ("composed --alpha -0.5 --beta -0.5 --ell 2 --m 1", "alpha"),
+])
+def test_verify_names_a_null_weight_parameter(tmp_path, capsys, family, field):
+    """A null alpha, beta or gamma leaves the oracle without its weight:
+    exit 4, with one line that names the field.  It had read as if the
+    family itself had no oracle."""
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
+    code, stdout, err = _edit_and_verify(out, capsys, lambda doc: doc.update({field: None}))
+    assert (code, stdout) == (4, "")
+    assert err == "cubamin: no moment oracle for family %r with null %s\n" % (
+        family.split()[0], field)
+
+
+def test_verify_of_a_max_degree_beyond_memory_exits_4_with_one_line(tmp_path, capsys):
+    """The reference grid of degree 10^18 asks for 1.73 EiB at its first
+    allocation, which fails at once; numpy's MemoryError had ended in a
+    traceback with exit 1."""
+    out = build_small_even(tmp_path, capsys)
+    code, stdout, err = run(capsys, "verify", str(out), "--max-degree", str(10**18))
+    assert (code, stdout) == (4, "")
+    assert err.startswith("cubamin: moment oracle failed: Unable to allocate 1.73 EiB ")
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("alpha, beta", [(521.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
@@ -742,6 +776,52 @@ def test_build_of_a_size_beyond_memory_exits_2_with_one_line(tmp_path, capsys, f
     assert (code, stdout) == (2, "")
     assert err.startswith("cubamin: construction failed: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+ODD_M1 = "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 1"
+
+
+def _build_fails(tmp_path, capsys, key, message):
+    """Build key: exit 2, nothing on stdout, no file, and one stderr line
+    that fullmatches the construction-failure prefix and message."""
+    out = tmp_path / "failed.json"
+    code, stdout, err = run(capsys, "build", *key.split(), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert re.fullmatch("cubamin: construction failed: %s\n" % message, err), err
+    assert not out.exists()
+
+
+def test_a_moment_ladder_that_does_not_converge_fails_the_odd_build(
+        tmp_path, capsys, monkeypatch):
+    """No ladder settles at rtol 0 within one doubling; the odd build, whose
+    right-hand sides come from the ladder, exits 2 with the ladder's line."""
+    monkeypatch.setattr(oracle_mod, "angular_moment_ladder", functools.partial(
+        oracle_mod.angular_moment_ladder, rtol=0.0, max_doublings=1))
+    _build_fails(tmp_path, capsys, ODD_M1, r"moment ladder did not converge to "
+                 r"0\.0e\+00 after 1 doublings \(achieved \S+\)")
+
+
+def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
+    """With no QL sweep allowed every Gauss rule of two or more nodes fails:
+    the build exits 2 and the verify of a good file exits 4, each with the
+    eigensolver's line."""
+    rule = build_small_even(tmp_path, capsys)
+    real = opq1d_mod._ql_implicit
+    monkeypatch.setattr(opq1d_mod, "_ql_implicit",
+                        lambda d, e, max_iter_total: real(d, e, 0))
+    _build_fails(tmp_path, capsys, "square-even --alpha -0.5 --beta -0.5 "
+                 "--gamma -0.5 --m 2", "QL iteration exceeded 0 sweeps")
+    assert run(capsys, "verify", str(rule)) == (
+        4, "", "cubamin: moment oracle failed: QL iteration exceeded 0 sweeps\n")
+
+
+def test_a_lost_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
+    """An odd rule whose zero search finds one abscissa fewer than it needs
+    exits 2 with the count."""
+    real = opq1d_mod._positive_zeros
+    monkeypatch.setattr(opq1d_mod, "_positive_zeros",
+                        lambda f, fprime, m, grid_n: real(f, fprime, m + 1, grid_n))
+    _build_fails(tmp_path, capsys, ODD_M1, "expected 2 positive zeros, found 1")
 
 
 def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(
