@@ -22,7 +22,7 @@ from cubamin.oracle import (
     certify,
     reference_gram,
 )
-from cubamin.rules import CubatureRule2D, WeightSpec
+from cubamin.rules import WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
 from identities import (
     biangle_moments,
@@ -360,8 +360,7 @@ def test_certify_rejects_a_negative_max_degree(monkeypatch, max_degree):
 
 
 def _with_nodes(rule, nodes, weights):
-    return CubatureRule2D(nodes=nodes, weights=weights, spec=rule.spec,
-                          param=rule.param, family=rule.family)
+    return dataclasses.replace(rule, nodes=nodes, weights=weights)
 
 
 def test_rules_reject_non_finite_values():
