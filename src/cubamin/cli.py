@@ -115,21 +115,23 @@ def family_spec(family: str, alpha: float, beta: float, gamma: float, ell) -> We
     return WeightSpec(_FAMILIES[family][1], alpha, beta, gamma, 1 if ell is None else ell)
 
 
-def rule_metadata(rule: CubatureRule2D) -> Dict[str, object]:
-    """File metadata for a rule, from its weight spec.  The bound field is
-    the node-count lower bound for the declared degree, for the reader's
-    side-by-side comparison; Gauss rules on the curved domain undercut it."""
-    spec = rule.spec
+def rule_metadata(family: str, spec: WeightSpec, param: int) -> Dict[str, object]:
+    """File metadata of the rule of family at param on the weight of spec.
+    The degree and node count are rule_shape's; only a composed file carries
+    an ell.  The bound field is the node-count lower bound for the degree,
+    for the reader's side-by-side comparison; Gauss rules on the curved
+    domain undercut it."""
+    degree, count = rule_shape(family, param, spec.ell)
     return {
-        "family": rule.family,
+        "family": family,
         "alpha": spec.alpha,
         "beta": spec.beta,
         "gamma": spec.gamma,
-        "ell": spec.ell if rule.family == "composed" else None,
-        "param_n_or_m": rule.param,
-        "degree": rule.degree,
-        "node_count": rule.node_count,
-        "moller_bound": moller_bound((rule.degree + 1) // 2),
+        "ell": spec.ell if family == "composed" else None,
+        "param_n_or_m": param,
+        "degree": degree,
+        "node_count": count,
+        "moller_bound": moller_bound((degree + 1) // 2),
     }
 
 
@@ -283,7 +285,8 @@ def cmd_build(args) -> int:
     out = args.out if args.out is not None else "rule.%s" % args.format
     if not _write_file(out, lambda fh: rule_to_csv(rule.nodes, rule.weights, fh)
                        if args.format == "csv"
-                       else rule_to_json(rule_metadata(rule), rule.nodes, rule.weights, fh)):
+                       else rule_to_json(rule_metadata(rule.family, rule.spec, rule.param),
+                                         rule.nodes, rule.weights, fh)):
         return EXIT_USAGE
     print(
         "wrote %s: %s, %d nodes, degree %d"
@@ -292,23 +295,22 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def metadata_mismatch(meta: Dict[str, object]) -> Optional[str]:
-    """Why the file's degree, node_count, moller_bound or ell disagree with
-    rule_shape of its family, param_n_or_m and ell, or None.  Only the
-    composed family carries an ell, so a file cannot ask for the work of a
-    weight its rule was not built for."""
-    fam, size, ell = meta["family"], meta["param_n_or_m"], meta["ell"]
-    if fam != "composed" and ell is not None:
-        return "ell is %r, but only a composed rule file carries one" % (ell,)
+def metadata_mismatch(meta: Dict[str, object], spec: WeightSpec) -> Optional[str]:
+    """Why the file's ell, degree, node_count or moller_bound disagree with
+    rule_metadata of its family and param_n_or_m on spec, the weight its
+    fields give, or None.  Only the composed family carries an ell, so a
+    file cannot ask for the work of a weight its rule was not built for."""
+    fam, size = meta["family"], meta["param_n_or_m"]
+    want = rule_metadata(fam, spec, max(size, 1))  # ell does not depend on the size
+    if meta["ell"] != want["ell"]:
+        return "ell is %r, but only a composed rule file carries one" % (meta["ell"],)
     if size < 1:
         return "param_n_or_m is %d, but must be >= 1" % size
-    degree, count = rule_shape(fam, size, 1 if ell is None else ell)
-    want = {"degree": degree, "node_count": count,
-            "moller_bound": moller_bound((degree + 1) // 2)}
-    for key, value in want.items():
-        if not (_is_int(meta[key]) and meta[key] == value):
+    for key in ("degree", "node_count", "moller_bound"):
+        if not (_is_int(meta[key]) and meta[key] == want[key]):
             return "%s is %r, but a %s rule with param_n_or_m %d%s has %d" % (
-                key, meta[key], fam, size, "" if ell is None else " and ell %d" % ell, value)
+                key, meta[key], fam, size,
+                "" if want["ell"] is None else " and ell %d" % want["ell"], want[key])
     return None
 
 
@@ -340,7 +342,7 @@ def cmd_verify(args) -> int:
         spec = family_spec(fam, *(float(meta[k]) for k in params), meta["ell"])
     except ValueError as exc:
         return _fail("rule file has invalid weight parameters: %s" % exc, EXIT_USAGE)
-    mismatch = metadata_mismatch(meta)
+    mismatch = metadata_mismatch(meta, spec)
     if mismatch is not None:
         return _fail("rule file metadata disagree: %s" % mismatch, EXIT_USAGE)
     try:

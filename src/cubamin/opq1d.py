@@ -222,8 +222,6 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
         raise ValueError("m must be >= 1")
     if rc.size < m or len(rc.b) < m - 1:
         raise ValueError("recurrence data does not cover m = %d" % m)
-    if m == 1:
-        return QuadratureRule1D(nodes=np.array([rc.a[0]]), weights=np.array([rc.mu0]))
     d = rc.a[:m].copy()
     e = np.sqrt(rc.b[: m - 1])
     vals, q = _ql_implicit(d, e, max_iter_total=50 * m)

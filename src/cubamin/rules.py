@@ -69,7 +69,8 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class CubatureRule2D:
-    """Nodes and positive weights of a 2D rule; its degree is its family's at param."""
+    """Nodes and positive weights of a 2D rule; its degree and node count are
+    its family's at param."""
 
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
@@ -80,7 +81,8 @@ class CubatureRule2D:
     def __post_init__(self):
         if self.param < 1:
             raise ValueError("param must be >= 1, got %r" % (self.param,))
-        rule_shape(self.family, self.param, self.spec.ell)  # raises on an unknown family
+        # raises on an unknown family
+        count = rule_shape(self.family, self.param, self.spec.ell)[1]
         nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(
@@ -88,6 +90,9 @@ class CubatureRule2D:
         )
         if len(self.weights) != len(nodes):
             raise ValueError("node/weight length mismatch")
+        if len(nodes) != count:
+            raise ConstructionError(
+                "%s rule has %d nodes, expected %d" % (self.family, len(nodes), count))
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(self.weights))):
             raise ValueError("non-finite node or weight")
         if np.any(self.weights <= 0.0):

@@ -119,16 +119,9 @@ def _merge_runs(
 def _merged_rule(
     pts: np.ndarray, wts: np.ndarray, spec: WeightSpec, size: int, family: str
 ) -> CubatureRule2D:
-    """The rule of family at size on the merged points, which must number
-    the node count of rule_shape.  The merge returns its rows sorted by
-    (x1, x2), the row order of every rule file."""
-    expected = rule_shape(family, size, spec.ell)[1]
+    """The rule of family at size on the merged points.  The merge returns
+    its rows sorted by (x1, x2), the row order of every rule file."""
     nodes, weights = merge_close_nodes(pts, wts)
-    if len(nodes) != expected:
-        raise ConstructionError(
-            "%s rule has %d nodes after merging, expected %d"
-            % (family, len(nodes), expected)
-        )
     return CubatureRule2D(nodes=nodes, weights=weights, spec=spec, param=size, family=family)
 
 

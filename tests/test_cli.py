@@ -704,8 +704,10 @@ def test_build_reproduces_the_recorded_rule_bytes(tmp_path, capsys, key):
     code, _, err = run(capsys, "build", *key.split(), "--out", str(out))
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[key]
-    meta, _ = out.read_text().split(', "nodes": ', 1)
-    assert cli.metadata_mismatch(json.loads(meta + "}")) is None
+    head, _ = out.read_text().split(', "nodes": ', 1)
+    meta = json.loads(head + "}")
+    spec = cli.family_spec(*(meta[k] for k in ("family", "alpha", "beta", "gamma", "ell")))
+    assert cli.metadata_mismatch(meta, spec) is None
 
 
 @pytest.mark.parametrize("alpha", ["300", "1000"])

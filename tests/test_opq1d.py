@@ -75,16 +75,17 @@ def test_gauss_rule_reproduces_moments(ab, m):
         assert got == pytest.approx(mus[k], rel=2e-13, abs=2e-13 * mus[0])
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 7, 10])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 10])
 def test_symmetric_measure_gives_bitwise_node_pairs(m):
-    # symmetric weights must produce exact +- pairs, middle node exactly 0
-    for ab in [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5)]:
+    # symmetric weights must produce exact +- pairs, middle node exactly
+    # +0.0, also where beta - alpha = -0.0 makes a_0 = -0.0
+    for ab in [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (0.0, -0.0)]:
         rc = jacobi_recurrence(*ab, m)
         q = gauss_rule(rc, m)
         assert np.all(q.nodes == -q.nodes[::-1])
         assert np.all(q.weights == q.weights[::-1])
         if m % 2 == 1:
-            assert q.nodes[m // 2] == 0.0
+            assert q.nodes[m // 2] == 0.0 and not np.signbit(q.nodes[m // 2])
 
 
 def test_gauss_rule_nodes_increasing_weights_positive():
@@ -359,3 +360,16 @@ def test_gauss_rules_are_bit_identical(alpha, beta, m):
     q = gauss_rule(jacobi_recurrence(alpha, beta, m), m)
     digest = hashlib.sha256(q.nodes.tobytes() + q.weights.tobytes()).hexdigest()
     assert digest == GAUSS_RULE_SHA256[(alpha, beta, m)]
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.5, 20.0])
+@pytest.mark.parametrize("beta", [-0.75, -0.5, 0.0, 0.5, 3.0])
+def test_a_one_point_gauss_rule_is_the_first_recurrence_entry_and_the_mass(alpha, beta):
+    """The QL leaves a 1 x 1 matrix as it is: one node at a_0 carrying the
+    mass, bit for bit, whatever the length of the recurrence.  (At
+    alpha = beta, a_0 is +0.0, which the even-measure step keeps.)"""
+    for length in (1, 2, 6):
+        rc = jacobi_recurrence(alpha, beta, length)
+        q = gauss_rule(rc, 1)
+        assert q.nodes.tobytes() == rc.a[:1].tobytes()
+        assert q.weights.tobytes() == np.array([rc.mu0]).tobytes()

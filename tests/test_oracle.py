@@ -22,7 +22,7 @@ from cubamin.oracle import (
     certify,
     reference_gram,
 )
-from cubamin.rules import WeightSpec
+from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
 from identities import (
     biangle_moments,
@@ -375,34 +375,42 @@ def test_rules_reject_non_finite_values():
 
 
 def test_rules_refuse_a_family_or_size_without_a_shape():
-    """The declared degree is the family's at param, so a rule of no
-    family, or of size 0, has none and is refused at construction."""
+    """The declared degree and node count are the family's at param, so a
+    rule of no family, of size 0, or of another count is refused at
+    construction."""
     rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 2)
     assert rule.degree == 7
     with pytest.raises(ValueError, match="unknown rule family 'square'"):
         dataclasses.replace(rule, family="square")
     with pytest.raises(ValueError, match="param must be >= 1, got 0"):
         dataclasses.replace(rule, param=0)
+    with pytest.raises(ConstructionError, match="^square-even rule has 11 nodes, expected 12$"):
+        _with_nodes(rule, rule.nodes[1:], rule.weights[1:])
+    with pytest.raises(ConstructionError, match="^square-even rule has 12 nodes, expected 24$"):
+        dataclasses.replace(rule, param=3)
+
+
+def _with_node_0(rule, node, weight):
+    """The rule with its node 0 and weight replaced, so its count still holds."""
+    nodes, weights = rule.nodes.copy(), rule.weights.copy()
+    nodes[0], weights[0] = node, weight
+    return _with_nodes(rule, nodes, weights)
 
 
 def test_certify_rejects_a_node_outside_the_square():
-    """A far node inflates the error scale of every monomial; without the
-    domain test it hides its own weight and the rule still certifies."""
+    """A far node carries Chebyshev products beyond 1 in magnitude, which
+    the mass-relative error scale does not bound; certify refuses it."""
     spec = WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5)
-    rule = minimal_rule_even(spec, 2)
-    far = _with_nodes(rule, np.vstack([rule.nodes, [3.0, 3.0]]),
-                      np.append(rule.weights, 1e-11))
-    with pytest.raises(DomainError, match="outside the square"):
+    far = _with_node_0(minimal_rule_even(spec, 2), [3.0, 3.0], 1e-11)
+    with pytest.raises(DomainError, match="node 0 at \\(3.0, 3.0\\) lies outside the square"):
         certify(far, far.degree)
 
 
 def test_certify_rejects_a_node_outside_the_curved_domain():
     spec = WeightSpec("biangle-gamma", 0.5, -0.5, 0.5)
-    rule = gauss_cubature_biangle(spec, 4)
     # (0, 0.5) lies above the parabola u2 = u1^2 / 4
-    off = _with_nodes(rule, np.vstack([rule.nodes, [0.0, 0.5]]),
-                      np.append(rule.weights, 1e-11))
-    with pytest.raises(DomainError, match="outside the biangle"):
+    off = _with_node_0(gauss_cubature_biangle(spec, 4), [0.0, 0.5], 1e-11)
+    with pytest.raises(DomainError, match="node 0 at \\(0.0, 0.5\\) lies outside the biangle"):
         certify(off, off.degree)
 
 

@@ -1,6 +1,5 @@
-"""Package surface: every name the top-level package imports is public,
-every public function runs on a documented path, and the runtime needs
-numpy alone."""
+"""Package surface: every module uses its imports, every public function
+runs on a documented path, and the runtime needs numpy alone."""
 
 import ast
 import importlib
@@ -14,25 +13,10 @@ import pytest
 
 import cubamin
 from cubamin import cli
-from cubamin import (
-    WeightSpec,
-    composed_rule,
-    gauss_cubature_biangle,
-    minimal_rule_even,
-    minimal_rule_odd,
-)
-
-
-def test_every_imported_name_is_exported():
-    tree = ast.parse(Path(cubamin.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    missing = sorted(n for n in imported if not n.startswith("_") and n not in cubamin.__all__)
-    assert missing == []
+from cubamin.biangle import gauss_cubature_biangle
+from cubamin.composed import composed_rule
+from cubamin.rules import WeightSpec
+from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
 
 
 def test_every_module_uses_its_imports():
