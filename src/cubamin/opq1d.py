@@ -84,34 +84,37 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     if m < 1:
         raise ValueError("m must be >= 1")
     s = alpha + beta
-    a = np.empty(m)
-    a[0] = (beta - alpha) / (s + 2.0)
-    for k in range(1, m):
-        den = (2.0 * k + s) * (2.0 * k + 2.0 + s)
-        a[k] = (beta * beta - alpha * alpha) / den
-    b = np.empty(max(m - 1, 0))
-    if m > 1:
-        b[0] = (
-            4.0 * (1.0 + alpha) * (1.0 + beta)
-            / ((2.0 + s) ** 2 * (3.0 + s))
-        )
-    for k in range(2, m):
-        b[k - 1] = (
-            4.0 * k * (k + alpha) * (k + beta) * (k + s)
-            / ((2.0 * k + s) ** 2 * (2.0 * k + 1.0 + s) * (2.0 * k - 1.0 + s))
-        )
-    lg = (
-        (s + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(s + 2.0)
-    )
+    # float pow and lgamma raise OverflowError past float range; the
+    # diagnostic names the step that overflowed and the weight
+    step = "a recurrence coefficient"
     try:
-        mu0 = math.exp(lg)
+        a = np.empty(m)
+        a[0] = (beta - alpha) / (s + 2.0)
+        for k in range(1, m):
+            den = (2.0 * k + s) * (2.0 * k + 2.0 + s)
+            a[k] = (beta * beta - alpha * alpha) / den
+        b = np.empty(max(m - 1, 0))
+        if m > 1:
+            b[0] = (
+                4.0 * (1.0 + alpha) * (1.0 + beta)
+                / ((2.0 + s) ** 2 * (3.0 + s))
+            )
+        for k in range(2, m):
+            b[k - 1] = (
+                4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                / ((2.0 * k + s) ** 2 * (2.0 * k + 1.0 + s) * (2.0 * k - 1.0 + s))
+            )
+        step = "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1)"
+        mu0 = math.exp(
+            (s + 1.0) * math.log(2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(s + 2.0)
+        )
     except OverflowError:
         raise OverflowError(
-            "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1) of the "
-            "Jacobi weight alpha=%g, beta=%g exceeds float range" % (alpha, beta)
+            "%s of the Jacobi weight alpha=%g, beta=%g exceeds float range"
+            % (step, alpha, beta)
         ) from None
     return RecurrenceCoeffs(a=a, b=b, mu0=mu0)
 

@@ -41,6 +41,12 @@ class DomainError(ValueError):
 # rounding of nodes built on the boundary, nothing visibly outside
 _DOMAIN_SLACK = 1e-12
 
+# the schedule of angular_moment_ladder
+_LADDER_N0 = 24
+_LADDER_RTOL = 1e-13
+_LADDER_MIN_LEVELS = 2
+_LADDER_MAX_DOUBLINGS = 12
+
 # points per Gram contraction: bounds the rows held at once; einsum sums
 # each entry in one fixed order, whatever the number of BLAS threads
 _CHUNK = 8192
@@ -72,10 +78,6 @@ def angular_moment_ladder(
     gamma: float,
     pairs: Sequence[Tuple[int, int]],
     row: Callable[[np.ndarray, int], np.ndarray],
-    rtol: float = 1e-13,
-    max_doublings: int = 12,
-    n0: int = 24,
-    min_levels: int = 2,
 ) -> List[np.ndarray]:
     """Batched integrals over [0,pi]^2 of f_i(theta1) f_j(theta2)
     K(theta1,theta2), one per pair (i, j), where
@@ -85,8 +87,11 @@ def angular_moment_ladder(
     row(theta, p) evaluates the smooth feature f_p on a grid of angles.
     Since K is symmetric the result equals the full-square integral (the
     fold only needs the symmetric part, which is formed internally).
-    Returns every ladder level (for convergence diagnostics); the final
-    entry is the converged batch.
+    The ladder starts at _LADDER_N0 points per panel axis and doubles them
+    until two successive levels agree to _LADDER_RTOL of the largest
+    entry, after at least _LADDER_MIN_LEVELS levels and at most
+    _LADDER_MAX_DOUBLINGS doublings.  Returns every ladder level (for
+    convergence diagnostics); the final entry is the converged batch.
     """
     WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
     pa = 4.0 * alpha + 3.0
@@ -102,8 +107,8 @@ def angular_moment_ladder(
     last_use = {p: pos for pos, idx in enumerate(order) for p in pairs[idx]}
 
     levels: List[np.ndarray] = []
-    n = n0
-    for level in range(max_doublings + 1):
+    n = _LADDER_N0
+    for _ in range(_LADDER_MAX_DOUBLINGS + 1):
         a_nodes, a_w = _unit_gauss_jacobi(pa, qa, n)
         b_nodes, b_w = _unit_gauss_jacobi(pb, 0.0, n)
         # the kernel mass rides along as a final entry: it anchors the
@@ -140,17 +145,17 @@ def angular_moment_ladder(
                         del f1[p], f2[p]
             total[-1] += float(np.sum(wmat))
         levels.append(total)
-        if level >= 1 and len(levels) >= min_levels:
+        if len(levels) >= _LADDER_MIN_LEVELS:
             prev = levels[-2]
             scale = float(np.max(np.abs(total))) + 1e-300
-            if np.all(np.abs(total - prev) <= rtol * scale):
+            if np.all(np.abs(total - prev) <= _LADDER_RTOL * scale):
                 return [lv[:-1] for lv in levels]
         n *= 2
     last, prev = levels[-1], levels[-2]
     achieved = float(np.max(np.abs(last - prev)) / (np.max(np.abs(last)) + 1e-300))
     raise ConstructionError(
         "moment ladder did not converge to %.1e after %d doublings "
-        "(achieved %.1e)" % (rtol, max_doublings, achieved)
+        "(achieved %.1e)" % (_LADDER_RTOL, _LADDER_MAX_DOUBLINGS, achieved)
     )
 
 

@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import filecmp
-import functools
 import hashlib
 import io
 import json
@@ -19,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubamin.biangle as biangle_mod
 import cubamin.cli as cli
 import cubamin.opq1d as opq1d_mod
 import cubamin.oracle as oracle_mod
+import cubamin.squaremin as squaremin_mod
 from cubamin.cli import main, parse_rule_file
 from cubamin.rules import ConstructionError
 from cubamin.squaremin import moller_bound
@@ -54,6 +55,20 @@ def test_bound_rejects_nonpositive(capsys):
     code, _, err = run(capsys, "bound", "--n", "0")
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("key", [
+    "biangle --alpha 0.5 --beta 0 --gamma -0.5 --n 0",
+    "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 0",
+    "square-odd --alpha 0.5 --beta 0 --gamma 0.5 --m 0",
+    "composed --ell 2 --alpha 0.5 --beta 0 --m 0",
+])
+def test_build_rejects_a_size_below_one(tmp_path, capsys, key):
+    out = tmp_path / "rule.json"
+    code, stdout, err = run(capsys, "build", *key.split(), "--out", str(out))
+    flag = key.split()[-2]
+    assert (code, stdout, err) == (1, "", "cubamin: %s must be >= 1\n" % flag)
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -339,12 +354,16 @@ def test_verify_of_a_max_degree_beyond_memory_exits_4_with_one_line(tmp_path, ca
     assert err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("alpha, beta", [(521.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
-@pytest.mark.parametrize("family", [
+# a small rule of each weight family
+SMALL_RULES = [
     "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
     "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
     "composed --alpha -0.5 --beta -0.5 --ell 2 --m 1",
-])
+]
+
+
+@pytest.mark.parametrize("alpha, beta", [(521.0, 0.0), (600.0, -0.5), (1100.0, -0.5)])
+@pytest.mark.parametrize("family", SMALL_RULES)
 def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
                                                          family, alpha, beta):
     """A file whose alpha puts the reference moments beyond float range (at
@@ -364,11 +383,19 @@ def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
     assert err.startswith("cubamin: moment oracle failed: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("family", [
-    "biangle --alpha -0.5 --beta -0.5 --gamma -0.5 --n 4",
-    "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
-    "composed --alpha -0.5 --beta -0.5 --ell 2 --m 1",
-])
+@pytest.mark.parametrize("family", SMALL_RULES)
+def test_verify_of_a_weight_beyond_the_recurrence_names_it(tmp_path, capsys, family):
+    """At alpha = 1e308 the 1-D recurrence coefficients overflow in a float
+    pow, whose OverflowError had printed as an errno tuple; the one line
+    names the weight."""
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
+    assert _edit_and_verify(out, capsys, lambda doc: doc.update(alpha=1e308, beta=0.0)) == (
+        4, "", "cubamin: moment oracle failed: a recurrence coefficient of the Jacobi "
+        "weight alpha=1e+308, beta=0 exceeds float range\n")
+
+
+@pytest.mark.parametrize("family", SMALL_RULES)
 def test_verify_one_alpha_below_the_overflow_fails_the_rule(tmp_path, capsys, family):
     """At alpha = 520 the mass is near 2e307 but finite; the rule, built
     for alpha = -1/2, fails against it."""
@@ -489,6 +516,15 @@ def test_verify_rejects_nan_weights(tmp_path, capsys):
     code, stdout, err = _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit)
     assert code == 1
     assert "basic validation" in err and stdout == ""
+
+
+@pytest.mark.parametrize("weight", [0.0, -1e-3])
+def test_verify_rejects_a_nonpositive_weight(tmp_path, capsys, weight):
+    def edit(doc):
+        doc["nodes"][0][2] = weight
+
+    assert _edit_and_verify(build_small_even(tmp_path, capsys), capsys, edit) == (
+        1, "", "cubamin: rule file fails basic validation: nonpositive cubature weight\n")
 
 
 def test_verify_rejects_an_infinite_node(tmp_path, capsys):
@@ -797,8 +833,8 @@ def test_a_moment_ladder_that_does_not_converge_fails_the_odd_build(
         tmp_path, capsys, monkeypatch):
     """No ladder settles at rtol 0 within one doubling; the odd build, whose
     right-hand sides come from the ladder, exits 2 with the ladder's line."""
-    monkeypatch.setattr(oracle_mod, "angular_moment_ladder", functools.partial(
-        oracle_mod.angular_moment_ladder, rtol=0.0, max_doublings=1))
+    monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", 0.0)
+    monkeypatch.setattr(oracle_mod, "_LADDER_MAX_DOUBLINGS", 1)
     _build_fails(tmp_path, capsys, ODD_M1, r"moment ladder did not converge to "
                  r"0\.0e\+00 after 1 doublings \(achieved \S+\)")
 
@@ -824,6 +860,76 @@ def test_a_lost_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(opq1d_mod, "_positive_zeros",
                         lambda f, fprime, m, grid_n: real(f, fprime, m + 1, grid_n))
     _build_fails(tmp_path, capsys, ODD_M1, "expected 2 positive zeros, found 1")
+
+
+def test_an_escaped_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
+    real = opq1d_mod._positive_zeros
+    monkeypatch.setattr(opq1d_mod, "_positive_zeros", lambda f, fprime, m, grid_n:
+                        np.append(real(f, fprime, m, grid_n)[:-1], 1.0))
+    _build_fails(tmp_path, capsys, ODD_M1, r"zero escaped the open interval \(0, 1\)")
+
+
+@pytest.mark.parametrize("ql, message", [
+    (lambda d, q: (d, 0.0 * q), "nonpositive Gauss weight; eigensolve unreliable"),
+    (lambda d, q: (np.full_like(d, d[0]), q), "Gauss nodes not strictly increasing"),
+])
+def test_a_gauss_rule_that_fails_its_checks_fails_the_build(tmp_path, capsys, monkeypatch,
+                                                            ql, message):
+    real = opq1d_mod._ql_implicit
+    monkeypatch.setattr(opq1d_mod, "_ql_implicit",
+                        lambda d, e, max_iter_total: ql(*real(d, e, max_iter_total)))
+    _build_fails(tmp_path, capsys, "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 2",
+                 message)
+
+
+@pytest.mark.parametrize("rhs, message", [
+    (lambda b: b + np.eye(len(b))[-1] * b[0], r"odd-rule moment system residual \S+ "
+     r"exceeds tolerance \(m=1, alpha=0\.5, beta=-0\.5, gamma=0\.5, rank 3/3\)"),
+    (lambda b: -b, r"odd-rule weights not positive \(min \S+\) for m=1, alpha=0\.5, "
+     r"beta=-0\.5, gamma=0\.5"),
+])
+def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
+        tmp_path, capsys, monkeypatch, rhs, message):
+    """Right-hand sides that no class weights fit, or that only negative ones
+    fit, fail the odd build with the solve's line."""
+    real = oracle_mod.cos_basis_moments
+    monkeypatch.setattr(oracle_mod, "cos_basis_moments", lambda *args: rhs(real(*args)))
+    _build_fails(tmp_path, capsys, ODD_M1, message)
+
+
+@pytest.mark.parametrize("module, name, key, message", [
+    (squaremin_mod, "merge_close_nodes", "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 "
+     "--m 2", "square-even rule has 11 nodes, expected 12"),
+    (squaremin_mod, "merge_close_nodes", ODD_M1, "square-odd rule has 6 nodes, expected 7"),
+    (squaremin_mod, "merge_close_nodes", "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
+     "composed rule has 11 nodes, expected 12"),
+    (biangle_mod, "gauss_pairs", "biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 3",
+     "biangle rule has 5 nodes, expected 6"),
+])
+def test_a_rule_one_node_short_fails_the_build(tmp_path, capsys, monkeypatch,
+                                               module, name, key, message):
+    """Every rule checks its node count at construction: a merge, or a set
+    of Gauss pairs, that loses a row fails the build with the count."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: tuple(a[1:] for a in real(*args)))
+    _build_fails(tmp_path, capsys, key, message)
+
+
+@pytest.mark.parametrize("key", [
+    "biangle --alpha 2e154 --beta 0 --gamma -0.5 --n 3",
+    "biangle --alpha 1e300 --beta 0 --gamma 0.5 --n 1",
+    "square-even --alpha 2e154 --beta 0 --gamma -0.5 --m 3",
+    "square-even --alpha 2e154 --beta 0 --gamma 0.5 --m 3",
+    "square-odd --alpha 2e154 --beta 0 --gamma -0.5 --m 2",
+    "square-odd --alpha 2e154 --beta 0 --gamma 0.5 --m 2",
+    "composed --ell 2 --m 3 --alpha 2e154 --beta 0",
+])
+def test_a_weight_beyond_the_recurrence_fails_the_build_naming_it(tmp_path, capsys, key):
+    """Past alpha + beta of about 1.34e154 the 1-D recurrence coefficients
+    overflow in a float pow before the mass is reached; its OverflowError
+    had printed as an errno tuple.  The odd rules shift alpha or beta by 1."""
+    _build_fails(tmp_path, capsys, key, r"a recurrence coefficient of the Jacobi weight "
+                 r"alpha=(2e\+154|1e\+300), beta=[01] exceeds float range")
 
 
 def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(

@@ -136,10 +136,11 @@ def test_moments_batch_agrees_with_single_calls():
     assert orc.moment(2, 2) == batch[(2, 2)]
 
 
-def test_refinement_ladder_contracts_until_roundoff():
+def test_refinement_ladder_contracts_until_roundoff(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_LADDER_N0", 4)
+    monkeypatch.setattr(oracle_mod, "_LADDER_MIN_LEVELS", 5)
     levels = oracle_mod.angular_moment_ladder(0.5, -0.5, -0.5, [(2, 2)],
-                                              lambda t, p: np.cos(t) ** p,
-                                              n0=4, min_levels=5)
+                                              lambda t, p: np.cos(t) ** p)
     vals = [float(level[0]) for level in levels]
     floor = 1e-13 * abs(vals[-1])
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
@@ -148,16 +149,17 @@ def test_refinement_ladder_contracts_until_roundoff():
         assert nxt <= max(0.5 * prev, floor)
 
 
-def test_ladder_moments_do_not_depend_on_the_batch():
+def test_ladder_moments_do_not_depend_on_the_batch(monkeypatch):
     """Within a panel each feature row lives from its first use to its last;
     a pair's moment must come out bit for bit as when it is alone."""
     pairs = [(i, d - i) for d in range(9) for i in range(d + 1)]
+    # two fixed levels, so every batch stops at the same depth
+    monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", math.inf)
+    monkeypatch.setattr(oracle_mod, "_LADDER_MAX_DOUBLINGS", 1)
 
     def ladder(batch):
-        # two fixed levels, so every batch stops at the same depth
         return oracle_mod.angular_moment_ladder(
-            0.5, 0.0, 0.5, batch, lambda t, p: np.cos(t) ** p,
-            rtol=math.inf, max_doublings=1)[-1]
+            0.5, 0.0, 0.5, batch, lambda t, p: np.cos(t) ** p)[-1]
 
     together = ladder(pairs)
     for k, pair in enumerate(pairs):
