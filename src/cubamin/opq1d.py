@@ -84,8 +84,11 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     if m < 1:
         raise ValueError("m must be >= 1")
     s = alpha + beta
-    # float pow and lgamma raise OverflowError past float range; the
-    # diagnostic names the step that overflowed and the weight
+    # float pow and lgamma raise OverflowError past float range, while a
+    # product that overflows or a quotient that underflows goes to inf, 0
+    # or NaN silently (a b_k from alpha + beta of about 1e77 on, the mass
+    # from about 1e110); either way the diagnostic names the step and the
+    # weight
     step = "a recurrence coefficient"
     try:
         a = np.empty(m)
@@ -104,6 +107,8 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
                 4.0 * k * (k + alpha) * (k + beta) * (k + s)
                 / ((2.0 * k + s) ** 2 * (2.0 * k + 1.0 + s) * (2.0 * k - 1.0 + s))
             )
+        if not (np.all(np.isfinite(a)) and np.all(b > 0.0) and np.all(b < math.inf)):
+            raise OverflowError
         step = "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1)"
         mu0 = math.exp(
             (s + 1.0) * math.log(2.0)
@@ -111,6 +116,8 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
             + math.lgamma(beta + 1.0)
             - math.lgamma(s + 2.0)
         )
+        if not 0.0 < mu0 < math.inf:
+            raise OverflowError
     except OverflowError:
         raise OverflowError(
             "%s of the Jacobi weight alpha=%g, beta=%g exceeds float range"

@@ -2,15 +2,16 @@
 
 certify compares a rule with its weight in the Chebyshev basis of the
 domain, T_i(x1) T_j(x2) on the square and T_i(u1/2) T_j(u2) on the curved
-domain, where every product is at most 1 in magnitude.  Both sides are one
-Gram contraction, sum_k w_k T_i(a_k) T_j(b_k): over the rule's nodes, and
-over Koornwinder's tensor Gauss grid of the weight (reference_gram).  The
-fold y_k = cos phi_k (phi1, phi2 = theta1 -+ theta2) turns the square kernel
-in x = cos(theta) into the Jacobi(a, b) tensor weight times
-((y1 - y2)/2)^(2g+1), so the square and composed tables contract per-axis
-rows at the grid's angle images.  The angular ladder, a doubling ladder on
-Duffy panels of the angle triangle with the boundary factors in
-Gauss-Jacobi weights, supplies the odd builder's right-hand sides.
+domain, where every product is at most 1 in magnitude.  The rule side is
+one Gram contraction, sum_k w_k T_i(a_k) T_j(b_k), over the nodes.  The
+reference side (reference_gram) is the same contraction over Koornwinder's
+tensor Gauss grid on the curved domain, and a closed form on the square:
+Koornwinder's change of variables y1, y2 = cos(theta1 -+ theta2) turns
+the square weight into a Jacobi(a, b) tensor weight, so each table entry
+is a product of 1-D modified Chebyshev moments.  The angular ladder, a
+doubling ladder on Duffy panels of the angle triangle with the boundary
+factors in Gauss-Jacobi weights, supplies the odd builder's right-hand
+sides.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .biangle import in_omega
-from .opq1d import fold_panel_angles, gauss_rule, jacobi_recurrence
+from .opq1d import gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 
 __all__ = [
@@ -159,19 +160,6 @@ def angular_moment_ladder(
     )
 
 
-def _fold_images(ell: int, y1: np.ndarray, y2: np.ndarray):
-    """Per-panel cosines of the fold grid's angles, cos(fold_panel_angles(
-    ell, t)) at t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with phi = arccos y,
-    and at pi - t, each linked both ways.  A folded panel-sum row of even
-    ell is not invariant under x -> -x, so both images count."""
-    phi1 = np.arccos(y1)
-    phi2 = np.arccos(y2)
-    t1 = 0.5 * (phi2 + phi1)
-    t2 = 0.5 * (phi2 - phi1)
-    coords = [np.cos(fold_panel_angles(ell, t)) for t in (t1, t2, math.pi - t1, math.pi - t2)]
-    return coords, [(0, 1), (1, 0), (2, 3), (3, 2)]
-
-
 def cos_basis_moments(
     alpha: float,
     beta: float,
@@ -198,47 +186,82 @@ def _chebyshev_rows(c: np.ndarray, degree: int) -> np.ndarray:
     return rows
 
 
-def _gram(weights: np.ndarray, coords: List[np.ndarray],
-          links: Sequence[Tuple[int, int]], degree: int) -> np.ndarray:
-    """G[i, j] = sum over points k and links (a, b) of
-    w_k R_i(C[a][:, k]) R_j(C[b][:, k]), for i, j <= degree, where each
-    C[a] has a leading axis of panels and R_p is the panel mean of T_p.
-    One einsum per chunk of _CHUNK points and link, not a matrix product:
+def _gram(weights: np.ndarray, x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """G[i, j] = sum over points k of w_k T_i(x_k) T_j(y_k), for i, j <=
+    degree.  One einsum per chunk of _CHUNK points, not a matrix product:
     a threaded GEMM sums in an order that moves the last bits."""
     out = np.zeros((degree + 1, degree + 1))
     for c0 in range(0, len(weights), _CHUNK):
         part = slice(c0, c0 + _CHUNK)
-        rows = [sum(_chebyshev_rows(panel, degree) for panel in c[:, part]) / len(c)
-                for c in coords]
-        for a, b in links:
-            out += np.einsum("ik,jk->ij", rows[a] * weights[part], rows[b], optimize=False)
+        out += np.einsum("ik,jk->ij", _chebyshev_rows(x[part], degree) * weights[part],
+                         _chebyshev_rows(y[part], degree), optimize=False)
     return out
+
+
+def _chebyshev_moments(alpha: float, beta: float, n: int) -> np.ndarray:
+    """mu_0, ..., mu_{n-1}: the integrals of T_k against (1 - y)^alpha
+    (1 + y)^beta on [-1, 1], by the forward recurrence of Piessens and
+    Branders (BIT 13, 1973),
+    (a + b + k + 2) mu_{k+1} = -2 (a - b) mu_k - (a + b - k + 2) mu_{k-1},
+    from mu_1 = mu_0 (b - a)/(a + b + 2).  The array is allocated before
+    the loop, so a length beyond memory fails at once."""
+    mu = np.empty(n)
+    s = alpha + beta
+    prev = jacobi_recurrence(alpha, beta, 1).mu0
+    cur = prev * (beta - alpha) / (s + 2.0)
+    mu[0] = prev
+    for k in range(1, n):
+        mu[k] = cur
+        prev, cur = cur, (-2.0 * (alpha - beta) * cur - (s - k + 2.0) * prev) / (s + k + 2.0)
+    return mu
 
 
 def reference_gram(spec: WeightSpec, degree: int) -> np.ndarray:
     """Table of the integrals of T_i(x1) T_j(x2) (square) or T_i(u1/2)
     T_j(u2) (curved domain) against the weight of spec, exact for
-    i + j <= degree, from the tensor Gauss grid of its Jacobi(alpha, beta)
-    weight.
+    i + j <= degree.
 
-    One grid serves the whole table: degree//4 + 2 points (+1 for
-    gamma = +1/2) on the square, degree//2 + 2 on the curved domain.
-    Its cells (y1, y2) weigh 1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
-    The curved domain reads its rows at u = (y1 + y2, y1 y2).  The
-    square reads them at the fold images of _fold_images, each row the
-    mean over the ell panel preimages, scaled by 2^(-2 gamma - 2).
+    The curved domain sums over the (degree//2 + 2)-point tensor Gauss
+    grid (y1, y2) of its Jacobi(alpha, beta) weight, read at
+    u = (y1 + y2, y1 y2), with cell weights
+    1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
+
+    The square needs no grid.  Under y1, y2 = cos(theta1 -+ theta2) its
+    weight is the Jacobi(alpha, beta) tensor weight times
+    ((y1 - y2)/2)^(2 gamma + 1), and T_i(x1) T_j(x2), symmetrized, is
+    T_p(y1) T_q(y2) with p = (i + j)/2, q = |i - j|/2; odd i + j
+    integrates to 0.  So with mu_k the 1-D Chebyshev moments, the entry
+    is mu_p mu_q at gamma = -1/2, and at gamma = +1/2, where
+    (y1 - y2)^2 brings in eta_k and nu_k, the moments of y T_k and
+    y^2 T_k, it is 1/4 (nu_p mu_q + mu_p nu_q) - 1/2 eta_p eta_q.  The
+    composed weight of degree ell keeps the entries of the square table
+    at (i/ell, j/ell) where ell divides i and j, and is 0 elsewhere:
+    the mean of T_p over the ell panel preimages is T_{p/ell} or 0.
     """
     a, b, g = spec.alpha, spec.beta, spec.gamma
-    curved = spec.family == "biangle-gamma"
-    npts = degree // 2 + 2 if curved else degree // 4 + 2 + int(g == 0.5)
-    q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
-    y1 = np.repeat(q.nodes, npts)
-    y2 = np.tile(q.nodes, npts)
-    w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
-    if curved:
-        return _gram(w, [0.5 * (y1 + y2)[None], (y1 * y2)[None]], [(0, 1)], degree)
-    coords, links = _fold_images(spec.ell, y1, y2)
-    return _gram(w * 2.0 ** (-2.0 * g - 2.0), coords, links, degree)
+    if spec.family == "biangle-gamma":
+        npts = degree // 2 + 2
+        q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
+        y1 = np.repeat(q.nodes, npts)
+        y2 = np.tile(q.nodes, npts)
+        w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
+        return _gram(w, 0.5 * (y1 + y2), y1 * y2, degree)
+    top = degree // spec.ell
+    mu = _chebyshev_moments(a, b, top + 3)
+    k = np.arange(top + 1)
+    total = k[:, None] + k
+    p = total // 2
+    q = np.abs(k[:, None] - k) // 2
+    if g == -0.5:
+        table = mu[p] * mu[q]
+    else:
+        eta = 0.5 * (mu[k + 1] + mu[np.abs(k - 1)])
+        nu = 0.25 * (mu[k + 2] + 2.0 * mu[k] + mu[np.abs(k - 2)])
+        table = 0.25 * (nu[p] * mu[q] + mu[p] * nu[q]) - 0.5 * eta[p] * eta[q]
+    table[total % 2 == 1] = 0.0
+    out = np.zeros((degree + 1, degree + 1))
+    out[::spec.ell, ::spec.ell] = table
+    return out
 
 
 def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> ExactnessReport:
@@ -284,7 +307,7 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
                             "moments exceed float range" % (bi, bj, float(ref[bi, bj])))
     if rule.domain == "biangle":
         x = 0.5 * x
-    got = _gram(rule.weights, [x[None], y[None]], [(0, 1)], max_degree)
+    got = _gram(rule.weights, x, y, max_degree)
     rel = np.abs(got - ref) / max(abs(float(ref[0, 0])), 1e-300)
     fail = live & ~(rel <= rel_tol)
     order = np.lexsort((i[fail], (i + j)[fail]))

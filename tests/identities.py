@@ -10,7 +10,10 @@ that certify replaced: it compares each x^i y^j with the moments of
 monomial_oracle, which runs tensor_moments, the exact engine that sized
 one Gauss grid per pair, and it must agree with certify on the degree
 every rule is exact through; monomials_from_gram maps certify's Chebyshev
-tables onto the same moments.  reference_min_node_gap is the all-pairs
+tables onto the same moments.  grid_square_gram is the square table of
+reference_gram by the route its closed form replaced, the tensor Gauss
+grid read at the fold images of fold_images, which square_moments also
+runs.  reference_min_node_gap is the all-pairs
 scan that the plot's sorted scan must match.  reference_positive_zeros is the one-bracket-at-a-time zero
 search of the odd builder's diagonal abscissas, which the lockstep search
 in opq1d must match bit for bit.
@@ -33,7 +36,6 @@ from cubamin.opq1d import (
     gauss_rule,
     jacobi_recurrence,
 )
-from cubamin.oracle import _fold_images
 from cubamin.rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 
 
@@ -178,6 +180,39 @@ def composed_op_identity_check(
     return worst
 
 
+def fold_images(ell: int, y1: np.ndarray, y2: np.ndarray):
+    """Per-panel cosines of the fold grid's angles, cos(fold_panel_angles(
+    ell, t)) at t = ((phi2 + phi1)/2, (phi2 - phi1)/2) with phi = arccos y,
+    and at pi - t, each linked both ways.  A folded panel-sum row of even
+    ell is not invariant under x -> -x, so both images count."""
+    phi1 = np.arccos(y1)
+    phi2 = np.arccos(y2)
+    t1 = 0.5 * (phi2 + phi1)
+    t2 = 0.5 * (phi2 - phi1)
+    coords = [np.cos(fold_panel_angles(ell, t)) for t in (t1, t2, math.pi - t1, math.pi - t2)]
+    return coords, [(0, 1), (1, 0), (2, 3), (3, 2)]
+
+
+def grid_square_gram(spec: WeightSpec, degree: int) -> np.ndarray:
+    """The square table of reference_gram by the grid route: the
+    (degree//4 + 2)-point (+1 at gamma = +1/2) tensor Gauss grid of the
+    Jacobi(alpha, beta) weight, with cell weights
+    1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1) 2^(-2 gamma - 2), read at the
+    images of fold_images; each row is the mean of T_p over the ell panel
+    preimages.  Exact for i + j <= degree, by quadrature in place of the
+    closed form."""
+    a, b, g = spec.alpha, spec.beta, spec.gamma
+    npts = degree // 4 + 2 + int(g == 0.5)
+    q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
+    y1 = np.repeat(q.nodes, npts)
+    y2 = np.tile(q.nodes, npts)
+    w = (0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
+         * 2.0 ** (-2.0 * g - 2.0))
+    coords, links = fold_images(spec.ell, y1, y2)
+    rows = [np.polynomial.chebyshev.chebvander(c, degree).mean(axis=0) for c in coords]
+    return sum((rows[i] * w[:, None]).T @ rows[j] for i, j in links)
+
+
 def tensor_moments(
     rc: RecurrenceCoeffs, gamma: float, pairs: Iterable[Tuple[int, int]],
     npts: Callable, images: Callable, row: Callable,
@@ -270,7 +305,7 @@ def square_moments(
             if (i + j) % 2 == 0 and not (reflect and i % 2 == 1)]
     rc = jacobi_recurrence(alpha, beta, max([npts(i + j) for i, j in live], default=1))
     got = tensor_moments(rc, gamma, live, npts,
-                         lambda y1, y2: _fold_images(ell, y1, y2),
+                         lambda y1, y2: fold_images(ell, y1, y2),
                          lambda c, p: np.sum(c**p, axis=0) / ell)
     scale = 2.0 ** (-2.0 * gamma - 2.0)
     return {p: scale * got.get(p, 0.0) for p in pairs}

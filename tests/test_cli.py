@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import cubamin.biangle as biangle_mod
 import cubamin.cli as cli
+import cubamin.composed as composed_mod
 import cubamin.opq1d as opq1d_mod
 import cubamin.oracle as oracle_mod
 import cubamin.squaremin as squaremin_mod
@@ -344,13 +345,13 @@ def test_verify_names_a_null_weight_parameter(tmp_path, capsys, family, field):
 
 
 def test_verify_of_a_max_degree_beyond_memory_exits_4_with_one_line(tmp_path, capsys):
-    """The reference grid of degree 10^18 asks for 1.73 EiB at its first
-    allocation, which fails at once; numpy's MemoryError had ended in a
-    traceback with exit 1."""
+    """The square reference of degree 10^18 asks for 6.94 EiB at its first
+    allocation, the 1-D Chebyshev moments, which fails at once; numpy's
+    MemoryError had ended in a traceback with exit 1."""
     out = build_small_even(tmp_path, capsys)
     code, stdout, err = run(capsys, "verify", str(out), "--max-degree", str(10**18))
     assert (code, stdout) == (4, "")
-    assert err.startswith("cubamin: moment oracle failed: Unable to allocate 1.73 EiB ")
+    assert err.startswith("cubamin: moment oracle failed: Unable to allocate 6.94 EiB ")
     assert err.count("\n") == 1, err
 
 
@@ -367,8 +368,9 @@ SMALL_RULES = [
 def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
                                                          family, alpha, beta):
     """A file whose alpha puts the reference moments beyond float range (at
-    1100 the 1-D recurrence mass, at 521 and 600 the tensor grid's cell
-    weights) exits 4 with one line; it never certifies against infinite
+    1100 the 1-D recurrence mass, at 521 and 600 the products of 1-D
+    moments on the square and the grid's cell weights on the curved
+    domain) exits 4 with one line; it never certifies against infinite
     moments.  Every Chebyshev moment is bounded by the mass, so the first
     alpha that overflows is the same for every family and degree."""
     out = tmp_path / "rule.json"
@@ -383,16 +385,36 @@ def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
     assert err.startswith("cubamin: moment oracle failed: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("family", SMALL_RULES)
-def test_verify_of_a_weight_beyond_the_recurrence_names_it(tmp_path, capsys, family):
+_COEFFICIENT = "a recurrence coefficient"
+_MASS = "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1)"
+
+
+@pytest.mark.parametrize("family, step", zip(SMALL_RULES, [_COEFFICIENT, _MASS, _MASS]))
+def test_verify_of_a_weight_beyond_the_recurrence_names_it(tmp_path, capsys, family, step):
     """At alpha = 1e308 the 1-D recurrence coefficients overflow in a float
     pow, whose OverflowError had printed as an errno tuple; the one line
-    names the weight."""
+    names the weight.  The square references take only the mass from the
+    recurrence, so theirs is the line of the mass."""
     out = tmp_path / "rule.json"
     assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
     assert _edit_and_verify(out, capsys, lambda doc: doc.update(alpha=1e308, beta=0.0)) == (
-        4, "", "cubamin: moment oracle failed: a recurrence coefficient of the Jacobi "
-        "weight alpha=1e+308, beta=0 exceeds float range\n")
+        4, "", "cubamin: moment oracle failed: %s of the Jacobi "
+        "weight alpha=1e+308, beta=0 exceeds float range\n" % step)
+
+
+@pytest.mark.parametrize("weight", [1e102, 1e110, 1e153])
+@pytest.mark.parametrize("family", SMALL_RULES[:1] + [
+    "biangle --alpha -0.5 --beta -0.5 --gamma 0.5 --n 4"])
+def test_verify_of_a_biangle_file_whose_coefficients_leave_float_range_names_it(
+        tmp_path, capsys, family, weight):
+    """At alpha = beta from 1e102 a product in b_k overflows to inf without
+    an exception, and an edited biangle file had ended in a ValueError
+    traceback with exit 1; it exits 4 with the coefficient line."""
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
+    assert _edit_and_verify(out, capsys, lambda doc: doc.update(alpha=weight, beta=weight)) == (
+        4, "", "cubamin: moment oracle failed: %s of the Jacobi weight alpha=%g, beta=%g "
+        "exceeds float range\n" % (_COEFFICIENT, weight, weight))
 
 
 @pytest.mark.parametrize("family", SMALL_RULES)
@@ -407,8 +429,9 @@ def test_verify_one_alpha_below_the_overflow_fails_the_rule(tmp_path, capsys, fa
 
 
 def test_verify_never_runs_the_angular_ladder(tmp_path, capsys, monkeypatch):
-    """Every verify oracle is exact on the tensor grid; the ladder serves
-    only the odd builder, so verify certifies with the ladder broken."""
+    """Every verify reference is exact, in closed form on the square and on
+    the tensor grid on the curved domain; the ladder serves only the odd
+    builder, so verify certifies with the ladder broken."""
     keys = ["square-even --alpha 0.5 --beta 0.0 --gamma 0.5 --m 3",
             "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 3",
             "composed --alpha 0.0 --beta -0.5 --ell 3 --m 2"]
@@ -841,16 +864,24 @@ def test_a_moment_ladder_that_does_not_converge_fails_the_odd_build(
 
 def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
     """With no QL sweep allowed every Gauss rule of two or more nodes fails:
-    the build exits 2 and the verify of a good file exits 4, each with the
-    eigensolver's line."""
-    rule = build_small_even(tmp_path, capsys)
+    the build exits 2 and the verify of a good biangle file, whose reference
+    sums over a Gauss grid, exits 4, each with the eigensolver's line.  The
+    square references are closed forms and run no QL, so good square-even
+    and composed files still certify."""
+    keys = SMALL_RULES + ["square-even --alpha 0.5 --beta 0 --gamma 0.5 --m 3"]
+    paths = [tmp_path / ("rule%d.json" % k) for k in range(len(keys))]
+    for key, path in zip(keys, paths):
+        assert run(capsys, "build", *key.split(), "--out", str(path))[0] == 0
     real = opq1d_mod._ql_implicit
     monkeypatch.setattr(opq1d_mod, "_ql_implicit",
                         lambda d, e, max_iter_total: real(d, e, 0))
     _build_fails(tmp_path, capsys, "square-even --alpha -0.5 --beta -0.5 "
                  "--gamma -0.5 --m 2", "QL iteration exceeded 0 sweeps")
-    assert run(capsys, "verify", str(rule)) == (
+    assert run(capsys, "verify", str(paths[0])) == (
         4, "", "cubamin: moment oracle failed: QL iteration exceeded 0 sweeps\n")
+    for path in paths[1:]:
+        code, stdout, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "") and stdout.endswith(": OK\n")
 
 
 def test_a_lost_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
@@ -930,6 +961,80 @@ def test_a_weight_beyond_the_recurrence_fails_the_build_naming_it(tmp_path, caps
     had printed as an errno tuple.  The odd rules shift alpha or beta by 1."""
     _build_fails(tmp_path, capsys, key, r"a recurrence coefficient of the Jacobi weight "
                  r"alpha=(2e\+154|1e\+300), beta=[01] exceeds float range")
+
+
+@pytest.mark.parametrize("weight", ["1e102", "1e110", "1e153"])
+@pytest.mark.parametrize("family", [
+    "biangle --gamma -0.5 --n 3",
+    "biangle --gamma 0.5 --n 3",
+    "square-even --gamma -0.5 --m 3",
+    "square-even --gamma 0.5 --m 3",
+    "square-odd --gamma 0.5 --m 2",
+    "composed --ell 2 --m 3",
+])
+def test_a_coefficient_that_leaves_float_range_silently_fails_the_build_naming_it(
+        tmp_path, capsys, family, weight):
+    """From alpha + beta of about 1e77 a product in b_k overflows to inf
+    without an exception, so b_k rounded to 0 (or NaN), and the build had
+    exited with `all off-diagonal coefficients b_k must be positive` or
+    `mu0 must be positive`, naming neither the overflow nor the weight."""
+    printed = re.escape(weight.replace("e", "e+"))
+    _build_fails(tmp_path, capsys, "%s --alpha %s --beta %s" % (family, weight, weight),
+                 r"a recurrence coefficient of the Jacobi weight alpha=%s, beta=%s "
+                 r"exceeds float range" % (printed, printed))
+
+
+@pytest.mark.parametrize("weight", [1e102, 1e110, 1e153])
+@pytest.mark.parametrize("family", SMALL_RULES[1:] + [
+    "square-even --alpha -0.5 --beta -0.5 --gamma 0.5 --m 2"])
+def test_verify_of_a_square_file_at_a_huge_weight_ends_in_one_line(
+        tmp_path, capsys, family, weight):
+    """An edited square file at these weights had ended in a ValueError
+    traceback with exit 1.  The square reference takes only the mass from
+    the recurrence, and at these weights the mass formula loses every digit
+    to cancellation: it comes out 0, inf or a finite value, as the last bits
+    of lgamma fall.  So verify exits 4 with the line of the mass, or, on a
+    finite mass, 3 with its verdict, which is FAIL for a rule built at
+    alpha = beta = -1/2; either way one line."""
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
+    code, stdout, err = _edit_and_verify(out, capsys,
+                                         lambda doc: doc.update(alpha=weight, beta=weight))
+    if code == 4:
+        assert (stdout, err) == ("", "cubamin: moment oracle failed: %s of the Jacobi weight "
+                                 "alpha=%g, beta=%g exceeds float range\n"
+                                 % (_MASS, weight, weight))
+    else:
+        assert (code, err) == (3, "") and re.fullmatch(r"declared \d+, certified -?\d+ "
+                                                       r"through degree \d+, .*: FAIL\n", stdout)
+
+
+@pytest.mark.parametrize("key", [
+    "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 3",
+    "square-even --alpha 0.5 --beta 0 --gamma 0.5 --m 3",
+    "composed --ell 2 --m 2 --alpha 0.5 --beta -0.5",
+])
+def test_a_defect_in_the_recurrence_fails_the_square_rules(tmp_path, capsys, monkeypatch,
+                                                           key):
+    """Every b_k of jacobi_recurrence scaled by 1 + 1e-6 moves the builders'
+    Gauss rules.  The square references take only the mass from the
+    recurrence, so the rules built on the defect fail verify (exit 3);
+    while the reference summed over a grid of the same Gauss rules, both
+    sides moved together and every such rule certified.  The biangle
+    reference still sums over that grid, so it stays blind to this defect;
+    only an exact audit of the biangle table would see it."""
+    real = opq1d_mod.jacobi_recurrence
+
+    def scaled(alpha, beta, m):
+        rc = real(alpha, beta, m)
+        return opq1d_mod.RecurrenceCoeffs(a=rc.a, b=rc.b * (1.0 + 1e-6), mu0=rc.mu0)
+
+    for module in (biangle_mod, composed_mod, oracle_mod, squaremin_mod):
+        monkeypatch.setattr(module, "jacobi_recurrence", scaled)
+    out = tmp_path / "rule.json"
+    assert run(capsys, "build", *key.split(), "--out", str(out))[0] == 0
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, err) == (3, "") and stdout.endswith(": FAIL\n"), stdout
 
 
 def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(

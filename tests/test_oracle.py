@@ -11,6 +11,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubamin.oracle as oracle_mod
 from cubamin.biangle import gauss_cubature_biangle
@@ -27,6 +29,7 @@ from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
 from identities import (
     biangle_moments,
     chebyshev_moment_1d,
+    grid_square_gram,
     monomial_oracle,
     monomials_from_gram,
     reference_certify,
@@ -445,8 +448,8 @@ _CROSS_CHECK = (
 
 
 def test_exact_engine_agrees_with_the_angular_ladder():
-    """The tensor grid in fold coordinates and the angular ladder integrate
-    the same kernel by independent routes; they agree to roundoff."""
+    """The closed-form square tables and the angular ladder integrate the
+    same kernel by independent routes; they agree to roundoff."""
     for spec, params, row, degree in _CROSS_CHECK:
         pairs = _even_pairs(degree)
         ladder = oracle_mod.angular_moment_ladder(*params, pairs, row)[-1]
@@ -496,3 +499,90 @@ def test_both_moment_routes_match_known_answers(a, b, g):
     pairs = _even_pairs(33)
     ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
     assert max(abs(v - ref[p]) for p, v in zip(pairs, ladder)) <= 1e-13 * mass
+
+
+@st.composite
+def _square_specs(draw):
+    ell = draw(st.integers(1, 4))
+    gamma = draw(st.sampled_from([-0.5, 0.5])) if ell == 1 else -0.5
+    alpha, beta = (draw(st.floats(-0.9, 4.0)) for _ in range(2))
+    return WeightSpec("square-W", alpha, beta, gamma, ell)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_square_specs(), degree=st.integers(0, 60))
+def test_the_closed_form_square_table_matches_the_grid_route(spec, degree):
+    """reference_gram's closed form and the tensor Gauss grid in fold
+    coordinates (tests/identities.py) agree on every i + j <= degree.  The
+    grid alone is off by about 1.75e-11 of the mass near alpha, beta = -1,
+    so the draws stop at -0.9."""
+    closed = reference_gram(spec, degree)
+    grid = grid_square_gram(spec, degree)
+    i, j = np.indices(closed.shape)
+    live = i + j <= degree
+    assert np.max(np.abs(closed - grid)[live]) <= 1e-12 * closed[0, 0]
+
+
+def _exact_square_table(alpha, beta, gamma, degree):
+    """The square table of reference_gram over mu_0^2, in exact rationals,
+    on i + j <= degree, by a route that runs no recurrence in k: with
+    t = (1 + y)/2, a Beta(beta + 1, alpha + 1) variable, E t^m =
+    prod_{j<m} (beta + 1 + j)/(alpha + beta + 2 + j), and T_k(2t - 1) has
+    integer coefficients in t, so each mu_k/mu_0 is rational for
+    binary-float alpha, beta."""
+    a, b = Fraction(alpha), Fraction(beta)
+    top = degree + 3
+    power = [Fraction(1)]
+    for m in range(top):
+        power.append(power[-1] * (b + 1 + m) / (a + b + 2 + m))
+    mu, prev, cur = [], [1], [-1, 2]  # T_0, T_1 in powers of t
+    for k in range(top):
+        mu.append(sum(c * power[m] for m, c in enumerate(prev) if c))
+        # T_{k+2}(2t - 1) = 2 (2t - 1) T_{k+1} - T_k
+        prev, cur = cur, [4 * (cur[m - 1] if m else 0) - 2 * (cur[m] if m < len(cur) else 0)
+                          - (prev[m] if m < len(prev) else 0) for m in range(len(cur) + 1)]
+    eta = [(mu[k + 1] + mu[abs(k - 1)]) / 2 for k in range(degree + 1)]
+    nu = [(mu[k + 2] + 2 * mu[k] + mu[abs(k - 2)]) / 4 for k in range(degree + 1)]
+    table = {}
+    for i in range(degree + 1):
+        for j in range(i % 2, degree + 1 - i, 2):
+            p, q = (i + j) // 2, abs(i - j) // 2
+            if gamma == -0.5:
+                table[i, j] = mu[p] * mu[q]
+            else:
+                table[i, j] = (nu[p] * mu[q] + mu[p] * nu[q]) / 4 - eta[p] * eta[q] / 2
+    return table
+
+
+def _closed_form_error(spec, degree, exact):
+    """max |table - mu_0^2 exact| over the mass, on i + j <= degree, with
+    the float table and mass taken exactly: only the float table rounds."""
+    table = reference_gram(spec, degree)
+    mass = Fraction(table[0, 0])
+    mu0_sq = Fraction(oracle_mod.jacobi_recurrence(spec.alpha, spec.beta, 1).mu0) ** 2
+    worst = 0.0
+    for d in range(degree + 1):
+        for i in range(d + 1):
+            want = mu0_sq * exact[i // spec.ell, (d - i) // spec.ell] if (
+                i % spec.ell == 0 and (d - i) % spec.ell == 0 and d % 2 == 0) else 0
+            worst = max(worst, abs(float((Fraction(table[i, d - i]) - want) / mass)))
+    return worst
+
+
+@pytest.mark.parametrize("alpha, beta, degree, tol", [
+    (a, b, 60, 1e-15) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5)
+] + [(1.7, 0.3, 101, 1e-15)] + [
+    (4.0, -0.999, 60, 1e-11), (-0.999, 4.0, 60, 1e-11),
+    (-0.999, -0.99, 60, 1e-11), (-0.99, -0.999, 60, 1e-11),
+])
+def test_the_closed_form_square_table_is_exact_to_roundoff(alpha, beta, degree, tol):
+    """Against exact rational tables, both gamma and, at gamma = -1/2, the
+    composed ell = 3 table.  On the criterion-3 grid and at (1.7, 0.3) the
+    closed form is within 1e-15 of the mass.  At the corners, where one
+    parameter nears -1 and the eta*eta and nu*mu terms cancel at
+    gamma = +1/2, it was measured within 3.9e-12."""
+    for gamma in (-0.5, 0.5):
+        exact = _exact_square_table(alpha, beta, gamma, degree)
+        for ell in ((1, 3) if gamma == -0.5 else (1,)):
+            spec = WeightSpec("square-W", alpha, beta, gamma, ell)
+            assert _closed_form_error(spec, degree, exact) <= tol, (gamma, ell)
