@@ -45,10 +45,6 @@ def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:
     gamma = +1/2: strict pairs of the (n+1)-point Gauss abscissae; the
     squared node gap absorbs the |x1-x2|^2 weight factor.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if spec.family != "biangle-gamma":
-        raise ValueError("gauss_cubature_biangle needs a biangle-gamma spec")
     gamma = spec.gamma
     q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, n + 1), n + 1 if gamma == 0.5 else n)
     J, K, weights = gauss_pairs(q, gamma == 0.5)

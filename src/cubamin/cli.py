@@ -24,7 +24,7 @@ import numpy as np
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
 from .oracle import DomainError, certify
-from .rules import ConstructionError, CubatureRule2D, WeightSpec, rule_shape
+from .rules import RULE_WEIGHTS, ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
 EXIT_OK = 0
@@ -58,18 +58,18 @@ _JSON_FIELDS = (
 # rows per block of the rule writers
 _BLOCK_ROWS = 16384
 
-# each rule family's help line, weight family, build flags in usage order and
-# builder(spec, size); the size flag is n or m, and n, m and ell parse as int,
-# the Jacobi parameters as float.  The lambdas look their builder up when
-# called, so that a module attribute replaced at run time is the one that runs
+# each rule family's help line, build flags in usage order and builder(spec,
+# size); the size flag is n or m, and n, m and ell parse as int, the Jacobi
+# parameters as float.  The lambdas look their builder up when called, so
+# that a module attribute replaced at run time is the one that runs
 _FAMILIES = {
-    "biangle": ("Gauss rule on the parabolic domain", "biangle-gamma", "alpha beta gamma n",
+    "biangle": ("Gauss rule on the parabolic domain", "alpha beta gamma n",
                 lambda spec, n: gauss_cubature_biangle(spec, n)),
-    "square-even": ("minimal rule of degree 4m-1 on the square", "square-W",
-                    "alpha beta gamma m", lambda spec, m: minimal_rule_even(spec, m)),
-    "square-odd": ("minimal rule of degree 4m+1 on the square", "square-W",
-                   "alpha beta gamma m", lambda spec, m: minimal_rule_odd(spec, m)),
-    "composed": ("folded minimal rule of degree 4*ell*m-1", "square-W", "ell m alpha beta",
+    "square-even": ("minimal rule of degree 4m-1 on the square", "alpha beta gamma m",
+                    lambda spec, m: minimal_rule_even(spec, m)),
+    "square-odd": ("minimal rule of degree 4m+1 on the square", "alpha beta gamma m",
+                   lambda spec, m: minimal_rule_odd(spec, m)),
+    "composed": ("folded minimal rule of degree 4*ell*m-1", "ell m alpha beta",
                  lambda spec, m: composed_rule(spec, m)),
 }
 
@@ -112,7 +112,7 @@ def rule_to_csv(nodes: np.ndarray, weights: np.ndarray, fh: TextIO) -> None:
 def family_spec(family: str, alpha: float, beta: float, gamma: float, ell) -> WeightSpec:
     """The weight spec of a rule family; ell None, as files record it off the
     composed family, is 1.  Raises ValueError on invalid parameters."""
-    return WeightSpec(_FAMILIES[family][1], alpha, beta, gamma, 1 if ell is None else ell)
+    return WeightSpec(RULE_WEIGHTS[family][0], alpha, beta, gamma, 1 if ell is None else ell)
 
 
 def rule_metadata(family: str, spec: WeightSpec, param: int) -> Dict[str, object]:
@@ -215,11 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     bu = sub.add_parser("build", help="construct a rule and write it to a file")
     bu.set_defaults(run=cmd_build)
     fam = bu.add_subparsers(dest="family", metavar="family", required=True)
-    for name, (help_text, _, flags, _) in _FAMILIES.items():
+    for name, (help_text, flags, _) in _FAMILIES.items():
         sp = fam.add_parser(name, help=help_text)
         for flag in flags.split():
             sp.add_argument("--" + flag, type=int if flag in ("n", "m", "ell") else float,
                             required=True)
+        # the spec fields the family fixes take no flag
+        sp.set_defaults(**RULE_WEIGHTS[name][2])
         sp.add_argument("--out", default=None, help="output path (default rule.FORMAT)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -265,11 +267,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_build(args) -> int:
-    _, _, flags, build = _FAMILIES[args.family]
+    _, flags, build = _FAMILIES[args.family]
     flag = "n" if "n" in flags.split() else "m"
     try:
-        spec = family_spec(args.family, args.alpha, args.beta,
-                           getattr(args, "gamma", -0.5), getattr(args, "ell", None))
+        spec = family_spec(args.family, args.alpha, args.beta, args.gamma,
+                           getattr(args, "ell", None))
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     size = getattr(args, flag)
@@ -418,13 +420,13 @@ def render_svg(
 ) -> str:
     """Scatter of the nodes inside the domain outline.
 
-    family None (a CSV file) falls back on the bounding box: any node
+    A known family draws its domain in RULE_WEIGHTS.  Otherwise (a CSV
+    file, or an unknown family) it falls back on the bounding box: any node
     outside the unit square implies the curved domain.  Raises
     OverflowError when a node's pixel position is beyond float range.
     """
-    curved = family == "biangle" or (
-        family is None and bool(np.any(np.abs(nodes[:, 0]) > 1.0 + 1e-12))
-    )
+    curved = (RULE_WEIGHTS[family][1] == "biangle" if family in RULE_WEIGHTS
+              else bool(np.any(np.abs(nodes[:, 0]) > 1.0 + 1e-12)))
     if curved:
         xlo, xhi, ylo, yhi = -2.0, 2.0, -1.0, 1.0
     else:

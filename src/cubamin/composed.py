@@ -26,7 +26,7 @@ __all__ = ["composed_rule"]
 
 def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     """Minimal rule of degree 4*ell*m - 1 with 2 ell^2 m^2 + 2 ell m nodes
-    for the composed family of a square-W spec with gamma = -1/2, over its
+    for the composed weight of spec, the fold of degree ell over its
     Jacobi(alpha, beta) base.
 
     Each unordered Gauss-angle pair spawns four angular orbit nodes, and
@@ -36,10 +36,6 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     the diagonal orbits drop to 2 ell (ell+1) distinct nodes; at ell = 1
     this reproduces the even square rule exactly.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if spec.family != "square-W" or spec.gamma != -0.5:
-        raise ValueError("composed_rule needs a square-W spec with gamma = -1/2")
     ell = spec.ell
     q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, m), m)
     J, K, share = gauss_pairs(q, False)

@@ -9,7 +9,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError",
-           "rule_shape"]
+           "RULE_WEIGHTS", "rule_shape"]
+
+# the weight each rule family is built on: its WeightSpec family, the domain
+# of that weight, and the spec fields the family fixes, with their values
+RULE_WEIGHTS = {
+    "biangle": ("biangle-gamma", "biangle", {}),
+    "square-even": ("square-W", "square", {"ell": 1}),
+    "square-odd": ("square-W", "square", {"ell": 1}),
+    "composed": ("square-W", "square", {"gamma": -0.5}),
+}
 
 
 class ConstructionError(RuntimeError):
@@ -70,7 +79,7 @@ class WeightSpec:
 @dataclass(frozen=True)
 class CubatureRule2D:
     """Nodes and positive weights of a 2D rule; its degree and node count are
-    its family's at param."""
+    its family's at param, and its spec is its family's weight in RULE_WEIGHTS."""
 
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
@@ -83,6 +92,11 @@ class CubatureRule2D:
             raise ValueError("param must be >= 1, got %r" % (self.param,))
         # raises on an unknown family
         count = rule_shape(self.family, self.param, self.spec.ell)[1]
+        weight, _, fixed = RULE_WEIGHTS[self.family]
+        if self.spec.family != weight or any(getattr(self.spec, k) != v for k, v in fixed.items()):
+            raise ValueError("%s rule needs a %s spec%s, got %r" % (
+                self.family, weight, "".join(" with %s = %r" % kv for kv in fixed.items()),
+                self.spec))
         nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(
@@ -104,7 +118,7 @@ class CubatureRule2D:
 
     @property
     def domain(self) -> str:
-        return "biangle" if self.spec.family == "biangle-gamma" else "square"
+        return RULE_WEIGHTS[self.family][1]
 
     @property
     def node_count(self) -> int:

@@ -134,10 +134,6 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
     g = +1/2: strict pairs of the (m+1)-point Gauss angles, per-point
     weight lam_j lam_k (t_j - t_k)^2 / 8.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if spec.family != "square-W" or spec.ell != 1:
-        raise ValueError("minimal_rule_even needs a square-W spec with ell = 1")
     g = spec.gamma
     size = m + 1 if g == 0.5 else m
     q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, size), size)
@@ -174,10 +170,6 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     must reach residual 1e-9 relative with all weights positive, else the
     construction fails loudly.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if spec.family != "square-W" or spec.ell != 1:
-        raise ValueError("minimal_rule_odd needs a square-W spec with ell = 1")
     alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
 
     if gamma == -0.5:

@@ -395,6 +395,30 @@ def test_rules_refuse_a_family_or_size_without_a_shape():
         dataclasses.replace(rule, param=3)
 
 
+_BIANGLE = WeightSpec("biangle-gamma", alpha=0.5, beta=0.0, gamma=-0.5)
+_SQUARE = WeightSpec("square-W", alpha=0.5, beta=0.0, gamma=-0.5)
+
+
+@pytest.mark.parametrize("build, spec, other", [
+    (gauss_cubature_biangle, _BIANGLE, _SQUARE),
+    (minimal_rule_even, _SQUARE, _BIANGLE),
+    (minimal_rule_even, _SQUARE, dataclasses.replace(_SQUARE, ell=2)),
+    (minimal_rule_odd, _SQUARE, _BIANGLE),
+    (minimal_rule_odd, _SQUARE, dataclasses.replace(_SQUARE, ell=2)),
+    (composed_rule, dataclasses.replace(_SQUARE, ell=2), _BIANGLE),
+    (composed_rule, _SQUARE, dataclasses.replace(_SQUARE, gamma=0.5)),
+])
+def test_rules_refuse_a_spec_of_another_weight(build, spec, other):
+    """A rule's spec is its family's weight: the square weight with ell = 1
+    for the minimal square rules, with gamma = -1/2 for the composed rule,
+    and the curved domain's for the Gauss rule.  A square rule labelled
+    with the curved domain's weight had constructed, and certify then
+    reported its nodes as outside that domain."""
+    rule = build(spec, 2)
+    with pytest.raises(ValueError, match="^%s rule needs a " % rule.family):
+        dataclasses.replace(rule, spec=other)
+
+
 def _with_node_0(rule, node, weight):
     """The rule with its node 0 and weight replaced, so its count still holds."""
     nodes, weights = rule.nodes.copy(), rule.weights.copy()
