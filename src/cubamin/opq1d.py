@@ -35,6 +35,11 @@ __all__ = [
     "diagonal_zero_set",
 ]
 
+# the relative accuracy the weight mass of jacobi_recurrence must reach, a
+# tenth of certify's default tolerance: the builders and the references
+# share the mass, so certify cannot see its error
+_MASS_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
@@ -77,7 +82,10 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     """Monic recurrence coefficients for the weight (1-t)^alpha (1+t)^beta.
 
     Returns a_0..a_{m-1} and b_1..b_{m-1}, plus mu0 = 2^{alpha+beta+1}
-    B(alpha+1, beta+1).
+    B(alpha+1, beta+1).  Raises OverflowError, naming the weight, when a
+    value leaves float range, or when the log terms of mu0 are so large
+    that the rounding of their sum, which exp turns into a relative error
+    of mu0, may pass _MASS_RTOL.
     """
     if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
         raise ValueError("Jacobi parameters must be finite and exceed -1")
@@ -86,10 +94,9 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     s = alpha + beta
     # float pow and lgamma raise OverflowError past float range, while a
     # product that overflows or a quotient that underflows goes to inf, 0
-    # or NaN silently (a b_k from alpha + beta of about 1e77 on, the mass
-    # from about 1e110); either way the diagnostic names the step and the
-    # weight
-    step = "a recurrence coefficient"
+    # or NaN silently (a b_k from alpha + beta of about 1e77 on); either way
+    # the diagnostic names the step and the weight
+    step, limit = "a recurrence coefficient", "exceeds float range"
     try:
         a = np.empty(m)
         a[0] = (beta - alpha) / (s + 2.0)
@@ -110,18 +117,17 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
         if not (np.all(np.isfinite(a)) and np.all(b > 0.0) and np.all(b < math.inf)):
             raise OverflowError
         step = "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1)"
-        mu0 = math.exp(
-            (s + 1.0) * math.log(2.0)
-            + math.lgamma(alpha + 1.0)
-            + math.lgamma(beta + 1.0)
-            - math.lgamma(s + 2.0)
-        )
+        logs = ((s + 1.0) * math.log(2.0), math.lgamma(alpha + 1.0),
+                math.lgamma(beta + 1.0), math.lgamma(s + 2.0))
+        if 2.0**-52 * sum(map(abs, logs)) > _MASS_RTOL:
+            limit = "may lose more than %g to cancellation" % _MASS_RTOL
+            raise OverflowError
+        mu0 = math.exp(logs[0] + logs[1] + logs[2] - logs[3])
         if not 0.0 < mu0 < math.inf:
             raise OverflowError
     except OverflowError:
         raise OverflowError(
-            "%s of the Jacobi weight alpha=%g, beta=%g exceeds float range"
-            % (step, alpha, beta)
+            "%s of the Jacobi weight alpha=%g, beta=%g %s" % (step, alpha, beta, limit)
         ) from None
     return RecurrenceCoeffs(a=a, b=b, mu0=mu0)
 

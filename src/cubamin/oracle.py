@@ -52,6 +52,10 @@ _LADDER_MAX_DOUBLINGS = 12
 # each entry in one fixed order, whatever the number of BLAS threads
 _CHUNK = 8192
 
+# bytes certify may hold at once; a degree whose estimate exceeds it is
+# refused before any table is built
+_MEMORY_BUDGET = 2 * 2**30
+
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
     """Nodes/weights for integral over [0,1] of a^p (1-a)^q g(a) da."""
@@ -274,16 +278,24 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
     |rule - reference| divided by the mass, the reference T_0 T_0 entry.
 
     Raises ValueError unless rel_tol is finite and positive and
-    max_degree >= 0, and DomainError, before any moment is computed,
-    when a node lies outside the rule's closed domain by more than
-    1e-12: such a node would carry products beyond 1 in magnitude.
-    Raises OverflowError when a reference entry is infinite or NaN,
-    which no comparison could fail.
+    max_degree >= 0, and MemoryError, before any table is built, when its
+    peak estimate exceeds _MEMORY_BUDGET: about eleven (D + 1)^2 float
+    tables (the reference, its index arrays, the rule's Gram and the
+    errors) and two (D + 1) x _CHUNK row blocks of a Gram chunk.  Raises
+    DomainError, before any moment is computed, when a node lies outside
+    the rule's closed domain by more than 1e-12: such a node would carry
+    products beyond 1 in magnitude.  Raises OverflowError when a
+    reference entry is infinite or NaN, which no comparison could fail.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError("rel_tol must be a finite positive number, got %r" % (rel_tol,))
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0, got %r" % (max_degree,))
+    peak = 8 * (max_degree + 1) * (11 * (max_degree + 1) + 2 * _CHUNK)
+    if peak > _MEMORY_BUDGET:
+        need = "about %.3g GiB" % (peak / 2**30) if peak < 2**1000 else "over 2^1000 bytes"
+        raise MemoryError("certify through degree %d needs %s, over its budget of %g GiB"
+                          % (max_degree, need, _MEMORY_BUDGET / 2**30))
     x = rule.nodes[:, 0]
     y = rule.nodes[:, 1]
     if rule.domain == "square":

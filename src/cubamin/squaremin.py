@@ -198,11 +198,14 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     A = _symmetrized_cos_rows(pairs, classes)
     try:
         raw = _oracle.cos_basis_moments(alpha, beta, gamma, pairs)
-    except OverflowError:
+    except OverflowError as exc:
+        # the ladder's weight (2 beta + 1, 4 alpha + 3) reaches the limits of
+        # its mass first: keep the limit, and name the rule's own weight
+        limit = str(exc).rpartition(" beta=")[2].partition(" ")[2]
         raise OverflowError(
             "weight mass of the Jacobi weight behind the odd-rule moments "
-            "exceeds float range for alpha=%g, beta=%g, gamma=%g, m=%d"
-            % (alpha, beta, gamma, m)) from None
+            "%s for alpha=%g, beta=%g, gamma=%g, m=%d"
+            % (limit, alpha, beta, gamma, m)) from None
     b = np.array([(2.0 if i != j else 1.0) * v for (i, j), v in zip(pairs, raw)])
 
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)

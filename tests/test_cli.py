@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -344,15 +345,22 @@ def test_verify_names_a_null_weight_parameter(tmp_path, capsys, family, field):
         family.split()[0], field)
 
 
-def test_verify_of_a_max_degree_beyond_memory_exits_4_with_one_line(tmp_path, capsys):
-    """The square reference of degree 10^18 asks for 6.94 EiB at its first
-    allocation, the 1-D Chebyshev moments, which fails at once; numpy's
-    MemoryError had ended in a traceback with exit 1."""
+@pytest.mark.parametrize("degree, estimate", [(20000, "35.2"), (10**18, "8.2e+28")])
+def test_verify_of_a_max_degree_beyond_memory_exits_4_with_one_line(tmp_path, capsys,
+                                                                    degree, estimate):
+    """certify estimates its peak memory from the degree before it builds
+    any table and refuses one past its 2 GiB budget, at once.  At degree
+    20000 a 12-node square file had been killed for want of memory (its
+    reference's index arrays alone took 8 GB), and at 10^18 numpy's
+    MemoryError for the 1-D moments had printed `Unable to allocate 6.94
+    EiB`."""
     out = build_small_even(tmp_path, capsys)
-    code, stdout, err = run(capsys, "verify", str(out), "--max-degree", str(10**18))
-    assert (code, stdout) == (4, "")
-    assert err.startswith("cubamin: moment oracle failed: Unable to allocate 6.94 EiB ")
-    assert err.count("\n") == 1, err
+    start = time.monotonic()
+    code, stdout, err = run(capsys, "verify", str(out), "--max-degree", str(degree))
+    assert time.monotonic() - start < 5.0
+    assert (code, stdout, err) == (4, "", "cubamin: moment oracle failed: certify through "
+                                   "degree %d needs about %s GiB, over its budget of 2 GiB\n"
+                                   % (degree, estimate))
 
 
 # a small rule of each weight family
@@ -387,6 +395,7 @@ def test_verify_of_an_overflowing_weight_is_unverifiable(tmp_path, capsys,
 
 _COEFFICIENT = "a recurrence coefficient"
 _MASS = "weight mass mu0 = 2^(alpha+beta+1) B(alpha+1, beta+1)"
+_CANCELLED = "may lose more than 1e-10 to cancellation"
 
 
 @pytest.mark.parametrize("family, step", zip(SMALL_RULES, [_COEFFICIENT, _MASS, _MASS]))
@@ -610,16 +619,22 @@ def test_verify_rejects_a_composed_file_without_ell(tmp_path, capsys):
     assert "ell" in err and err.count("\n") == 1
 
 
-def test_verify_honours_the_gamma_of_a_composed_file(tmp_path, capsys):
+@pytest.mark.parametrize("ell, message", [
+    ("2", "composed family exists only for gamma = -1/2"),
+    ("1", "composed rule needs a square-W spec with gamma = -0.5"),
+])
+def test_verify_honours_the_gamma_of_a_composed_file(tmp_path, capsys, ell, message):
     """The composed weight exists only for gamma = -1/2; a composed file
-    claiming +1/2 had been certified against the -1/2 weight."""
+    claiming +1/2 had been certified against the -1/2 weight, and at
+    ell = 1, where the spec itself is valid, against the square weight
+    at +1/2."""
     path = tmp_path / "c.json"
-    code, _, _ = run(capsys, "build", "composed", "--ell", "2", "--m", "2",
+    code, _, _ = run(capsys, "build", "composed", "--ell", ell, "--m", "2",
                      "--alpha", "-0.5", "--beta", "-0.5", "--out", str(path))
     assert code == 0
     code, stdout, err = _edit_and_verify(path, capsys, _set("gamma", 0.5))
     assert code == 1 and stdout == ""
-    assert "composed family exists only for gamma = -1/2" in err and err.count("\n") == 1
+    assert message in err and err.count("\n") == 1
 
 
 def test_verify_honours_the_ell_of_every_family(tmp_path, capsys):
@@ -802,21 +817,34 @@ def test_build_overflow_names_the_weight_mass(tmp_path, capsys):
     assert "alpha=300" in err, err
 
 
-@pytest.mark.parametrize("family", [
-    "biangle --gamma -0.5 --n 3",
-    "square-even --gamma -0.5 --m 3",
-    "square-odd --gamma -0.5 --m 3",
-    "composed --ell 2 --m 3",
+def test_build_names_a_cancelled_mass_of_the_odd_rule_moments(tmp_path, capsys):
+    """At alpha = beta = 1e4 the rule's own mass still holds to 1e-10, but
+    the moment ladder's weight (2 beta + 1, 4 alpha + 3) loses more than
+    that to cancellation; the line names the rule's parameters and that
+    limit, not float range."""
+    _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma 0.5 --m 2",
+                 r"weight mass of the Jacobi weight behind the odd-rule moments may lose "
+                 r"more than 1e-10 to cancellation for alpha=10000, beta=10000, gamma=0\.5, m=2")
+
+
+@pytest.mark.parametrize("key", [
+    "biangle --gamma -0.5 --n 3 --alpha 1000 --beta 0",
+    "square-even --gamma -0.5 --m 3 --alpha 1000 --beta 0",
+    "square-odd --gamma -0.5 --m 3 --alpha 1000 --beta 0",
+    "composed --ell 2 --m 3 --alpha 1000 --beta 0",
+    "square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
 ])
-def test_build_overflow_writes_one_stderr_line(tmp_path, family):
+def test_build_overflow_writes_one_stderr_line(tmp_path, key):
     """At alpha = 1000 the Gauss weight products overflow.  Run as a child
     process, where no test harness captures numpy warnings, the build still
-    writes its one diagnostic line and nothing else."""
+    writes its one diagnostic line and nothing else.  At alpha = beta =
+    1e102 the odd rule's zero search had run on overflowing Jacobi values
+    and printed two numpy RuntimeWarnings before its line; it now stops at
+    the weight mass."""
     out = tmp_path / "rule.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
-        [sys.executable, "-m", "cubamin.cli", "build", *family.split(),
-         "--alpha", "1000", "--beta", "0", "--out", str(out)],
+        [sys.executable, "-m", "cubamin.cli", "build", *key.split(), "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert child.returncode == 2
     assert child.stderr.startswith("cubamin: construction failed: ")
@@ -963,6 +991,28 @@ def test_a_weight_beyond_the_recurrence_fails_the_build_naming_it(tmp_path, caps
                  r"alpha=(2e\+154|1e\+300), beta=[01] exceeds float range")
 
 
+@pytest.mark.parametrize("key", [
+    "biangle --gamma -0.5 --n 3 --alpha 1e7 --beta 1e7",
+    "biangle --gamma 0.5 --n 3 --alpha 1e7 --beta 1e7",
+    "square-even --gamma -0.5 --m 3 --alpha 1e7 --beta 1e7",
+    "square-even --gamma 0.5 --m 3 --alpha 1e7 --beta 1e7",
+    "square-odd --gamma -0.5 --m 2 --alpha 1e7 --beta 1e7",
+    "square-odd --gamma 0.5 --m 2 --alpha 1e7 --beta 1e7",
+    "composed --ell 2 --m 3 --alpha 1e7 --beta 1e7",
+    "square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
+])
+def test_a_weight_mass_lost_to_cancellation_fails_the_build_naming_it(tmp_path, capsys, key):
+    """At alpha = beta = 1e7 the mass formula's log terms cancel to a
+    relative error of 2.8e-8, and builders and references share the mass,
+    so a rule built on it had certified.  Past 1e-10 the build exits 2 with
+    the line of the mass.  At 1e102 the odd rule's first recurrence keeps
+    its one b_k finite, and its zero search had failed on overflowing
+    values with `expected 2 positive zeros, found 0`."""
+    weight = re.escape("%g" % float(key.split()[-1]))
+    _build_fails(tmp_path, capsys, key, r"%s of the Jacobi weight alpha=%s, beta=%s %s"
+                 % (re.escape(_MASS), weight, weight, _CANCELLED))
+
+
 @pytest.mark.parametrize("weight", ["1e102", "1e110", "1e153"])
 @pytest.mark.parametrize("family", [
     "biangle --gamma -0.5 --n 3",
@@ -984,29 +1034,22 @@ def test_a_coefficient_that_leaves_float_range_silently_fails_the_build_naming_i
                  r"exceeds float range" % (printed, printed))
 
 
-@pytest.mark.parametrize("weight", [1e102, 1e110, 1e153])
+@pytest.mark.parametrize("weight", [1e7, 1e102, 1e110, 1e153])
 @pytest.mark.parametrize("family", SMALL_RULES[1:] + [
     "square-even --alpha -0.5 --beta -0.5 --gamma 0.5 --m 2"])
 def test_verify_of_a_square_file_at_a_huge_weight_ends_in_one_line(
         tmp_path, capsys, family, weight):
     """An edited square file at these weights had ended in a ValueError
     traceback with exit 1.  The square reference takes only the mass from
-    the recurrence, and at these weights the mass formula loses every digit
-    to cancellation: it comes out 0, inf or a finite value, as the last bits
-    of lgamma fall.  So verify exits 4 with the line of the mass, or, on a
-    finite mass, 3 with its verdict, which is FAIL for a rule built at
-    alpha = beta = -1/2; either way one line."""
+    the recurrence, and from alpha = beta of about 1e5 the mass formula
+    loses more than 1e-10 to cancellation (2.8e-8 at 1e7, every digit from
+    1e102), so verify exits 4 with the line of the mass.  On a finite mass
+    it had exited 3 with its verdict on a reference of no stated accuracy."""
     out = tmp_path / "rule.json"
     assert run(capsys, "build", *family.split(), "--out", str(out))[0] == 0
-    code, stdout, err = _edit_and_verify(out, capsys,
-                                         lambda doc: doc.update(alpha=weight, beta=weight))
-    if code == 4:
-        assert (stdout, err) == ("", "cubamin: moment oracle failed: %s of the Jacobi weight "
-                                 "alpha=%g, beta=%g exceeds float range\n"
-                                 % (_MASS, weight, weight))
-    else:
-        assert (code, err) == (3, "") and re.fullmatch(r"declared \d+, certified -?\d+ "
-                                                       r"through degree \d+, .*: FAIL\n", stdout)
+    assert _edit_and_verify(out, capsys, lambda doc: doc.update(alpha=weight, beta=weight)) == (
+        4, "", "cubamin: moment oracle failed: %s of the Jacobi weight alpha=%g, beta=%g %s\n"
+        % (_MASS, weight, weight, _CANCELLED))
 
 
 @pytest.mark.parametrize("key", [

@@ -435,6 +435,20 @@ def test_certify_rejects_a_node_outside_the_square():
         certify(far, far.degree)
 
 
+def test_certify_refuses_a_degree_past_its_memory_budget_before_any_table(monkeypatch):
+    """The peak estimate at degree D is 8 (D + 1) (11 (D + 1) + 2 _CHUNK)
+    bytes: a budget of exactly that admits D, and one byte less refuses it
+    before the reference is built."""
+    rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 2)
+    need = 8 * 8 * (11 * 8 + 2 * oracle_mod._CHUNK)
+    monkeypatch.setattr(oracle_mod, "_MEMORY_BUDGET", need)
+    assert certify(rule, 7).certified_degree == 7
+    monkeypatch.setattr(oracle_mod, "_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(oracle_mod, "reference_gram", lambda *args: pytest.fail("table built"))
+    with pytest.raises(MemoryError, match="^certify through degree 7 needs about "):
+        certify(rule, 7)
+
+
 def test_certify_rejects_a_node_outside_the_curved_domain():
     spec = WeightSpec("biangle-gamma", 0.5, -0.5, 0.5)
     # (0, 0.5) lies above the parabola u2 = u1^2 / 4

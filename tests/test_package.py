@@ -2,6 +2,7 @@
 runs on a documented path, and the runtime needs numpy alone."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -126,6 +127,24 @@ def test_every_builder_takes_a_spec_and_a_size(build, spec):
     its rule with the spec it was given."""
     rule = build(spec, 2)
     assert rule.spec is spec and rule.param == 2
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("build,spec", [
+    (gauss_cubature_biangle, _BIANGLE),
+    (gauss_cubature_biangle, dataclasses.replace(_BIANGLE, gamma=-0.5)),
+    (minimal_rule_even, _SQUARE),
+    (minimal_rule_even, dataclasses.replace(_SQUARE, gamma=-0.5)),
+    (minimal_rule_odd, _SQUARE),
+    (minimal_rule_odd, dataclasses.replace(_SQUARE, gamma=-0.5)),
+    (composed_rule, _COMPOSED),
+])
+def test_every_builder_refuses_a_size_below_one(build, spec, size):
+    """The builders check no size themselves: the recurrence, the Gauss
+    rule or the diagonal zero search refuses a size below 1, and the rule
+    type's param check catches the empty gamma = +1/2 builds at size 0."""
+    with pytest.raises(ValueError, match="must be >= 1"):
+        build(spec, size)
 
 
 @pytest.mark.parametrize("build,spec", [
