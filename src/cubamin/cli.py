@@ -38,9 +38,9 @@ CSV_HEADER = "x1,x2,weight"
 # reading a rule file: unreadable, malformed, a number beyond float range,
 # or JSON nested deeper than the parser's recursion limit
 _READ_ERRORS = (OSError, ValueError, OverflowError, RecursionError)
-# building a rule; extreme Jacobi parameters overflow the recurrence mass,
-# lose a zero, or keep an odd-rule oracle ladder from settling, and a size
-# beyond memory fails at its first allocation
+# building a rule; extreme Jacobi parameters overflow the recurrence mass or
+# the odd rule's moment ladder, lose a zero, or keep that ladder from
+# settling, and a size beyond memory fails at its first allocation
 _BUILD_ERRORS = (ConstructionError, ValueError, OverflowError, MemoryError)
 
 _JSON_FIELDS = (
@@ -281,8 +281,11 @@ def cmd_build(args) -> int:
     try:
         rule = build(spec, size)
     except _BUILD_ERRORS as exc:
-        # nothing has been opened for writing yet, so no partial file
-        return _fail("construction failed: %s" % exc, EXIT_CONSTRUCTION)
+        # nothing has been opened for writing yet, so no partial file; the
+        # line names the rule by its flags as parsed, the library the cause
+        named = ", ".join("%s=%r" % (f, getattr(args, f)) for f in flags.split())
+        return _fail("construction failed for %s %s: %s" % (args.family, named, exc),
+                     EXIT_CONSTRUCTION)
 
     out = args.out if args.out is not None else "rule.%s" % args.format
     if not _write_file(out, lambda fh: rule_to_csv(rule.nodes, rule.weights, fh)

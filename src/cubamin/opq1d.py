@@ -370,7 +370,8 @@ def _positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
     zeros = sorted(set(np.round(z, 15).tolist()))
     if len(zeros) != m_expected:
         raise ConstructionError(
-            "expected %d positive zeros, found %d" % (m_expected, len(zeros))
+            "expected %d positive zeros, found %d on a %d-cell grid"
+            % (m_expected, len(zeros), grid_n)
         )
     return np.array(zeros)
 

@@ -97,6 +97,8 @@ def angular_moment_ladder(
     entry, after at least _LADDER_MIN_LEVELS levels and at most
     _LADDER_MAX_DOUBLINGS doublings.  Returns every ladder level (for
     convergence diagnostics); the final entry is the converged batch.
+    Raises OverflowError, naming the weight, when a level leaves float
+    range.
     """
     WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
     pa = 4.0 * alpha + 3.0
@@ -120,35 +122,42 @@ def angular_moment_ladder(
         # convergence scale so structurally zero moments cannot stall the
         # ladder, and certification tolerances are mass-relative anyway
         total = np.zeros(len(pairs) + 1)
-        for left in (True, False):
-            A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
-            t1 = u + v
-            t2 = u - v
-            # smooth quotients: 2 sin u sin v = sm_sin * a^2 b,
-            #                   2 |cos u| cos v = sm_cos * (1-a)
-            sm_sin = 2.0 * (0.5 * math.pi) ** 2 * np.sinc(A / 2.0) * np.sinc(A * B / 2.0)
-            sm_cos = math.pi * np.sinc((1.0 - A) / 2.0) * np.cos(v)
-            core = 2.0 * (0.5 * math.pi) ** 2 * sm_sin**ea * sm_cos**eb
-            if gamma == 0.5:
-                core = core * (np.sin(t1) * np.sin(t2)) ** 2
-            wmat = np.outer(a_w, b_w) * core
-            # each feature row is evaluated once per panel, at its first
-            # use, and dropped after its last; one weighted sum per pair
-            # rather than (f1 * wmat) @ f2.T, since a matrix product sums
-            # in another order and the odd-rule right-hand sides taken
-            # from here would move the last bits of their rule files
-            f1: Dict[int, np.ndarray] = {}
-            f2: Dict[int, np.ndarray] = {}
-            for pos, idx in enumerate(order):
-                i, j = pairs[idx]
-                for p in (i, j):
-                    if p not in f1:
-                        f1[p], f2[p] = row(t1, p), row(t2, p)
-                total[idx] += float(np.sum(wmat * (f1[i] * f2[j] + f2[i] * f1[j])))
-                for p in {i, j}:
-                    if last_use[p] == pos:
-                        del f1[p], f2[p]
-            total[-1] += float(np.sum(wmat))
+        # a kernel power beyond float range makes the total inf or NaN,
+        # which is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for left in (True, False):
+                A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
+                t1 = u + v
+                t2 = u - v
+                # smooth quotients: 2 sin u sin v = sm_sin * a^2 b,
+                #                   2 |cos u| cos v = sm_cos * (1-a)
+                sm_sin = 2.0 * (0.5 * math.pi) ** 2 * np.sinc(A / 2.0) * np.sinc(A * B / 2.0)
+                sm_cos = math.pi * np.sinc((1.0 - A) / 2.0) * np.cos(v)
+                core = 2.0 * (0.5 * math.pi) ** 2 * sm_sin**ea * sm_cos**eb
+                if gamma == 0.5:
+                    core = core * (np.sin(t1) * np.sin(t2)) ** 2
+                wmat = np.outer(a_w, b_w) * core
+                # each feature row is evaluated once per panel, at its first
+                # use, and dropped after its last; one weighted sum per pair
+                # rather than (f1 * wmat) @ f2.T, since a matrix product sums
+                # in another order and the odd-rule right-hand sides taken
+                # from here would move the last bits of their rule files
+                f1: Dict[int, np.ndarray] = {}
+                f2: Dict[int, np.ndarray] = {}
+                for pos, idx in enumerate(order):
+                    i, j = pairs[idx]
+                    for p in (i, j):
+                        if p not in f1:
+                            f1[p], f2[p] = row(t1, p), row(t2, p)
+                    total[idx] += float(np.sum(wmat * (f1[i] * f2[j] + f2[i] * f1[j])))
+                    for p in {i, j}:
+                        if last_use[p] == pos:
+                            del f1[p], f2[p]
+                total[-1] += float(np.sum(wmat))
+        if not np.all(np.isfinite(total)):
+            raise OverflowError(
+                "moment ladder of the square weight alpha=%g, beta=%g, gamma=%g "
+                "exceeds float range at %d points per panel axis" % (alpha, beta, gamma, n))
         levels.append(total)
         if len(levels) >= _LADDER_MIN_LEVELS:
             prev = levels[-2]

@@ -628,6 +628,7 @@ def reference_positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndar
     zeros = sorted(set(round(z, 15) for z in zeros))
     if len(zeros) != m_expected:
         raise ConstructionError(
-            "expected %d positive zeros, found %d" % (m_expected, len(zeros))
+            "expected %d positive zeros, found %d on a %d-cell grid"
+            % (m_expected, len(zeros), grid_n)
         )
     return np.array(zeros)

@@ -211,7 +211,8 @@ def test_construction_failure_leaves_no_partial_file(tmp_path, capsys, monkeypat
                        "--beta", "-0.5", "--gamma", "-0.5", "--m", "2",
                        "--out", str(out))
     assert code == 2
-    assert "construction failed" in err
+    assert err == ("cubamin: construction failed for square-even alpha=-0.5, beta=-0.5, "
+                   "gamma=-0.5, m=2: synthetic failure for testing\n"), err
     assert not out.exists()
 
 
@@ -820,63 +821,90 @@ def test_build_overflow_names_the_weight_mass(tmp_path, capsys):
 def test_build_names_a_cancelled_mass_of_the_odd_rule_moments(tmp_path, capsys):
     """At alpha = beta = 1e4 the rule's own mass still holds to 1e-10, but
     the moment ladder's weight (2 beta + 1, 4 alpha + 3) loses more than
-    that to cancellation; the line names the rule's parameters and that
-    limit, not float range."""
+    that to cancellation; the line names the rule, then the ladder's weight
+    and that limit, not float range."""
     _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma 0.5 --m 2",
-                 r"weight mass of the Jacobi weight behind the odd-rule moments may lose "
-                 r"more than 1e-10 to cancellation for alpha=10000, beta=10000, gamma=0\.5, m=2")
+                 "square-odd alpha=10000.0, beta=10000.0, gamma=0.5, m=2",
+                 r"%s of the Jacobi weight alpha=20001, beta=40003 %s"
+                 % (re.escape(_MASS), _CANCELLED))
 
 
-@pytest.mark.parametrize("key", [
-    "biangle --gamma -0.5 --n 3 --alpha 1000 --beta 0",
-    "square-even --gamma -0.5 --m 3 --alpha 1000 --beta 0",
-    "square-odd --gamma -0.5 --m 3 --alpha 1000 --beta 0",
-    "composed --ell 2 --m 3 --alpha 1000 --beta 0",
-    "square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
+def test_build_names_zeros_lost_between_grid_points(tmp_path, capsys):
+    """At alpha = beta = 1e4 the two positive diagonal zeros lie 0.005
+    apart, inside one cell of the sign grid, so no bracket finds them; the
+    line names the grid."""
+    _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma -0.5 --m 2",
+                 "square-odd alpha=10000.0, beta=10000.0, gamma=-0.5, m=2",
+                 "expected 2 positive zeros, found 0 on a 128-cell grid")
+
+
+@pytest.mark.parametrize("key, rule", [
+    ("biangle --gamma -0.5 --n 3 --alpha 1000 --beta 0",
+     "biangle alpha=1000.0, beta=0.0, gamma=-0.5, n=3"),
+    ("square-even --gamma -0.5 --m 3 --alpha 1000 --beta 0",
+     "square-even alpha=1000.0, beta=0.0, gamma=-0.5, m=3"),
+    ("square-odd --gamma -0.5 --m 3 --alpha 1000 --beta 0",
+     "square-odd alpha=1000.0, beta=0.0, gamma=-0.5, m=3"),
+    ("composed --ell 2 --m 3 --alpha 1000 --beta 0",
+     "composed ell=2, m=3, alpha=1000.0, beta=0.0"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
+     "square-odd alpha=1e+102, beta=1e+102, gamma=-0.5, m=2"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 150 --beta 150",
+     "square-odd alpha=150.0, beta=150.0, gamma=-0.5, m=2"),
+    ("square-odd --gamma 0.5 --m 2 --alpha 150 --beta 150",
+     "square-odd alpha=150.0, beta=150.0, gamma=0.5, m=2"),
 ])
-def test_build_overflow_writes_one_stderr_line(tmp_path, key):
+def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     """At alpha = 1000 the Gauss weight products overflow.  Run as a child
     process, where no test harness captures numpy warnings, the build still
     writes its one diagnostic line and nothing else.  At alpha = beta =
     1e102 the odd rule's zero search had run on overflowing Jacobi values
     and printed two numpy RuntimeWarnings before its line; it now stops at
-    the weight mass."""
+    the weight mass.  At alpha = beta = 150 the odd rule's moment ladder
+    kernel overflows; it had printed two numpy RuntimeWarnings and doubled
+    its NaN levels until a Gauss weight underflowed."""
     out = tmp_path / "rule.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
         [sys.executable, "-m", "cubamin.cli", "build", *key.split(), "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert child.returncode == 2
-    assert child.stderr.startswith("cubamin: construction failed: ")
+    assert child.stderr.startswith("cubamin: construction failed for %s: " % rule), child.stderr
     assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
     assert child.stdout == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("family", [
-    "biangle --alpha 0 --beta 0 --gamma -0.5 --n 1000000000000000",
-    "composed --ell 1000000000000000 --m 1 --alpha 0 --beta 0",
+@pytest.mark.parametrize("family, rule", [
+    ("biangle --alpha 0 --beta 0 --gamma -0.5 --n 1000000000000000",
+     "biangle alpha=0.0, beta=0.0, gamma=-0.5, n=1000000000000000"),
+    ("composed --ell 1000000000000000 --m 1 --alpha 0 --beta 0",
+     "composed ell=1000000000000000, m=1, alpha=0.0, beta=0.0"),
 ])
-def test_build_of_a_size_beyond_memory_exits_2_with_one_line(tmp_path, capsys, family):
+def test_build_of_a_size_beyond_memory_exits_2_with_one_line(tmp_path, capsys, family, rule):
     """Each size asks for 7.11 PiB at its first allocation, which fails at
     once; numpy's MemoryError had ended in a traceback with exit 1."""
     out = tmp_path / "rule.json"
     code, stdout, err = run(capsys, "build", *family.split(), "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert err.startswith("cubamin: construction failed: ") and err.count("\n") == 1, err
+    assert err.startswith("cubamin: construction failed for %s: " % rule), err
+    assert err.count("\n") == 1, err
     assert not out.exists()
 
 
 ODD_M1 = "square-odd --alpha 0.5 --beta -0.5 --gamma 0.5 --m 1"
+ODD_M1_RULE = "square-odd alpha=0.5, beta=-0.5, gamma=0.5, m=1"
 
 
-def _build_fails(tmp_path, capsys, key, message):
+def _build_fails(tmp_path, capsys, key, rule, cause):
     """Build key: exit 2, nothing on stdout, no file, and one stderr line
-    that fullmatches the construction-failure prefix and message."""
+    that names the rule, the literal text rule, then fullmatches the
+    pattern cause."""
     out = tmp_path / "failed.json"
     code, stdout, err = run(capsys, "build", *key.split(), "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert re.fullmatch("cubamin: construction failed: %s\n" % message, err), err
+    assert re.fullmatch("cubamin: construction failed for %s: %s\n" % (re.escape(rule), cause),
+                        err), err
     assert not out.exists()
 
 
@@ -886,7 +914,7 @@ def test_a_moment_ladder_that_does_not_converge_fails_the_odd_build(
     right-hand sides come from the ladder, exits 2 with the ladder's line."""
     monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", 0.0)
     monkeypatch.setattr(oracle_mod, "_LADDER_MAX_DOUBLINGS", 1)
-    _build_fails(tmp_path, capsys, ODD_M1, r"moment ladder did not converge to "
+    _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE, r"moment ladder did not converge to "
                  r"0\.0e\+00 after 1 doublings \(achieved \S+\)")
 
 
@@ -903,8 +931,9 @@ def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
     real = opq1d_mod._ql_implicit
     monkeypatch.setattr(opq1d_mod, "_ql_implicit",
                         lambda d, e, max_iter_total: real(d, e, 0))
-    _build_fails(tmp_path, capsys, "square-even --alpha -0.5 --beta -0.5 "
-                 "--gamma -0.5 --m 2", "QL iteration exceeded 0 sweeps")
+    _build_fails(tmp_path, capsys, "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 --m 2",
+                 "square-even alpha=-0.5, beta=-0.5, gamma=-0.5, m=2",
+                 "QL iteration exceeded 0 sweeps")
     assert run(capsys, "verify", str(paths[0])) == (
         4, "", "cubamin: moment oracle failed: QL iteration exceeded 0 sweeps\n")
     for path in paths[1:]:
@@ -914,18 +943,20 @@ def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
 
 def test_a_lost_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
     """An odd rule whose zero search finds one abscissa fewer than it needs
-    exits 2 with the count."""
+    exits 2 with the count and the grid."""
     real = opq1d_mod._positive_zeros
     monkeypatch.setattr(opq1d_mod, "_positive_zeros",
                         lambda f, fprime, m, grid_n: real(f, fprime, m + 1, grid_n))
-    _build_fails(tmp_path, capsys, ODD_M1, "expected 2 positive zeros, found 1")
+    _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE,
+                 "expected 2 positive zeros, found 1 on a 128-cell grid")
 
 
 def test_an_escaped_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
     real = opq1d_mod._positive_zeros
     monkeypatch.setattr(opq1d_mod, "_positive_zeros", lambda f, fprime, m, grid_n:
                         np.append(real(f, fprime, m, grid_n)[:-1], 1.0))
-    _build_fails(tmp_path, capsys, ODD_M1, r"zero escaped the open interval \(0, 1\)")
+    _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE,
+                 r"zero escaped the open interval \(0, 1\)")
 
 
 @pytest.mark.parametrize("ql, message", [
@@ -938,14 +969,13 @@ def test_a_gauss_rule_that_fails_its_checks_fails_the_build(tmp_path, capsys, mo
     monkeypatch.setattr(opq1d_mod, "_ql_implicit",
                         lambda d, e, max_iter_total: ql(*real(d, e, max_iter_total)))
     _build_fails(tmp_path, capsys, "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 2",
-                 message)
+                 "square-even alpha=0.5, beta=0.0, gamma=-0.5, m=2", message)
 
 
 @pytest.mark.parametrize("rhs, message", [
-    (lambda b: b + np.eye(len(b))[-1] * b[0], r"odd-rule moment system residual \S+ "
-     r"exceeds tolerance \(m=1, alpha=0\.5, beta=-0\.5, gamma=0\.5, rank 3/3\)"),
-    (lambda b: -b, r"odd-rule weights not positive \(min \S+\) for m=1, alpha=0\.5, "
-     r"beta=-0\.5, gamma=0\.5"),
+    (lambda b: b + np.eye(len(b))[-1] * b[0],
+     r"odd-rule moment system residual \S+ exceeds tolerance \(rank 3/3\)"),
+    (lambda b: -b, r"odd-rule weights not positive \(min \S+\)"),
 ])
 def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
         tmp_path, capsys, monkeypatch, rhs, message):
@@ -953,55 +983,74 @@ def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
     fit, fail the odd build with the solve's line."""
     real = oracle_mod.cos_basis_moments
     monkeypatch.setattr(oracle_mod, "cos_basis_moments", lambda *args: rhs(real(*args)))
-    _build_fails(tmp_path, capsys, ODD_M1, message)
+    _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE, message)
 
 
-@pytest.mark.parametrize("module, name, key, message", [
+@pytest.mark.parametrize("module, name, key, rule, message", [
     (squaremin_mod, "merge_close_nodes", "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 "
-     "--m 2", "square-even rule has 11 nodes, expected 12"),
-    (squaremin_mod, "merge_close_nodes", ODD_M1, "square-odd rule has 6 nodes, expected 7"),
+     "--m 2", "square-even alpha=-0.5, beta=-0.5, gamma=-0.5, m=2",
+     "square-even rule has 11 nodes, expected 12"),
+    (squaremin_mod, "merge_close_nodes", ODD_M1, ODD_M1_RULE,
+     "square-odd rule has 6 nodes, expected 7"),
     (squaremin_mod, "merge_close_nodes", "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
-     "composed rule has 11 nodes, expected 12"),
+     "composed ell=2, m=1, alpha=-0.5, beta=-0.5", "composed rule has 11 nodes, expected 12"),
     (biangle_mod, "gauss_pairs", "biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 3",
-     "biangle rule has 5 nodes, expected 6"),
+     "biangle alpha=0.5, beta=0.0, gamma=0.5, n=3", "biangle rule has 5 nodes, expected 6"),
 ])
 def test_a_rule_one_node_short_fails_the_build(tmp_path, capsys, monkeypatch,
-                                               module, name, key, message):
+                                               module, name, key, rule, message):
     """Every rule checks its node count at construction: a merge, or a set
     of Gauss pairs, that loses a row fails the build with the count."""
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: tuple(a[1:] for a in real(*args)))
-    _build_fails(tmp_path, capsys, key, message)
+    _build_fails(tmp_path, capsys, key, rule, message)
 
 
-@pytest.mark.parametrize("key", [
-    "biangle --alpha 2e154 --beta 0 --gamma -0.5 --n 3",
-    "biangle --alpha 1e300 --beta 0 --gamma 0.5 --n 1",
-    "square-even --alpha 2e154 --beta 0 --gamma -0.5 --m 3",
-    "square-even --alpha 2e154 --beta 0 --gamma 0.5 --m 3",
-    "square-odd --alpha 2e154 --beta 0 --gamma -0.5 --m 2",
-    "square-odd --alpha 2e154 --beta 0 --gamma 0.5 --m 2",
-    "composed --ell 2 --m 3 --alpha 2e154 --beta 0",
+@pytest.mark.parametrize("key, rule, weight", [
+    ("biangle --alpha 2e154 --beta 0 --gamma -0.5 --n 3",
+     "biangle alpha=2e+154, beta=0.0, gamma=-0.5, n=3", "alpha=2e+154, beta=0"),
+    ("biangle --alpha 1e300 --beta 0 --gamma 0.5 --n 1",
+     "biangle alpha=1e+300, beta=0.0, gamma=0.5, n=1", "alpha=1e+300, beta=0"),
+    ("square-even --alpha 2e154 --beta 0 --gamma -0.5 --m 3",
+     "square-even alpha=2e+154, beta=0.0, gamma=-0.5, m=3", "alpha=2e+154, beta=0"),
+    ("square-even --alpha 2e154 --beta 0 --gamma 0.5 --m 3",
+     "square-even alpha=2e+154, beta=0.0, gamma=0.5, m=3", "alpha=2e+154, beta=0"),
+    ("square-odd --alpha 2e154 --beta 0 --gamma -0.5 --m 2",
+     "square-odd alpha=2e+154, beta=0.0, gamma=-0.5, m=2", "alpha=2e+154, beta=0"),
+    ("square-odd --alpha 2e154 --beta 0 --gamma 0.5 --m 2",
+     "square-odd alpha=2e+154, beta=0.0, gamma=0.5, m=2", "alpha=2e+154, beta=1"),
+    ("composed --ell 2 --m 3 --alpha 2e154 --beta 0",
+     "composed ell=2, m=3, alpha=2e+154, beta=0.0", "alpha=2e+154, beta=0"),
 ])
-def test_a_weight_beyond_the_recurrence_fails_the_build_naming_it(tmp_path, capsys, key):
+def test_a_weight_beyond_the_recurrence_fails_the_build_naming_it(tmp_path, capsys,
+                                                                  key, rule, weight):
     """Past alpha + beta of about 1.34e154 the 1-D recurrence coefficients
     overflow in a float pow before the mass is reached; its OverflowError
     had printed as an errno tuple.  The odd rules shift alpha or beta by 1."""
-    _build_fails(tmp_path, capsys, key, r"a recurrence coefficient of the Jacobi weight "
-                 r"alpha=(2e\+154|1e\+300), beta=[01] exceeds float range")
+    _build_fails(tmp_path, capsys, key, rule, r"a recurrence coefficient of the Jacobi weight "
+                 r"%s exceeds float range" % re.escape(weight))
 
 
-@pytest.mark.parametrize("key", [
-    "biangle --gamma -0.5 --n 3 --alpha 1e7 --beta 1e7",
-    "biangle --gamma 0.5 --n 3 --alpha 1e7 --beta 1e7",
-    "square-even --gamma -0.5 --m 3 --alpha 1e7 --beta 1e7",
-    "square-even --gamma 0.5 --m 3 --alpha 1e7 --beta 1e7",
-    "square-odd --gamma -0.5 --m 2 --alpha 1e7 --beta 1e7",
-    "square-odd --gamma 0.5 --m 2 --alpha 1e7 --beta 1e7",
-    "composed --ell 2 --m 3 --alpha 1e7 --beta 1e7",
-    "square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
+@pytest.mark.parametrize("key, rule", [
+    ("biangle --gamma -0.5 --n 3 --alpha 1e7 --beta 1e7",
+     "biangle alpha=10000000.0, beta=10000000.0, gamma=-0.5, n=3"),
+    ("biangle --gamma 0.5 --n 3 --alpha 1e7 --beta 1e7",
+     "biangle alpha=10000000.0, beta=10000000.0, gamma=0.5, n=3"),
+    ("square-even --gamma -0.5 --m 3 --alpha 1e7 --beta 1e7",
+     "square-even alpha=10000000.0, beta=10000000.0, gamma=-0.5, m=3"),
+    ("square-even --gamma 0.5 --m 3 --alpha 1e7 --beta 1e7",
+     "square-even alpha=10000000.0, beta=10000000.0, gamma=0.5, m=3"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 1e7 --beta 1e7",
+     "square-odd alpha=10000000.0, beta=10000000.0, gamma=-0.5, m=2"),
+    ("square-odd --gamma 0.5 --m 2 --alpha 1e7 --beta 1e7",
+     "square-odd alpha=10000000.0, beta=10000000.0, gamma=0.5, m=2"),
+    ("composed --ell 2 --m 3 --alpha 1e7 --beta 1e7",
+     "composed ell=2, m=3, alpha=10000000.0, beta=10000000.0"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
+     "square-odd alpha=1e+102, beta=1e+102, gamma=-0.5, m=2"),
 ])
-def test_a_weight_mass_lost_to_cancellation_fails_the_build_naming_it(tmp_path, capsys, key):
+def test_a_weight_mass_lost_to_cancellation_fails_the_build_naming_it(tmp_path, capsys,
+                                                                     key, rule):
     """At alpha = beta = 1e7 the mass formula's log terms cancel to a
     relative error of 2.8e-8, and builders and references share the mass,
     so a rule built on it had certified.  Past 1e-10 the build exits 2 with
@@ -1009,29 +1058,30 @@ def test_a_weight_mass_lost_to_cancellation_fails_the_build_naming_it(tmp_path, 
     its one b_k finite, and its zero search had failed on overflowing
     values with `expected 2 positive zeros, found 0`."""
     weight = re.escape("%g" % float(key.split()[-1]))
-    _build_fails(tmp_path, capsys, key, r"%s of the Jacobi weight alpha=%s, beta=%s %s"
+    _build_fails(tmp_path, capsys, key, rule, r"%s of the Jacobi weight alpha=%s, beta=%s %s"
                  % (re.escape(_MASS), weight, weight, _CANCELLED))
 
 
-@pytest.mark.parametrize("weight", ["1e102", "1e110", "1e153"])
-@pytest.mark.parametrize("family", [
-    "biangle --gamma -0.5 --n 3",
-    "biangle --gamma 0.5 --n 3",
-    "square-even --gamma -0.5 --m 3",
-    "square-even --gamma 0.5 --m 3",
-    "square-odd --gamma 0.5 --m 2",
-    "composed --ell 2 --m 3",
+@pytest.mark.parametrize("weight, printed", [
+    ("1e102", "1e+102"), ("1e110", "1e+110"), ("1e153", "1e+153")])
+@pytest.mark.parametrize("family, rule", [
+    ("biangle --gamma -0.5 --n 3", "biangle alpha={0}, beta={0}, gamma=-0.5, n=3"),
+    ("biangle --gamma 0.5 --n 3", "biangle alpha={0}, beta={0}, gamma=0.5, n=3"),
+    ("square-even --gamma -0.5 --m 3", "square-even alpha={0}, beta={0}, gamma=-0.5, m=3"),
+    ("square-even --gamma 0.5 --m 3", "square-even alpha={0}, beta={0}, gamma=0.5, m=3"),
+    ("square-odd --gamma 0.5 --m 2", "square-odd alpha={0}, beta={0}, gamma=0.5, m=2"),
+    ("composed --ell 2 --m 3", "composed ell=2, m=3, alpha={0}, beta={0}"),
 ])
 def test_a_coefficient_that_leaves_float_range_silently_fails_the_build_naming_it(
-        tmp_path, capsys, family, weight):
+        tmp_path, capsys, family, rule, weight, printed):
     """From alpha + beta of about 1e77 a product in b_k overflows to inf
     without an exception, so b_k rounded to 0 (or NaN), and the build had
     exited with `all off-diagonal coefficients b_k must be positive` or
     `mu0 must be positive`, naming neither the overflow nor the weight."""
-    printed = re.escape(weight.replace("e", "e+"))
     _build_fails(tmp_path, capsys, "%s --alpha %s --beta %s" % (family, weight, weight),
+                 rule.format(printed),
                  r"a recurrence coefficient of the Jacobi weight alpha=%s, beta=%s "
-                 r"exceeds float range" % (printed, printed))
+                 r"exceeds float range" % (re.escape(printed), re.escape(printed)))
 
 
 @pytest.mark.parametrize("weight", [1e7, 1e102, 1e110, 1e153])

@@ -265,6 +265,27 @@ def test_odd_rule_attains_the_bound(g, m):
     assert np.all(rule.weights > 0)
 
 
+def test_odd_rule_raises_the_ladder_weight_mass_overflow():
+    """At alpha = 300 the moment ladder's weight (2 beta + 1, 4 alpha + 3)
+    has a mass beyond float range; the odd builder raises the recurrence's
+    own error, which names that weight, not the rule."""
+    with pytest.raises(OverflowError, match=r"^weight mass mu0 = 2\^\(alpha\+beta\+1\) "
+                       r"B\(alpha\+1, beta\+1\) of the Jacobi weight alpha=1, beta=1203 "
+                       r"exceeds float range$"):
+        minimal_rule_odd(WeightSpec("square-W", 300.0, 0.0, -0.5), 3)
+
+
+def test_odd_rule_raises_a_ladder_kernel_overflow():
+    """At alpha = beta = 150 the ladder's kernel powers overflow at its
+    second level; the ladder raises one OverflowError naming its weight
+    rather than warning and doubling NaN levels until a Gauss weight
+    underflows."""
+    with pytest.raises(OverflowError, match=r"^moment ladder of the square weight "
+                       r"alpha=150, beta=150, gamma=-0\.5 exceeds float range at 48 points "
+                       r"per panel axis$"):
+        minimal_rule_odd(WeightSpec("square-W", 150.0, 150.0, -0.5), 2)
+
+
 @pytest.mark.parametrize("key", sorted(ODD_M1_RULES))
 def test_odd_m1_rule_matches_closed_form(key):
     """m = 1 rules agree node-for-node with hand-derived positions/weights."""
