@@ -19,7 +19,7 @@ import numpy as np
 
 from .opq1d import fold_panel_angles, gauss_pairs, gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
-from .squaremin import _merge_runs, _merged_rule
+from .squaremin import merge_close_nodes
 
 __all__ = ["composed_rule"]
 
@@ -61,7 +61,7 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     # pair's orbit is merged on its own, in one scan over all pairs
     X1, X2 = np.broadcast_arrays(x1[..., :, None], x2[..., None, :])
     block = 4 * ell * ell
-    pts, wts, orbit = _merge_runs(
+    pts, wts, orbit = merge_close_nodes(
         np.stack([X1, X2], axis=-1).reshape(-1, 2),
         np.repeat(share, block),
         np.repeat(np.arange(len(J)), block),
@@ -75,4 +75,5 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
             "orbit of pair (%d,%d) has %d points, expected %d"
             % (J[i], K[i], got[i], want[i])
         )
-    return _merged_rule(pts, wts, spec, m, "composed")
+    return CubatureRule2D(nodes=pts, weights=wts, spec=spec, param=m,
+                          family="composed").sorted_rule()

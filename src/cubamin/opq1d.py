@@ -303,9 +303,9 @@ def quasi_S(alpha: float, beta: float, m: int, sign: str, t):
 @functools.lru_cache(maxsize=64)
 def _endpoint_values(alpha: float, beta: float, m: int) -> Tuple[float, float]:
     """The constants P_m^{(a,b+1)}(1) and P_m^{(a+1,b)}(1) of quasi_S.  A
-    zero search calls quasi_S and its derivative hundreds of times with the
-    same (alpha, beta, m); cached, the constants are evaluated at most once
-    per search, to the same bits."""
+    zero search calls quasi_S and its derivative about 45 times with the
+    same (alpha, beta, m) (43 to 49 at m = 3 to 12); cached, the constants
+    are evaluated at most once per search, to the same bits."""
     return (float(eval_jacobi_standard(alpha, beta + 1.0, m, np.array(1.0))),
             float(eval_jacobi_standard(alpha + 1.0, beta, m, np.array(1.0))))
 
@@ -358,20 +358,25 @@ def _refine_zeros(f, fprime, lo, hi, flo) -> np.ndarray:
 
 
 def _positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
-    """Zeros of an even function on (0,1), by sign bracketing on a grid."""
-    ts = np.linspace(0.0, 1.0, grid_n + 1)
-    vals = np.asarray(f(ts), dtype=float)
-    lo, hi, vlo, vhi = ts[:-1], ts[1:], vals[:-1], vals[1:]
-    on_grid = (vlo == 0.0) & (lo > 0.0)
-    bracket = ~on_grid & ((vlo < 0.0) != (vhi < 0.0))
-    z = _refine_zeros(f, fprime, lo[bracket], hi[bracket], vlo[bracket])
-    z = np.concatenate([lo[on_grid], z[(0.0 < z) & (z < 1.0)]])
-    # numpy's round, as on the np.float64 zeros of the per-bracket loop
-    zeros = sorted(set(np.round(z, 15).tolist()))
+    """Zeros of an even function on (0,1), by sign bracketing on a grid of
+    grid_n cells.  Two zeros inside one cell leave no sign change, so when
+    the grid finds too few the search runs once more on 16 grid_n cells."""
+    for cells in (grid_n, 16 * grid_n):
+        ts = np.linspace(0.0, 1.0, cells + 1)
+        vals = np.asarray(f(ts), dtype=float)
+        lo, hi, vlo, vhi = ts[:-1], ts[1:], vals[:-1], vals[1:]
+        on_grid = (vlo == 0.0) & (lo > 0.0)
+        bracket = ~on_grid & ((vlo < 0.0) != (vhi < 0.0))
+        z = _refine_zeros(f, fprime, lo[bracket], hi[bracket], vlo[bracket])
+        z = np.concatenate([lo[on_grid], z[(0.0 < z) & (z < 1.0)]])
+        # numpy's round, as on the np.float64 zeros of the per-bracket loop
+        zeros = sorted(set(np.round(z, 15).tolist()))
+        if len(zeros) >= m_expected:
+            break
     if len(zeros) != m_expected:
         raise ConstructionError(
             "expected %d positive zeros, found %d on a %d-cell grid"
-            % (m_expected, len(zeros), grid_n)
+            % (m_expected, len(zeros), cells)
         )
     return np.array(zeros)
 

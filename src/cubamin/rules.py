@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -128,14 +128,9 @@ class CubatureRule2D:
         return float(np.dot(self.weights, f(self.nodes[:, 0], self.nodes[:, 1])))
 
     def sorted_rule(self) -> "CubatureRule2D":
+        """The rule with its rows sorted by (x1, x2), the row order of every rule file."""
         order = np.lexsort((self.nodes[:, 1], self.nodes[:, 0]))
-        return CubatureRule2D(
-            nodes=self.nodes[order],
-            weights=self.weights[order],
-            spec=self.spec,
-            param=self.param,
-            family=self.family,
-        )
+        return replace(self, nodes=self.nodes[order], weights=self.weights[order])
 
 
 @dataclass(frozen=True)

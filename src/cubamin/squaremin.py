@@ -64,21 +64,14 @@ def half_angle_orbit(c_j, c_k) -> np.ndarray:
 
 
 def merge_close_nodes(
-    points: Sequence[Tuple[float, float]], weights: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum weights of coordinate-coincident points (within 1e-12 per axis)."""
-    pts = np.asarray(points, dtype=float).reshape(len(points), 2)
-    nodes, wts, _ = _merge_runs(pts, weights, np.zeros(len(pts), dtype=int))
-    return nodes, wts
-
-
-def _merge_runs(
-    pts: np.ndarray, weights: Sequence[float], group: np.ndarray
+    points: Sequence[Tuple[float, float]], weights: Sequence[float], group: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of the points sorted by group, then x, then y.  A point within
-    _MERGE_TOL per axis of the first point of the current run, and in its
-    group, adds its weight to the run; any other point starts a run.
-    Returns the run points, their summed weights and their groups.
+    """Points that coincide within a group, as one point carrying their
+    summed weight: the runs of the points sorted by group, then x, then y.
+    A point within _MERGE_TOL per axis of the first point of the current
+    run, and in its group, adds its weight to the run; any other point
+    starts a run.  Returns the run points, their summed weights and their
+    groups.
 
     The runs are found with array code.  A run starts wherever a point is
     not near the anchor (the first point) of the run before it; since that
@@ -88,7 +81,8 @@ def _merge_runs(
     the sequential scan's.  Run weights are summed left to right, one run
     position at a time, so every sum is the scan's bit for bit.
     """
-    wts = np.asarray(weights, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(len(points), 2)
+    wts, group = np.asarray(weights, dtype=float), np.asarray(group)
     order = np.lexsort((pts[:, 1], pts[:, 0], group))
     x, y, g, w = pts[order, 0], pts[order, 1], group[order], wts[order]
     idx = np.arange(len(x))
@@ -116,15 +110,6 @@ def _merge_runs(
     return np.column_stack([x[first], y[first]]), total, g[first]
 
 
-def _merged_rule(
-    pts: np.ndarray, wts: np.ndarray, spec: WeightSpec, size: int, family: str
-) -> CubatureRule2D:
-    """The rule of family at size on the merged points.  The merge returns
-    its rows sorted by (x1, x2), the row order of every rule file."""
-    nodes, weights = merge_close_nodes(pts, wts)
-    return CubatureRule2D(nodes=nodes, weights=weights, spec=spec, param=size, family=family)
-
-
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
     """Minimal rule of degree 4m-1 with 2m(m+1) nodes.
 
@@ -144,7 +129,8 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
         gap = q.nodes[J] - q.nodes[K]
         w4 = w4 * gap * gap / 8.0
     pts = half_angle_orbit(q.nodes[J], q.nodes[K]).reshape(-1, 2)
-    return _merged_rule(pts, np.repeat(w4, 4), spec, m, "square-even")
+    return CubatureRule2D(nodes=pts, weights=np.repeat(w4, 4), spec=spec, param=m,
+                          family="square-even").sorted_rule()
 
 
 def _symmetrized_cos_rows(
@@ -186,7 +172,6 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     for x in line[line > 0.0]:
         y = x if gamma == -0.5 else -x
         classes.append(np.array([[x, y], [-x, -y]]))
-    multip = [len(c) for c in classes]
 
     deg = rule_shape("square-odd", m)[0]
     pairs = [
@@ -209,5 +194,6 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     if np.any(sol <= 0.0):
         raise ConstructionError("odd-rule weights not positive (min %.3e)" % float(sol.min()))
 
-    wts = np.concatenate([np.full(n, w) for n, w in zip(multip, sol)])
-    return _merged_rule(np.vstack(classes), wts, spec, m, "square-odd")
+    wts = np.repeat(sol, [len(c) for c in classes])
+    return CubatureRule2D(nodes=np.vstack(classes), weights=wts, spec=spec, param=m,
+                          family="square-odd").sorted_rule()

@@ -611,24 +611,29 @@ def _reference_refine_zero(f, fprime, lo: float, hi: float) -> float:
 def reference_positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
     """Zeros of an even function on (0,1), by sign bracketing on a grid:
     opq1d._positive_zeros as it was first written, refining one bracket
-    at a time through 0-d evaluations of f."""
-    ts = np.linspace(0.0, 1.0, grid_n + 1)
-    vals = np.asarray(f(ts), dtype=float)
-    zeros = []
-    for i in range(len(ts) - 1):
-        lo, hi = ts[i], ts[i + 1]
-        vlo, vhi = vals[i], vals[i + 1]
-        if vlo == 0.0 and lo > 0.0:
-            zeros.append(lo)
-            continue
-        if (vlo < 0.0) != (vhi < 0.0):
-            z = _reference_refine_zero(lambda x: float(f(x)), lambda x: float(fprime(x)), lo, hi)
-            if 0.0 < z < 1.0:
-                zeros.append(z)
-    zeros = sorted(set(round(z, 15) for z in zeros))
+    at a time through 0-d evaluations of f, with its one retry on a grid
+    16 times finer when the first finds too few."""
+    for cells in (grid_n, 16 * grid_n):
+        ts = np.linspace(0.0, 1.0, cells + 1)
+        vals = np.asarray(f(ts), dtype=float)
+        zeros = []
+        for i in range(len(ts) - 1):
+            lo, hi = ts[i], ts[i + 1]
+            vlo, vhi = vals[i], vals[i + 1]
+            if vlo == 0.0 and lo > 0.0:
+                zeros.append(lo)
+                continue
+            if (vlo < 0.0) != (vhi < 0.0):
+                z = _reference_refine_zero(lambda x: float(f(x)), lambda x: float(fprime(x)),
+                                           lo, hi)
+                if 0.0 < z < 1.0:
+                    zeros.append(z)
+        zeros = sorted(set(round(z, 15) for z in zeros))
+        if len(zeros) >= m_expected:
+            break
     if len(zeros) != m_expected:
         raise ConstructionError(
             "expected %d positive zeros, found %d on a %d-cell grid"
-            % (m_expected, len(zeros), grid_n)
+            % (m_expected, len(zeros), cells)
         )
     return np.array(zeros)

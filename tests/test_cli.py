@@ -818,24 +818,50 @@ def test_build_overflow_names_the_weight_mass(tmp_path, capsys):
     assert "alpha=300" in err, err
 
 
-def test_build_names_a_cancelled_mass_of_the_odd_rule_moments(tmp_path, capsys):
+@pytest.mark.parametrize("gamma", ["-0.5", "0.5"])
+def test_build_names_a_cancelled_mass_of_the_odd_rule_moments(tmp_path, capsys, gamma):
     """At alpha = beta = 1e4 the rule's own mass still holds to 1e-10, but
     the moment ladder's weight (2 beta + 1, 4 alpha + 3) loses more than
     that to cancellation; the line names the rule, then the ladder's weight
-    and that limit, not float range."""
-    _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma 0.5 --m 2",
-                 "square-odd alpha=10000.0, beta=10000.0, gamma=0.5, m=2",
+    and that limit, not float range.  At gamma = -1/2 the two positive
+    diagonal zeros lie 0.005 apart, inside one cell of the first sign grid;
+    the finer grid finds them, and the build stops at the ladder."""
+    _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma %s --m 2" % gamma,
+                 "square-odd alpha=10000.0, beta=10000.0, gamma=%s, m=2" % gamma,
                  r"%s of the Jacobi weight alpha=20001, beta=40003 %s"
                  % (re.escape(_MASS), _CANCELLED))
 
 
-def test_build_names_zeros_lost_between_grid_points(tmp_path, capsys):
-    """At alpha = beta = 1e4 the two positive diagonal zeros lie 0.005
-    apart, inside one cell of the sign grid, so no bracket finds them; the
-    line names the grid."""
-    _build_fails(tmp_path, capsys, "square-odd --alpha 1e4 --beta 1e4 --gamma -0.5 --m 2",
-                 "square-odd alpha=10000.0, beta=10000.0, gamma=-0.5, m=2",
-                 "expected 2 positive zeros, found 0 on a 128-cell grid")
+def test_build_names_zeros_lost_between_grid_points(tmp_path, capsys, monkeypatch):
+    """At alpha = -1/2, beta = 3000 the two positive diagonal zeros lie
+    closer than one cell of the 16 times finer grid too, and the line names
+    that grid.  The rule at that weight stops earlier, at the mass of its
+    Jacobi(1/2, 3000) Gauss rule, so the search of that weight runs here in
+    the build of a rule whose mass is finite."""
+    real = opq1d_mod.diagonal_zero_set
+    monkeypatch.setattr(squaremin_mod, "diagonal_zero_set",
+                        lambda alpha, beta, m, sign: real(-0.5, 3000.0, m, sign))
+    _build_fails(tmp_path, capsys, "square-odd --alpha -0.5 --beta 0 --gamma -0.5 --m 2",
+                 "square-odd alpha=-0.5, beta=0.0, gamma=-0.5, m=2",
+                 "expected 2 positive zeros, found 0 on a 2048-cell grid")
+
+
+@pytest.mark.parametrize("m, nodes", [(2, 17), (3, 31)])
+def test_odd_rule_with_diagonal_zeros_inside_one_grid_cell_builds_and_certifies(
+        tmp_path, capsys, m, nodes):
+    """At alpha = -0.9, beta = 140 the positive diagonal zeros at m = 2,
+    0.99236 and 0.99967, share the last cell of the 128-cell sign grid;
+    the 16 times finer grid separates them, and the rule certifies through
+    its declared degree."""
+    out = tmp_path / "odd.json"
+    code, stdout, err = run(capsys, "build", "square-odd", "--alpha", "-0.9", "--beta", "140",
+                            "--gamma", "-0.5", "--m", str(m), "--out", str(out))
+    assert (code, err) == (0, ""), err
+    assert stdout == "wrote %s: square-odd, %d nodes, degree %d\n" % (out, nodes, 4 * m + 1)
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.startswith("declared %d, certified %d through degree %d, "
+                             % ((4 * m + 1,) * 3)) and stdout.endswith(": OK\n"), stdout
 
 
 @pytest.mark.parametrize("key, rule", [
@@ -942,13 +968,14 @@ def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
 
 
 def test_a_lost_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
-    """An odd rule whose zero search finds one abscissa fewer than it needs
-    exits 2 with the count and the grid."""
+    """An odd rule whose zero search finds one abscissa fewer than it needs,
+    on the first grid and on the 16 times finer one, exits 2 with the count
+    and the finer grid."""
     real = opq1d_mod._positive_zeros
     monkeypatch.setattr(opq1d_mod, "_positive_zeros",
                         lambda f, fprime, m, grid_n: real(f, fprime, m + 1, grid_n))
     _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE,
-                 "expected 2 positive zeros, found 1 on a 128-cell grid")
+                 "expected 2 positive zeros, found 1 on a 2048-cell grid")
 
 
 def test_an_escaped_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypatch):
@@ -987,20 +1014,22 @@ def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
 
 
 @pytest.mark.parametrize("module, name, key, rule, message", [
-    (squaremin_mod, "merge_close_nodes", "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 "
+    (squaremin_mod, "gauss_pairs", "square-even --alpha -0.5 --beta -0.5 --gamma -0.5 "
      "--m 2", "square-even alpha=-0.5, beta=-0.5, gamma=-0.5, m=2",
-     "square-even rule has 11 nodes, expected 12"),
-    (squaremin_mod, "merge_close_nodes", ODD_M1, ODD_M1_RULE,
+     "square-even rule has 8 nodes, expected 12"),
+    (squaremin_mod, "half_angle_orbit", ODD_M1, ODD_M1_RULE,
      "square-odd rule has 6 nodes, expected 7"),
-    (squaremin_mod, "merge_close_nodes", "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
-     "composed ell=2, m=1, alpha=-0.5, beta=-0.5", "composed rule has 11 nodes, expected 12"),
+    (composed_mod, "merge_close_nodes", "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
+     "composed ell=2, m=1, alpha=-0.5, beta=-0.5", r"orbit of pair \(0,0\) has 11 points, "
+     "expected 12"),
     (biangle_mod, "gauss_pairs", "biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 3",
      "biangle alpha=0.5, beta=0.0, gamma=0.5, n=3", "biangle rule has 5 nodes, expected 6"),
 ])
 def test_a_rule_one_node_short_fails_the_build(tmp_path, capsys, monkeypatch,
                                                module, name, key, rule, message):
-    """Every rule checks its node count at construction: a merge, or a set
-    of Gauss pairs, that loses a row fails the build with the count."""
+    """Every rule checks its node count: a set of Gauss pairs or of orbit
+    images that loses a row fails the build with the rule's count, and a
+    composed orbit merge that loses a point with the orbit's."""
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: tuple(a[1:] for a in real(*args)))
     _build_fails(tmp_path, capsys, key, rule, message)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubamin import opq1d
@@ -252,14 +252,42 @@ def _zero_set_or_error(alpha, beta, m, sign):
     m=st.integers(1, 10),
     sign=st.sampled_from("+-"),
 )
+@example(alpha=-0.9, beta=140.0, m=2, sign="-")
+@example(alpha=1e4, beta=1e4, m=2, sign="-")
+@example(alpha=-0.5, beta=3000.0, m=2, sign="-")
 def test_lockstep_zero_search_matches_the_per_bracket_search(alpha, beta, m, sign):
     """The lockstep refinement gives every abscissa the bits of the
-    one-bracket-at-a-time search, and fails where it fails."""
+    one-bracket-at-a-time search, and fails where it fails.  The examples
+    lose two zeros inside one cell of the first grid; the finer grid finds
+    the first two pairs, and loses the third too."""
     got = _zero_set_or_error(alpha, beta, m, sign)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opq1d, "_positive_zeros", reference_positive_zeros)
         want = _zero_set_or_error(alpha, beta, m, sign)
     assert got == want
+
+
+@pytest.mark.parametrize("alpha, beta, cells", [
+    (0.5, 0.0, [128]),
+    (-0.9, 140.0, [128, 2048]),
+    (1e4, 1e4, [128, 2048]),
+])
+def test_zero_search_runs_a_finer_grid_only_when_the_first_finds_too_few(
+        monkeypatch, alpha, beta, cells):
+    """Each pass evaluates the combination once on its grid: a search whose
+    first grid finds every zero runs once, so its zeros keep their bits; one
+    that loses two zeros inside a cell runs once more on 16 times the cells
+    and finds them.  Refinement calls take at most m points."""
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(np.size(args[-1]))
+        return quasi_S(*args)
+
+    monkeypatch.setattr(opq1d, "quasi_S", recorded)
+    zeros = diagonal_zero_set(alpha, beta, 2, "-")
+    assert len(zeros) == 5 and 0.0 < zeros[3] < zeros[4] < 1.0
+    assert [n - 1 for n in sizes if n > 2] == cells
 
 
 @pytest.mark.parametrize("sign", ["-", "+"])

@@ -1,5 +1,6 @@
 """Minimal square rules: node budget, symmetry orbits, frozen small cases."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubamin.composed import composed_rule
 from cubamin.oracle import certify, reference_gram
 from cubamin.rules import WeightSpec
 from cubamin.squaremin import (
-    _merge_runs,
     half_angle_orbit,
     merge_close_nodes,
     minimal_rule_even,
@@ -125,7 +126,7 @@ def test_half_angle_orbit_rows_follow_the_pairs():
 
 def test_merge_close_nodes_sums_weights():
     pts = [(0.5, 0.5), (0.5 + 1e-14, 0.5 - 1e-14), (-0.25, 0.75)]
-    merged, wts = merge_close_nodes(pts, [1.0, 2.0, 3.0])
+    merged, wts, _ = merge_close_nodes(pts, [1.0, 2.0, 3.0], [0, 0, 0])
     assert merged.shape == (2, 2)
     assert sorted(wts.tolist()) == [3.0, 3.0]
     assert wts.sum() == 6.0
@@ -190,21 +191,21 @@ def _merge_inputs(draw):
 @given(_merge_inputs())
 def test_merge_close_nodes_matches_the_reference_scan(case):
     pts, wts, group = case
-    _assert_same_arrays(merge_close_nodes(pts, wts), _reference_merge(pts, wts))
-    _assert_same_arrays(_merge_runs(np.array(pts), wts, np.array(group)),
-                        _reference_merge(pts, wts, group))
+    _assert_same_arrays(merge_close_nodes(pts, wts, [0] * len(pts)), _reference_merge(pts, wts))
+    _assert_same_arrays(merge_close_nodes(pts, wts, group), _reference_merge(pts, wts, group))
 
 
 def test_merge_close_nodes_keeps_a_single_point_as_a_row():
-    got, want = merge_close_nodes([(0.5, -0.25)], [2.0]), _reference_merge([(0.5, -0.25)], [2.0])
+    got = merge_close_nodes([(0.5, -0.25)], [2.0], [0])
+    want = _reference_merge([(0.5, -0.25)], [2.0])
     assert got[0].shape == want[0].shape == (1, 2)
     assert got[1].shape == want[1].shape == (1,)
     _assert_same_arrays(got, want)
 
 
 def test_merge_close_nodes_of_no_points_is_empty():
-    nodes, wts = merge_close_nodes([], [])
-    assert nodes.shape == (0, 2) and wts.shape == (0,)
+    nodes, wts, group = merge_close_nodes([], [], [])
+    assert nodes.shape == (0, 2) and wts.shape == (0,) and group.shape == (0,)
 
 
 def test_merge_of_a_long_chain_and_a_many_fold_duplicate_matches_the_reference():
@@ -216,13 +217,38 @@ def test_merge_of_a_long_chain_and_a_many_fold_duplicate_matches_the_reference()
     wts = rng.uniform(0.01, 10.0, len(pts))
     order = rng.permutation(len(pts))
     pts = [pts[k] for k in order]
-    got = merge_close_nodes(pts, wts)
+    got = merge_close_nodes(pts, wts, [0] * len(pts))
     want = _reference_merge(pts, wts)
     assert len(got[0]) == 250 + 1
     _assert_same_arrays(got, want)
     group = rng.integers(0, 2, len(pts))
-    _assert_same_arrays(_merge_runs(np.array(pts), wts, group),
-                        _reference_merge(pts, wts, group))
+    _assert_same_arrays(merge_close_nodes(pts, wts, group), _reference_merge(pts, wts, group))
+
+
+def _square_rules_of_the_grid_and_the_readme():
+    """The square-even, square-odd and composed rules of the criterion-3
+    grid, then the three of the README."""
+    for a, b, g in itertools.product((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5), (-0.5, 0.5)):
+        spec = WeightSpec("square-W", a, b, g)
+        yield from (minimal_rule_even(spec, m) for m in range(1, 9))
+        yield from (minimal_rule_odd(spec, m) for m in range(1, 6))
+    for ell, m in itertools.product(range(1, 4), range(1, 5)):
+        yield composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=ell), m)
+    yield minimal_rule_even(WeightSpec("square-W", -0.5, -0.5, -0.5), 12)
+    yield minimal_rule_odd(WeightSpec("square-W", 0.5, -0.5, 0.5), 3)
+    yield composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 6)
+
+
+def test_no_two_nodes_of_a_square_rule_lie_within_the_merge_tolerance():
+    """The builders end in a sort, not a merge: no two nodes of a built rule
+    lie within 1e-12 per axis, so merging its rows returns them bit for bit."""
+    count = 0
+    for rule in _square_rules_of_the_grid_and_the_readme():
+        nodes, weights, _ = merge_close_nodes(rule.nodes, rule.weights, [0] * rule.node_count)
+        assert nodes.tobytes() == rule.nodes.tobytes(), (rule.family, rule.spec, rule.param)
+        assert weights.tobytes() == rule.weights.tobytes(), (rule.family, rule.spec, rule.param)
+        count += 1
+    assert count == 18 * 13 + 12 + 3
 
 
 def test_fold_map_is_exactly_four_to_one():
