@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opq1d import gauss_pairs, gauss_rule, jacobi_recurrence
+from .opq1d import gauss_pairs
 from .rules import CubatureRule2D, WeightSpec
 
 __all__ = [
@@ -45,13 +45,8 @@ def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:
     gamma = +1/2: strict pairs of the (n+1)-point Gauss abscissae; the
     squared node gap absorbs the |x1-x2|^2 weight factor.
     """
-    gamma = spec.gamma
-    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, n + 1), n + 1 if gamma == 0.5 else n)
-    J, K, weights = gauss_pairs(q, gamma == 0.5)
-    t = q.nodes
-    if gamma == -0.5:
-        weights[J == K] *= 0.5
-    else:
+    t, J, K, weights = gauss_pairs(spec.alpha, spec.beta, n, spec.gamma)
+    if spec.gamma == 0.5:
         # square each gap with libm pow, element by element, as the scalar
         # formula lam_j lam_k (t_j - t_k)**2 does: numpy's vectorized square
         # differs from pow in the last bit for some gaps, and rule files

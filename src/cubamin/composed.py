@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .opq1d import fold_panel_angles, gauss_pairs, gauss_rule, jacobi_recurrence
+from .opq1d import fold_panel_angles, gauss_pairs
 from .rules import ConstructionError, CubatureRule2D, WeightSpec
 from .squaremin import merge_close_nodes
 
@@ -37,11 +37,9 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     this reproduces the even square rule exactly.
     """
     ell = spec.ell
-    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, m), m)
-    J, K, share = gauss_pairs(q, False)
-    share = share / (2.0 * ell * ell)
-    share[J == K] *= 0.5
-    theta = np.arccos(q.nodes)
+    t, J, K, w = gauss_pairs(spec.alpha, spec.beta, m, spec.gamma)
+    share = w / (2.0 * ell * ell)
+    theta = np.arccos(t)
     th = 0.5 * np.abs(theta[J] - theta[K])
     ph = 0.5 * (theta[J] + theta[K])
     # the four angular orbit images of each pair, one axis at a time, and

@@ -256,17 +256,25 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
     return QuadratureRule1D(nodes=nodes, weights=weights)
 
 
-def gauss_pairs(q: QuadratureRule1D, strict: bool):
-    """Unordered index pairs j <= k (j < k when strict) of the rule's nodes
-    in row-major upper-triangle order, with the product weights
-    lam_j lam_k.  Every explicit 2-D family pushes these pairs through its
-    own point map."""
-    J, K = np.triu_indices(len(q.nodes), k=1 if strict else 0)
+def gauss_pairs(alpha: float, beta: float, n: int, gamma: float):
+    """Koornwinder's n(n+1)/2 unordered pairs of Jacobi(alpha, beta) Gauss
+    nodes: j <= k of the n-point rule at gamma = -1/2, j < k of the
+    (n+1)-point rule at gamma = +1/2, in row-major upper-triangle order.
+
+    Returns the rule's nodes, the index arrays J and K, and each pair's
+    weight in half the tensor measure: lam_j lam_k, and lam_j^2 / 2 on the
+    diagonal.  Every explicit 2-D family pushes these pairs through its own
+    point map."""
+    size = n + 1 if gamma == 0.5 else n
+    q = gauss_rule(jacobi_recurrence(alpha, beta, size), size)
+    J, K = np.triu_indices(size, k=1 if gamma == 0.5 else 0)
     # a product past the float range stays inf, without a numpy warning:
     # the 2-D rule built on it fails its finiteness check with a one-line
     # diagnostic, and minimal_rule_odd uses only the index pairs
     with np.errstate(over="ignore"):
-        return J, K, q.weights[J] * q.weights[K]
+        w = q.weights[J] * q.weights[K]
+    w[J == K] *= 0.5
+    return q.nodes, J, K, w
 
 
 def fold_panel_angles(ell: int, theta) -> np.ndarray:

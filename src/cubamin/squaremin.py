@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import oracle as _oracle
-from .opq1d import diagonal_zero_set, gauss_pairs, gauss_rule, jacobi_recurrence
+from .opq1d import diagonal_zero_set, gauss_pairs
 from .rules import ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 
 __all__ = [
@@ -119,16 +119,13 @@ def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:
     g = +1/2: strict pairs of the (m+1)-point Gauss angles, per-point
     weight lam_j lam_k (t_j - t_k)^2 / 8.
     """
-    g = spec.gamma
-    size = m + 1 if g == 0.5 else m
-    q = gauss_rule(jacobi_recurrence(spec.alpha, spec.beta, size), size)
-    J, K, w4 = gauss_pairs(q, g == 0.5)
-    if g == -0.5:
-        w4 = w4 / np.where(J == K, 4.0, 2.0)
+    t, J, K, w4 = gauss_pairs(spec.alpha, spec.beta, m, spec.gamma)
+    if spec.gamma == -0.5:
+        w4 = w4 / 2.0
     else:
-        gap = q.nodes[J] - q.nodes[K]
+        gap = t[J] - t[K]
         w4 = w4 * gap * gap / 8.0
-    pts = half_angle_orbit(q.nodes[J], q.nodes[K]).reshape(-1, 2)
+    pts = half_angle_orbit(t[J], t[K]).reshape(-1, 2)
     return CubatureRule2D(nodes=pts, weights=np.repeat(w4, 4), spec=spec, param=m,
                           family="square-even").sorted_rule()
 
@@ -159,13 +156,12 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
 
     if gamma == -0.5:
-        zeros = gauss_rule(jacobi_recurrence(alpha + 1.0, beta, m), m)
+        zeros, J, K, _ = gauss_pairs(alpha + 1.0, beta, m, gamma)
         line = diagonal_zero_set(alpha, beta, m, "-")
     else:
-        zeros = gauss_rule(jacobi_recurrence(alpha, beta + 1.0, m + 1), m + 1)
+        zeros, J, K, _ = gauss_pairs(alpha, beta + 1.0, m, gamma)
         line = diagonal_zero_set(alpha, beta, m, "+")
-    J, K, _ = gauss_pairs(zeros, gamma == 0.5)
-    classes = list(half_angle_orbit(zeros.nodes[J], zeros.nodes[K]))
+    classes = list(half_angle_orbit(zeros[J], zeros[K]))
     # the extra line nodes: the origin, then mirror pairs on the diagonal
     # (gamma = -1/2) or the anti-diagonal (gamma = +1/2)
     classes.append(np.array([[0.0, 0.0]]))

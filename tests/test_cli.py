@@ -1029,9 +1029,17 @@ def test_a_rule_one_node_short_fails_the_build(tmp_path, capsys, monkeypatch,
                                                module, name, key, rule, message):
     """Every rule checks its node count: a set of Gauss pairs or of orbit
     images that loses a row fails the build with the rule's count, and a
-    composed orbit merge that loses a point with the orbit's."""
+    composed orbit merge that loses a point with the orbit's.  The Gauss
+    pairs lose a pair, from J, K and the weights; their nodes stay."""
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: tuple(a[1:] for a in real(*args)))
+
+    def short(*args):
+        out = real(*args)
+        if name == "gauss_pairs":
+            return (out[0],) + tuple(a[1:] for a in out[1:])
+        return tuple(a[1:] for a in out)
+
+    monkeypatch.setattr(module, name, short)
     _build_fails(tmp_path, capsys, key, rule, message)
 
 
@@ -1144,14 +1152,16 @@ def test_a_defect_in_the_recurrence_fails_the_square_rules(tmp_path, capsys, mon
     while the reference summed over a grid of the same Gauss rules, both
     sides moved together and every such rule certified.  The biangle
     reference still sums over that grid, so it stays blind to this defect;
-    only an exact audit of the biangle table would see it."""
+    only an exact audit of the biangle table would see it.  opq1d and
+    oracle hold the only bindings of jacobi_recurrence: the builders reach
+    it through opq1d.gauss_pairs."""
     real = opq1d_mod.jacobi_recurrence
 
     def scaled(alpha, beta, m):
         rc = real(alpha, beta, m)
         return opq1d_mod.RecurrenceCoeffs(a=rc.a, b=rc.b * (1.0 + 1e-6), mu0=rc.mu0)
 
-    for module in (biangle_mod, composed_mod, oracle_mod, squaremin_mod):
+    for module in (opq1d_mod, oracle_mod):
         monkeypatch.setattr(module, "jacobi_recurrence", scaled)
     out = tmp_path / "rule.json"
     assert run(capsys, "build", *key.split(), "--out", str(out))[0] == 0

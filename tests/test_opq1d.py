@@ -14,6 +14,7 @@ from cubamin.opq1d import (
     diagonal_zero_set,
     eval_jacobi_standard,
     eval_jacobi_standard_deriv,
+    gauss_pairs,
     gauss_rule,
     jacobi_recurrence,
     quasi_S,
@@ -95,6 +96,22 @@ def test_gauss_rule_nodes_increasing_weights_positive():
         assert np.all(np.diff(q.nodes) > 0)
         assert np.all(q.weights > 0)
         assert np.all(np.abs(q.nodes) < 1.0)
+
+
+@pytest.mark.parametrize("ab", PARAMS)
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_gauss_pairs_are_the_n_n_plus_1_over_2_pairs_of_koornwinder(ab, n):
+    """j <= k of the n-point rule at gamma = -1/2, j < k of the (n+1)-point
+    rule at +1/2, in row-major order, each weighing lam_j lam_k, and half
+    that on the diagonal; at -1/2 the weights sum to mu_0^2 / 2."""
+    for gamma, size in ((-0.5, n), (0.5, n + 1)):
+        t, J, K, w = gauss_pairs(*ab, n, gamma)
+        lam = gauss_rule(jacobi_recurrence(*ab, size), size).weights
+        assert len(t) == size and len(J) == len(K) == len(w) == n * (n + 1) // 2
+        assert np.all(K - J >= (gamma == 0.5)) and np.all(np.diff(J * size + K) > 0)
+        assert np.array_equal(w, lam[J] * lam[K] * np.where(J == K, 0.5, 1.0))
+    mu0 = MOMENTS_1D[ab][0]
+    assert math.isclose(gauss_pairs(*ab, n, -0.5)[3].sum(), mu0 * mu0 / 2, rel_tol=1e-14)
 
 
 def test_gauss_rule_insufficient_data():

@@ -39,6 +39,18 @@ def test_every_module_uses_its_imports():
     assert unused == []
 
 
+def test_the_builders_take_their_gauss_pairs_from_opq1d():
+    """opq1d.gauss_pairs is the builders' one source of Gauss nodes and pair
+    weights: no builder module imports the recurrence or the Gauss rule."""
+    shared = []
+    for stem in ("biangle", "squaremin", "composed"):
+        tree = ast.parse((Path(cubamin.__file__).parent / (stem + ".py")).read_text())
+        shared += ["%s: %s" % (stem, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.name in ("gauss_rule", "jacobi_recurrence")]
+    assert shared == []
+
+
 def test_runtime_imports_numpy_only():
     """Importing the package and its CLI pulls in no test or tool package."""
     probe = (
