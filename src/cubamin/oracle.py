@@ -229,7 +229,7 @@ def _chebyshev_moments(alpha: float, beta: float, n: int) -> np.ndarray:
     return mu
 
 
-def reference_gram(spec: WeightSpec, degree: int) -> np.ndarray:
+def reference_gram(spec: WeightSpec, degree: int, rel_tol: float = 1e-9) -> np.ndarray:
     """Table of the integrals of T_i(x1) T_j(x2) (square) or T_i(u1/2)
     T_j(u2) (curved domain) against the weight of spec, exact for
     i + j <= degree.
@@ -237,7 +237,11 @@ def reference_gram(spec: WeightSpec, degree: int) -> np.ndarray:
     The curved domain sums over the (degree//2 + 2)-point tensor Gauss
     grid (y1, y2) of its Jacobi(alpha, beta) weight, read at
     u = (y1 + y2, y1 y2), with cell weights
-    1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).
+    1/2 lam_a lam_b |y1 - y2|^(2 gamma + 1).  The builders share that
+    Gauss rule, so an error in it would cancel: before the sum, its npts
+    points must reproduce the 1-D Chebyshev moments mu_0, ..., mu_{2 npts
+    - 1}, which a Gauss rule integrates exactly, to rel_tol of the mass,
+    or a ConstructionError names the weight and npts.
 
     The square needs no grid.  Under y1, y2 = cos(theta1 -+ theta2) its
     weight is the Jacobi(alpha, beta) tensor weight times
@@ -255,6 +259,14 @@ def reference_gram(spec: WeightSpec, degree: int) -> np.ndarray:
     if spec.family == "biangle-gamma":
         npts = degree // 2 + 2
         q = gauss_rule(jacobi_recurrence(a, b, npts), npts)
+        mu = _chebyshev_moments(a, b, 2 * npts)
+        got = np.einsum("kj,j->k", _chebyshev_rows(q.nodes, 2 * npts - 1), q.weights,
+                        optimize=False)
+        miss = float(np.max(np.abs(got - mu))) / mu[0]
+        if not miss <= rel_tol:
+            raise ConstructionError(
+                "the %d-point Gauss rule of the Jacobi weight alpha=%g, beta=%g misses its "
+                "Chebyshev moments by %.3e of the mass, over %g" % (npts, a, b, miss, rel_tol))
         y1 = np.repeat(q.nodes, npts)
         y2 = np.tile(q.nodes, npts)
         w = 0.5 * np.outer(q.weights, q.weights).ravel() * np.abs(y1 - y2) ** (2.0 * g + 1.0)
@@ -294,7 +306,9 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
     DomainError, before any moment is computed, when a node lies outside
     the rule's closed domain by more than 1e-12: such a node would carry
     products beyond 1 in magnitude.  Raises OverflowError when a
-    reference entry is infinite or NaN, which no comparison could fail.
+    reference entry is infinite or NaN, which no comparison could fail,
+    and ConstructionError when the curved domain's Gauss grid misses its
+    1-D moments by more than rel_tol of the mass.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError("rel_tol must be a finite positive number, got %r" % (rel_tol,))
@@ -318,7 +332,7 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
             % (bad, float(x[bad]), float(y[bad]), rule.domain)
         )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        ref = reference_gram(rule.spec, max_degree)
+        ref = reference_gram(rule.spec, max_degree, rel_tol)
     i, j = np.indices(ref.shape)
     live = i + j <= max_degree
     broken = np.argwhere(live & ~np.isfinite(ref))

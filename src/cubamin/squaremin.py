@@ -12,6 +12,7 @@ degrees 4m+1 add points on the diagonal (g = -1/2) or anti-diagonal
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -180,15 +181,27 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     raw = _oracle.cos_basis_moments(alpha, beta, gamma, pairs)
     b = np.array([(2.0 if i != j else 1.0) * v for (i, j), v in zip(pairs, raw)])
 
-    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ sol - b))
-    if resid > 1e-9 * float(np.linalg.norm(b)):
+    # solve and gate on b / 2^e, e the binary exponent of max |b|: a power
+    # of two commutes with every rounding of the solve, so the weights keep
+    # their bits, and the norms stay in float range for moments near 1e160
+    # (beta = 300)
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    scaled = np.ldexp(b, -e)
+    w, _, rank, sv = np.linalg.lstsq(A, scaled, rcond=None)
+    resid = float(np.linalg.norm(A @ w - scaled))
+    if resid > 1e-9 * float(np.linalg.norm(scaled)):
         raise ConstructionError(
             "odd-rule moment system residual %.3e exceeds tolerance (rank %d/%d)"
-            % (resid, rank, len(classes))
+            % (math.ldexp(resid, e), rank, len(classes))
         )
+    sol = np.ldexp(w, e)
     if np.any(sol <= 0.0):
-        raise ConstructionError("odd-rule weights not positive (min %.3e)" % float(sol.min()))
+        # against the solve's resolution, cond * eps of the largest weight,
+        # so that a weight lost in rounding reads as such
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+        raise ConstructionError(
+            "odd-rule weights not positive (min/max %.3e, cond * eps %.3e)"
+            % (float(w.min() / np.abs(w).max()), cond * np.finfo(float).eps))
 
     wts = np.repeat(sol, [len(c) for c in classes])
     return CubatureRule2D(nodes=np.vstack(classes), weights=wts, spec=spec, param=m,

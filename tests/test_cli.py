@@ -879,6 +879,8 @@ def test_odd_rule_with_diagonal_zeros_inside_one_grid_cell_builds_and_certifies(
      "square-odd alpha=150.0, beta=150.0, gamma=-0.5, m=2"),
     ("square-odd --gamma 0.5 --m 2 --alpha 150 --beta 150",
      "square-odd alpha=150.0, beta=150.0, gamma=0.5, m=2"),
+    ("square-odd --gamma 0.5 --m 5 --alpha 0 --beta 300",
+     "square-odd alpha=0.0, beta=300.0, gamma=0.5, m=5"),
 ])
 def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     """At alpha = 1000 the Gauss weight products overflow.  Run as a child
@@ -888,7 +890,9 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     and printed two numpy RuntimeWarnings before its line; it now stops at
     the weight mass.  At alpha = beta = 150 the odd rule's moment ladder
     kernel overflows; it had printed two numpy RuntimeWarnings and doubled
-    its NaN levels until a Gauss weight underflowed."""
+    its NaN levels until a Gauss weight underflowed.  At beta = 300 the odd
+    solve's right-hand sides near 1e160 had overflowed the norm of its
+    residual gate, with a two-line numpy warning before the line."""
     out = tmp_path / "rule.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
@@ -899,6 +903,20 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     assert child.stderr.count("\n") == 1 and child.stderr.endswith("\n")
     assert child.stdout == ""
     assert not out.exists()
+
+
+def test_an_odd_rule_with_moments_near_1e160_builds_without_a_warning(tmp_path):
+    """The odd solve gates on its right-hand sides scaled by a power of two,
+    so at beta = 300 the norm of b no longer overflows: the gate can fail
+    again, and a child process writes nothing to stderr."""
+    out = tmp_path / "rule.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-m", "cubamin.cli", "build", "square-odd", "--alpha", "0",
+         "--beta", "300", "--gamma", "-0.5", "--m", "2", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "wrote %s: square-odd, 17 nodes, degree 9\n" % out
 
 
 @pytest.mark.parametrize("family, rule", [
@@ -1002,7 +1020,7 @@ def test_a_gauss_rule_that_fails_its_checks_fails_the_build(tmp_path, capsys, mo
 @pytest.mark.parametrize("rhs, message", [
     (lambda b: b + np.eye(len(b))[-1] * b[0],
      r"odd-rule moment system residual \S+ exceeds tolerance \(rank 3/3\)"),
-    (lambda b: -b, r"odd-rule weights not positive \(min \S+\)"),
+    (lambda b: -b, r"odd-rule weights not positive \(min/max -1\.000e\+00, cond \* eps \S+\)"),
 ])
 def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
         tmp_path, capsys, monkeypatch, rhs, message):
@@ -1011,6 +1029,23 @@ def test_an_odd_moment_system_without_a_positive_solution_fails_the_build(
     real = oracle_mod.cos_basis_moments
     monkeypatch.setattr(oracle_mod, "cos_basis_moments", lambda *args: rhs(real(*args)))
     _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE, message)
+
+
+def test_an_odd_weight_below_the_solves_resolution_reads_as_such(tmp_path, capsys):
+    """At (-0.9, 140, -1/2), m = 5, the smallest class weight is negative
+    only at rounding level.  The line had read `min -1.460e+69`; it states
+    the smallest weight over the largest and the resolution cond * eps,
+    which bounds it."""
+    out = tmp_path / "rule.json"
+    code, stdout, err = run(capsys, "build", "square-odd", "--alpha", "-0.9", "--beta", "140",
+                            "--gamma", "-0.5", "--m", "5", "--out", str(out))
+    line = re.fullmatch(r"cubamin: construction failed for square-odd alpha=-0\.9, "
+                        r"beta=140\.0, gamma=-0\.5, m=5: odd-rule weights not positive "
+                        r"\(min/max (\S+), cond \* eps (\S+)\)\n", err)
+    assert (code, stdout) == (2, "") and line, err
+    ratio, resolution = map(float, line.groups())
+    assert -resolution < ratio < 0.0, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("module, name, key, rule, message", [
@@ -1139,22 +1174,25 @@ def test_verify_of_a_square_file_at_a_huge_weight_ends_in_one_line(
         % (_MASS, weight, weight, _CANCELLED))
 
 
-@pytest.mark.parametrize("key", [
-    "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 3",
-    "square-even --alpha 0.5 --beta 0 --gamma 0.5 --m 3",
-    "composed --ell 2 --m 2 --alpha 0.5 --beta -0.5",
+@pytest.mark.parametrize("key, npts", [
+    ("square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 3", None),
+    ("square-even --alpha 0.5 --beta 0 --gamma 0.5 --m 3", None),
+    ("composed --ell 2 --m 2 --alpha 0.5 --beta -0.5", None),
+    ("biangle --alpha 0.5 --beta 0 --gamma -0.5 --n 3", 4),
+    ("biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 8", 9),
 ])
 def test_a_defect_in_the_recurrence_fails_the_square_rules(tmp_path, capsys, monkeypatch,
-                                                           key):
+                                                           key, npts):
     """Every b_k of jacobi_recurrence scaled by 1 + 1e-6 moves the builders'
     Gauss rules.  The square references take only the mass from the
     recurrence, so the rules built on the defect fail verify (exit 3);
     while the reference summed over a grid of the same Gauss rules, both
     sides moved together and every such rule certified.  The biangle
-    reference still sums over that grid, so it stays blind to this defect;
-    only an exact audit of the biangle table would see it.  opq1d and
-    oracle hold the only bindings of jacobi_recurrence: the builders reach
-    it through opq1d.gauss_pairs."""
+    reference still sums over that grid, but first checks its npts-point
+    rule against the 1-D Chebyshev moments, which also take only the
+    mass; so verify of a biangle rule exits 4 with the grid's line, where
+    it had certified.  opq1d and oracle hold the only bindings of
+    jacobi_recurrence: the builders reach it through opq1d.gauss_pairs."""
     real = opq1d_mod.jacobi_recurrence
 
     def scaled(alpha, beta, m):
@@ -1166,7 +1204,29 @@ def test_a_defect_in_the_recurrence_fails_the_square_rules(tmp_path, capsys, mon
     out = tmp_path / "rule.json"
     assert run(capsys, "build", *key.split(), "--out", str(out))[0] == 0
     code, stdout, err = run(capsys, "verify", str(out))
-    assert (code, err) == (3, "") and stdout.endswith(": FAIL\n"), stdout
+    if npts is None:
+        assert (code, err) == (3, "") and stdout.endswith(": FAIL\n"), stdout
+    else:
+        assert (code, stdout) == (4, "")
+        assert re.fullmatch(r"cubamin: moment oracle failed: the %d-point Gauss rule of the "
+                            r"Jacobi weight alpha=0\.5, beta=0 misses its Chebyshev moments "
+                            r"by \S+ of the mass, over 1e-09\n" % npts, err), err
+
+
+def test_a_biangle_rule_near_the_corner_weight_does_not_verify(tmp_path, capsys):
+    """At (alpha, beta) = (-0.999, -0.99) the 201-point Gauss rule of the
+    degree-399 reference grid misses the Chebyshev moments by 1.55e-9 of
+    the mass.  The rule shares that drift, and the file had verified OK at
+    worst 8.5e-11; verify now refuses the grid with one line (exit 4)."""
+    out = tmp_path / "rule.json"
+    code, _, err = run(capsys, "build", "biangle", "--alpha", "-0.999", "--beta", "-0.99",
+                       "--gamma", "-0.5", "--n", "200", "--out", str(out))
+    assert code == 0, err
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, stdout) == (4, "")
+    assert re.fullmatch(r"cubamin: moment oracle failed: the 201-point Gauss rule of the "
+                        r"Jacobi weight alpha=-0\.999, beta=-0\.99 misses its Chebyshev "
+                        r"moments by \S+ of the mass, over 1e-09\n", err), err
 
 
 def test_verify_report_of_a_large_rule_does_not_depend_on_the_blas_threads(

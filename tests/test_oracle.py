@@ -209,15 +209,15 @@ def _break_reference(monkeypatch, bad_pair, value=None):
     default with the entry plus a tenth of the mass."""
     real = oracle_mod.reference_gram
 
-    def broken(spec, degree):
-        out = real(spec, degree).copy()
+    def broken(spec, degree, rel_tol):
+        out = real(spec, degree, rel_tol).copy()
         out[bad_pair] = out[bad_pair] + 0.1 * out[0, 0] if value is None else value
         return out
 
     monkeypatch.setattr(oracle_mod, "reference_gram", broken)
 
 
-def _no_moments(spec, degree):
+def _no_moments(spec, degree, rel_tol):
     raise AssertionError("moments requested")
 
 
