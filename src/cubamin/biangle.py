@@ -22,18 +22,8 @@ from .opq1d import gauss_pairs
 from .rules import CubatureRule2D, WeightSpec
 
 __all__ = [
-    "in_omega",
     "gauss_cubature_biangle",
 ]
-
-
-def in_omega(u1, u2, tol: float = 0.0) -> np.ndarray:
-    """Membership test for the closed domain, with optional slack tol."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    above = u1 * u1 - 4.0 * u2 >= -tol
-    below = 1.0 + u2 - np.abs(u1) >= -tol
-    return above & below
 
 
 def gauss_cubature_biangle(spec: WeightSpec, n: int) -> CubatureRule2D:

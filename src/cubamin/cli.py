@@ -23,7 +23,7 @@ import numpy as np
 
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
-from .oracle import DomainError, certify
+from .oracle import DEFAULT_REL_TOL, DomainError, certify
 from .rules import RULE_WEIGHTS, ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("rule_file")
     v.add_argument("--max-degree", type=int, default=None,
                    help="test through this total degree (default: declared)")
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     v.add_argument("--report", default=None, help="write a JSON report here")
 
     pl = sub.add_parser("plot", help="draw the nodes as an SVG scatter")

@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .rules import ConstructionError
+from .rules import ConstructionError, check_jacobi_parameters
 
 __all__ = [
     "RecurrenceCoeffs",
@@ -87,8 +87,7 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
     that the rounding of their sum, which exp turns into a relative error
     of mu0, may pass _MASS_RTOL.
     """
-    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
-        raise ValueError("Jacobi parameters must be finite and exceed -1")
+    check_jacobi_parameters(alpha, beta)
     if m < 1:
         raise ValueError("m must be >= 1")
     s = alpha + beta
@@ -134,8 +133,7 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
 
 def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
     """Jacobi polynomial with P_n^{(alpha,beta)}(1) = binom(n+alpha, n)."""
-    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
-        raise ValueError("Jacobi parameters must be finite and exceed -1")
+    check_jacobi_parameters(alpha, beta)
     t = np.asarray(t, dtype=float)
     if n == 0:
         return np.ones_like(t)

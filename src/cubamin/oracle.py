@@ -21,11 +21,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .biangle import in_omega
 from .opq1d import gauss_rule, jacobi_recurrence
 from .rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
 
 __all__ = [
+    "DEFAULT_REL_TOL",
     "DomainError",
     "angular_moment_ladder",
     "cos_basis_moments",
@@ -37,6 +37,9 @@ __all__ = [
 class DomainError(ValueError):
     """A rule node lies outside the closed domain of its weight."""
 
+
+# certify's tolerance on each product's error over the mass; verify --tol overrides it
+DEFAULT_REL_TOL = 1e-9
 
 # absolute slack of the domain test in certify: admits the last-bit
 # rounding of nodes built on the boundary, nothing visibly outside
@@ -229,7 +232,7 @@ def _chebyshev_moments(alpha: float, beta: float, n: int) -> np.ndarray:
     return mu
 
 
-def reference_gram(spec: WeightSpec, degree: int, rel_tol: float = 1e-9) -> np.ndarray:
+def reference_gram(spec: WeightSpec, degree: int, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Table of the integrals of T_i(x1) T_j(x2) (square) or T_i(u1/2)
     T_j(u2) (curved domain) against the weight of spec, exact for
     i + j <= degree.
@@ -289,7 +292,8 @@ def reference_gram(spec: WeightSpec, degree: int, rel_tol: float = 1e-9) -> np.n
     return out
 
 
-def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> ExactnessReport:
+def certify(rule: CubatureRule2D, max_degree: int,
+            rel_tol: float = DEFAULT_REL_TOL) -> ExactnessReport:
     """Compare the rule with reference_gram(rule.spec, max_degree) on every
     Chebyshev product T_i T_j of total degree i + j <= max_degree.
 
@@ -304,7 +308,7 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
     tables (the reference, its index arrays, the rule's Gram and the
     errors) and two (D + 1) x _CHUNK row blocks of a Gram chunk.  Raises
     DomainError, before any moment is computed, when a node lies outside
-    the rule's closed domain by more than 1e-12: such a node would carry
+    the rule's closed domain by more than _DOMAIN_SLACK: such a node would carry
     products beyond 1 in magnitude.  Raises OverflowError when a
     reference entry is infinite or NaN, which no comparison could fail,
     and ConstructionError when the curved domain's Gauss grid misses its
@@ -324,7 +328,8 @@ def certify(rule: CubatureRule2D, max_degree: int, rel_tol: float = 1e-9) -> Exa
     if rule.domain == "square":
         inside = np.maximum(np.abs(x), np.abs(y)) <= 1.0 + _DOMAIN_SLACK
     else:
-        inside = in_omega(x, y, _DOMAIN_SLACK)
+        # under the parabola u1^2 = 4 u2 and above the lines u2 = |u1| - 1
+        inside = (x * x - 4.0 * y >= -_DOMAIN_SLACK) & (1.0 + y - np.abs(x) >= -_DOMAIN_SLACK)
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise DomainError(

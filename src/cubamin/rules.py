@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -9,7 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError",
-           "RULE_WEIGHTS", "rule_shape"]
+           "RULE_WEIGHTS", "check_jacobi_parameters", "rule_shape"]
 
 # the weight each rule family is built on: its WeightSpec family, the domain
 # of that weight, and the spec fields the family fixes, with their values
@@ -23,6 +24,12 @@ RULE_WEIGHTS = {
 
 class ConstructionError(RuntimeError):
     """A rule or a reference could not be built to contract; nothing partial is returned."""
+
+
+def check_jacobi_parameters(alpha: float, beta: float) -> None:
+    """Raise ValueError unless alpha and beta are finite and exceed -1."""
+    if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
+        raise ValueError("Jacobi parameters must be finite and exceed -1")
 
 
 def rule_shape(family: str, size: int, ell: int = 1) -> Tuple[int, int]:
@@ -72,8 +79,7 @@ class WeightSpec:
         missing = [k for k in ("alpha", "beta") if getattr(self, k) is None]
         if missing:
             raise ValueError("missing Jacobi parameter: %s" % ", ".join(missing))
-        if not all(np.isfinite(v) and v > -1 for v in (self.alpha, self.beta)):
-            raise ValueError("Jacobi parameters must be finite and exceed -1")
+        check_jacobi_parameters(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ grid read at the fold images of fold_images, which square_moments also
 runs.  reference_min_node_gap is the all-pairs
 scan that the plot's sorted scan must match.  reference_positive_zeros is the one-bracket-at-a-time zero
 search of the odd builder's diagonal abscissas, which the lockstep search
-in opq1d must match bit for bit.
+in opq1d must match bit for bit.  in_omega is the membership test of the
+curved domain that the sample grids of criterion 5 are drawn with.
 
 The orthogonal-basis evaluators (eval_orthonormal and its derivative,
 divided_difference, eval_koornwinder on the curved domain and eval_Q_basis
@@ -52,6 +53,15 @@ def chebyshev_moment_1d(i: int) -> float:
 def map_x_to_u(x1, x2):
     """Symmetric-function coordinates (x1+x2, x1*x2)."""
     return np.asarray(x1) + np.asarray(x2), np.asarray(x1) * np.asarray(x2)
+
+
+def in_omega(u1, u2) -> np.ndarray:
+    """Membership of the closed curved domain, without certify's slack: on
+    or under the parabola u1^2 = 4 u2, on or above the lines u2 = |u1| - 1.
+    The tests draw their sample grids inside the domain with it."""
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    return (u1 * u1 - 4.0 * u2 >= 0.0) & (1.0 + u2 - np.abs(u1) >= 0.0)
 
 
 def fold_to_biangle(x1, x2):

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from cubamin.biangle import gauss_cubature_biangle, in_omega
+from cubamin.biangle import gauss_cubature_biangle
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import certify, reference_gram
@@ -25,6 +25,7 @@ from identities import (
     eval_koornwinder,
     eval_Q_basis,
     folding_identity_check,
+    in_omega,
     monomials_from_gram,
     orbit_sets,
     preimage_angles,

@@ -51,6 +51,25 @@ def test_the_builders_take_their_gauss_pairs_from_opq1d():
     assert shared == []
 
 
+def test_the_certificate_shares_with_the_builders_only_what_its_imports_name():
+    """oracle takes from the package the recurrence, the Gauss rule and the
+    rule types, and nothing of a builder or the CLI: a new dependency of
+    the certificate on the code it checks is an edit to this list."""
+    tree = ast.parse((Path(cubamin.__file__).parent / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            imported |= {"%s.%s" % (module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    package = sorted(name for name in imported
+                     if name.startswith(".") or name.split(".")[0] == "cubamin")
+    assert package == [".opq1d.gauss_rule", ".opq1d.jacobi_recurrence",
+                       ".rules.ConstructionError", ".rules.CubatureRule2D",
+                       ".rules.ExactnessReport", ".rules.WeightSpec"]
+
+
 def test_runtime_imports_numpy_only():
     """Importing the package and its CLI pulls in no test or tool package."""
     probe = (
