@@ -61,12 +61,13 @@ _MEMORY_BUDGET = 2 * 2**30
 
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
-    """Nodes/weights for integral over [0,1] of a^p (1-a)^q g(a) da."""
+    """Nodes, weights and the weights' logs for the integral over [0,1] of
+    a^p (1-a)^q g(a) da; the logs stay finite where a weight underflows."""
     rc = jacobi_recurrence(q_exp, p_exp, n)
     q = gauss_rule(rc, n)
     a = 0.5 * (1.0 + q.nodes)
     w = q.weights * 2.0 ** (-(p_exp + q_exp + 1.0))
-    return a, w
+    return a, w, np.log(q.weights) - (p_exp + q_exp + 1.0) * math.log(2.0)
 
 
 def _panel_theta(a: np.ndarray, b: np.ndarray, left: bool):
@@ -100,8 +101,10 @@ def angular_moment_ladder(
     entry, after at least _LADDER_MIN_LEVELS levels and at most
     _LADDER_MAX_DOUBLINGS doublings.  Returns every ladder level (for
     convergence diagnostics); the final entry is the converged batch.
-    Raises OverflowError, naming the weight, when a level leaves float
-    range.
+    A panel's weight grid that leaves float range (from alpha = beta =
+    145, where a kernel power overflows against weights near underflow)
+    is formed again as exp of its summed logs.  Raises OverflowError,
+    naming the weight, when a level still leaves float range.
     """
     WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
     pa = 4.0 * alpha + 3.0
@@ -119,15 +122,15 @@ def angular_moment_ladder(
     levels: List[np.ndarray] = []
     n = _LADDER_N0
     for _ in range(_LADDER_MAX_DOUBLINGS + 1):
-        a_nodes, a_w = _unit_gauss_jacobi(pa, qa, n)
-        b_nodes, b_w = _unit_gauss_jacobi(pb, 0.0, n)
+        a_nodes, a_w, a_log = _unit_gauss_jacobi(pa, qa, n)
+        b_nodes, b_w, b_log = _unit_gauss_jacobi(pb, 0.0, n)
         # the kernel mass rides along as a final entry: it anchors the
         # convergence scale so structurally zero moments cannot stall the
         # ladder, and certification tolerances are mass-relative anyway
         total = np.zeros(len(pairs) + 1)
         # a kernel power beyond float range makes the total inf or NaN,
         # which is checked below
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for left in (True, False):
                 A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
                 t1 = u + v
@@ -140,6 +143,14 @@ def angular_moment_ladder(
                 if gamma == 0.5:
                     core = core * (np.sin(t1) * np.sin(t2)) ** 2
                 wmat = np.outer(a_w, b_w) * core
+                if not np.all(np.isfinite(wmat)):
+                    # only a grid that is not finite takes this route, so
+                    # every level that passed before keeps its bits
+                    logs = (math.log(2.0 * (0.5 * math.pi) ** 2) + ea * np.log(sm_sin)
+                            + eb * np.log(sm_cos) + np.add.outer(a_log, b_log))
+                    if gamma == 0.5:
+                        logs += 2.0 * np.log(np.abs(np.sin(t1) * np.sin(t2)))
+                    wmat = np.exp(logs)
                 # each feature row is evaluated once per panel, at its first
                 # use, and dropped after its last; one weighted sum per pair
                 # rather than (f1 * wmat) @ f2.T, since a matrix product sums

@@ -199,9 +199,11 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
         # against the solve's resolution, cond * eps of the largest weight,
         # so that a weight lost in rounding reads as such
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+        with np.errstate(invalid="ignore"):  # nan when every weight is 0
+            spread = float(w.min() / np.abs(w).max())
         raise ConstructionError(
             "odd-rule weights not positive (min/max %.3e, cond * eps %.3e)"
-            % (float(w.min() / np.abs(w).max()), cond * np.finfo(float).eps))
+            % (spread, cond * np.finfo(float).eps))
 
     wts = np.repeat(sol, [len(c) for c in classes])
     return CubatureRule2D(nodes=np.vstack(classes), weights=wts, spec=spec, param=m,

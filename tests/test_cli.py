@@ -875,10 +875,10 @@ def test_odd_rule_with_diagonal_zeros_inside_one_grid_cell_builds_and_certifies(
      "composed ell=2, m=3, alpha=1000.0, beta=0.0"),
     ("square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
      "square-odd alpha=1e+102, beta=1e+102, gamma=-0.5, m=2"),
-    ("square-odd --gamma -0.5 --m 2 --alpha 150 --beta 150",
-     "square-odd alpha=150.0, beta=150.0, gamma=-0.5, m=2"),
-    ("square-odd --gamma 0.5 --m 2 --alpha 150 --beta 150",
-     "square-odd alpha=150.0, beta=150.0, gamma=0.5, m=2"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 191 --beta 191",
+     "square-odd alpha=191.0, beta=191.0, gamma=-0.5, m=2"),
+    ("square-odd --gamma 0.5 --m 2 --alpha 167 --beta 167",
+     "square-odd alpha=167.0, beta=167.0, gamma=0.5, m=2"),
     ("square-odd --gamma 0.5 --m 5 --alpha 0 --beta 300",
      "square-odd alpha=0.0, beta=300.0, gamma=0.5, m=5"),
 ])
@@ -888,9 +888,10 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     writes its one diagnostic line and nothing else.  At alpha = beta =
     1e102 the odd rule's zero search had run on overflowing Jacobi values
     and printed two numpy RuntimeWarnings before its line; it now stops at
-    the weight mass.  At alpha = beta = 150 the odd rule's moment ladder
-    kernel overflows; it had printed two numpy RuntimeWarnings and doubled
-    its NaN levels until a Gauss weight underflowed.  At beta = 300 the odd
+    the weight mass.  At alpha = beta = 191 (gamma = -1/2) and 167 (+1/2),
+    the first weights of each at which the odd rule fails, the moment
+    ladder forms its kernel's weight grids from logs, and a weight of its
+    384-point Gauss rule underflows.  At beta = 300 the odd
     solve's right-hand sides near 1e160 had overflowed the norm of its
     residual gate, with a two-line numpy warning before the line."""
     out = tmp_path / "rule.json"

@@ -19,7 +19,7 @@ from cubamin.opq1d import (
     jacobi_recurrence,
     quasi_S,
 )
-from cubamin.rules import ConstructionError
+from cubamin.rules import ConstructionError, WeightSpec
 from identities import eval_orthonormal, eval_orthonormal_deriv, reference_positive_zeros
 
 # int_{-1}^{1} x^k (1-x)^a (1+x)^b dx, derived symbolically (Beta-function
@@ -139,6 +139,29 @@ def test_recurrence_validation():
         for sign in ("-", "+"):
             with pytest.raises(ValueError, match="finite"):
                 diagonal_zero_set(*bad, 2, sign)
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (0.5, True), (3, True), (True, True), (-0.999, True), (np.float32(0.5), True),
+    (np.int64(3), True), (np.array(0.5), True),
+    (-1, False), (-1.0, False), (np.float64(-1.0), False), (-2.5, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False), (np.float32("nan"), False),
+])
+@pytest.mark.parametrize("first", [True, False])
+def test_every_caller_of_the_jacobi_parameter_rule_agrees(value, accepted, first):
+    """rules.check_jacobi_parameters states the rule once; the weight spec,
+    the recurrence and the standard Jacobi polynomials take and refuse the
+    same parameters, with the same message."""
+    ab = (value, 0.0) if first else (0.0, value)
+    calls = [lambda: WeightSpec("square-W", *ab), lambda: jacobi_recurrence(*ab, 2),
+             lambda: eval_jacobi_standard(*ab, 2, 0.3)]
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError,
+                               match="^Jacobi parameters must be finite and exceed -1$"):
+                call()
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubamin import oracle
 from cubamin.composed import composed_rule
-from cubamin.oracle import certify, reference_gram
-from cubamin.rules import WeightSpec
+from cubamin.oracle import angular_moment_ladder, certify, reference_gram
+from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import (
     half_angle_orbit,
     merge_close_nodes,
@@ -301,15 +302,33 @@ def test_odd_rule_raises_the_ladder_weight_mass_overflow():
         minimal_rule_odd(WeightSpec("square-W", 300.0, 0.0, -0.5), 3)
 
 
-def test_odd_rule_raises_a_ladder_kernel_overflow():
-    """At alpha = beta = 150 the ladder's kernel powers overflow at its
-    second level; the ladder raises one OverflowError naming its weight
-    rather than warning and doubling NaN levels until a Gauss weight
-    underflows."""
+def test_the_ladder_raises_one_overflow_error_on_a_level_past_float_range():
+    """A level whose sums leave float range raises one OverflowError naming
+    the weight, rather than warning and doubling NaN levels."""
     with pytest.raises(OverflowError, match=r"^moment ladder of the square weight "
-                       r"alpha=150, beta=150, gamma=-0\.5 exceeds float range at 48 points "
+                       r"alpha=0\.5, beta=0\.5, gamma=-0\.5 exceeds float range at 24 points "
                        r"per panel axis$"):
-        minimal_rule_odd(WeightSpec("square-W", 150.0, 150.0, -0.5), 2)
+        angular_moment_ladder(0.5, 0.5, -0.5, [(0, 0)], lambda theta, p: np.full_like(theta, 1e300))
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.5])
+def test_an_odd_rule_past_the_ladder_kernel_overflow_builds_and_certifies(g):
+    """From alpha = beta = 145 the ladder's kernel powers overflow against
+    Gauss-Jacobi weights near underflow, though the kernel is at most 1.
+    The ladder forms those weight grids again from their logs, so the rule
+    at 146 builds and certifies its declared degree."""
+    rule = minimal_rule_odd(WeightSpec("square-W", 146.0, 146.0, g), 2)
+    report = certify(rule, rule.degree)
+    assert report.certified_degree == rule.degree == 9, report
+
+
+def test_odd_rule_weights_of_zero_moments_fail_on_one_line_without_a_warning(monkeypatch):
+    """Right-hand sides that are all 0 solve to weights that are all 0: the
+    positivity line reads min/max nan, with no numpy warning (the test
+    configuration turns a RuntimeWarning into an error)."""
+    monkeypatch.setattr(oracle, "cos_basis_moments", lambda a, b, g, pairs: np.zeros(len(pairs)))
+    with pytest.raises(ConstructionError, match=r"^odd-rule weights not positive \(min/max nan, "):
+        minimal_rule_odd(WeightSpec("square-W", 0.5, 0.5, -0.5), 2)
 
 
 @pytest.mark.parametrize("key", sorted(ODD_M1_RULES))
