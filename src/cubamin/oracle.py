@@ -128,8 +128,9 @@ def angular_moment_ladder(
         # convergence scale so structurally zero moments cannot stall the
         # ladder, and certification tolerances are mass-relative anyway
         total = np.zeros(len(pairs) + 1)
-        # a kernel power beyond float range makes the total inf or NaN,
-        # which is checked below
+        # a kernel power beyond float range warns nothing here: a grid that
+        # is not finite is formed again from logs, and a total that is not
+        # finite is checked below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for left in (True, False):
                 A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
@@ -319,11 +320,11 @@ def certify(rule: CubatureRule2D, max_degree: int,
     tables (the reference, its index arrays, the rule's Gram and the
     errors) and two (D + 1) x _CHUNK row blocks of a Gram chunk.  Raises
     DomainError, before any moment is computed, when a node lies outside
-    the rule's closed domain by more than _DOMAIN_SLACK: such a node would carry
-    products beyond 1 in magnitude.  Raises OverflowError when a
-    reference entry is infinite or NaN, which no comparison could fail,
-    and ConstructionError when the curved domain's Gauss grid misses its
-    1-D moments by more than rel_tol of the mass.
+    the rule's closed domain by more than _DOMAIN_SLACK: such a node
+    would carry products beyond 1 in magnitude.  Raises OverflowError
+    when a reference entry is infinite or NaN, which no comparison could
+    fail, and ConstructionError when the curved domain's Gauss grid
+    misses its 1-D moments by more than rel_tol of the mass.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError("rel_tol must be a finite positive number, got %r" % (rel_tol,))
