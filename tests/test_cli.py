@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -495,19 +496,17 @@ def test_parse_rule_file_rejects_a_malformed_node_row(tmp_path, capsys, row):
         parse_rule_file(str(path))
 
 
-_B = cli._BLOCK_ROWS
+# the writers' block size while the hypothesis test runs: small, so the
+# block edges cost microseconds; one fixed table checks the shipped edge
+_B = 6
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.0, 3.0, 0.1, 1.0 / 3.0]
 
 
-@st.composite
-def _tables(draw):
-    """Rows of [x1, x2, weight] at the block edges, drawn from a small pool
-    (so values repeat within and across blocks) of edge values and
-    arbitrary finite floats."""
-    n = draw(st.sampled_from([0, 1, _B - 1, _B, _B + 1]))
-    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def _table(n, extra, seed):
+    """n rows of [x1, x2, weight] drawn from a small pool (so values repeat
+    within and across blocks) of edge values and the floats extra, about a
+    third of them replaced by fresh normal values of random magnitude."""
     pool = np.array(_EDGE_FLOATS + extra)
-    seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     table = pool[rng.integers(0, len(pool), size=(n, 3))]
     fresh = rng.random((n, 3)) < 0.3
@@ -516,11 +515,17 @@ def _tables(draw):
     return table
 
 
-@settings(max_examples=30, deadline=None)
-@given(_tables())
-def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
-    """Both writers at the block edges: JSON byte for byte json.dumps, CSV
-    the header line and one ",".join of the reprs per row."""
+@st.composite
+def _tables(draw):
+    """Tables of 0, 1, _B - 1, _B and _B + 1 rows over a drawn pool."""
+    n = draw(st.sampled_from([0, 1, _B - 1, _B, _B + 1]))
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    return _table(n, extra, draw(st.integers(0, 2**32 - 1)))
+
+
+def _check_writers(table):
+    """JSON byte for byte json.dumps, CSV the header line and one ",".join
+    of the reprs per row."""
     meta = {"family": "square-even", "alpha": -0.5, "beta": 0.0, "gamma": 0.5,
             "ell": None, "param_n_or_m": 3, "degree": 11, "node_count": len(table),
             "moller_bound": 21}
@@ -532,6 +537,19 @@ def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
     cli.rule_to_csv(table[:, :2], table[:, 2], buf)
     rows = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
     assert buf.getvalue() == "x1,x2,weight\n" + rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tables())
+def test_rule_to_json_writes_the_bytes_of_json_dumps(table):
+    """Both writers at the edges of blocks of _B rows."""
+    with mock.patch.object(cli, "_BLOCK_ROWS", _B):
+        _check_writers(table)
+
+
+def test_rule_to_json_writes_the_bytes_of_json_dumps_at_the_shipped_block_edge():
+    """One table of cli._BLOCK_ROWS + 1 rows: a full block and one row."""
+    _check_writers(_table(cli._BLOCK_ROWS + 1, [], 1))
 
 
 def _edit_and_verify(path, capsys, edit):
@@ -875,10 +893,10 @@ def test_odd_rule_with_diagonal_zeros_inside_one_grid_cell_builds_and_certifies(
      "composed ell=2, m=3, alpha=1000.0, beta=0.0"),
     ("square-odd --gamma -0.5 --m 2 --alpha 1e102 --beta 1e102",
      "square-odd alpha=1e+102, beta=1e+102, gamma=-0.5, m=2"),
-    ("square-odd --gamma -0.5 --m 2 --alpha 191 --beta 191",
-     "square-odd alpha=191.0, beta=191.0, gamma=-0.5, m=2"),
-    ("square-odd --gamma 0.5 --m 2 --alpha 167 --beta 167",
-     "square-odd alpha=167.0, beta=167.0, gamma=0.5, m=2"),
+    ("square-odd --gamma -0.5 --m 2 --alpha 517 --beta 517",
+     "square-odd alpha=517.0, beta=517.0, gamma=-0.5, m=2"),
+    ("square-odd --gamma 0.5 --m 2 --alpha 517 --beta 517",
+     "square-odd alpha=517.0, beta=517.0, gamma=0.5, m=2"),
     ("square-odd --gamma 0.5 --m 5 --alpha 0 --beta 300",
      "square-odd alpha=0.0, beta=300.0, gamma=0.5, m=5"),
 ])
@@ -888,12 +906,14 @@ def test_build_overflow_writes_one_stderr_line(tmp_path, key, rule):
     writes its one diagnostic line and nothing else.  At alpha = beta =
     1e102 the odd rule's zero search had run on overflowing Jacobi values
     and printed two numpy RuntimeWarnings before its line; it now stops at
-    the weight mass.  At alpha = beta = 191 (gamma = -1/2) and 167 (+1/2),
-    the first weights of each at which the odd rule fails, the moment
-    ladder forms its kernel's weight grids from logs, and a weight of its
-    384-point Gauss rule underflows.  At beta = 300 the odd
-    solve's right-hand sides near 1e160 had overflowed the norm of its
-    residual gate, with a two-line numpy warning before the line."""
+    the weight mass.  From alpha = beta = 517, at either gamma, every odd
+    build stops at the mass of the moment ladder's Gauss-Jacobi weight
+    (2 beta + 1, 4 alpha + 3).  The first weights that fail below it, 222
+    (gamma = -1/2) and 294 (+1/2), end at the ladder's memory budget after
+    about 30 s and 1.2 GB each, too costly for Tier-1; CI runs that line for
+    (0.5, -0.9, -1/2), m = 1.  At beta = 300 the odd solve's right-hand
+    sides near 1e160 had overflowed the norm of its residual gate, with a
+    two-line numpy warning before the line."""
     out = tmp_path / "rule.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     child = subprocess.run(
@@ -955,12 +975,16 @@ def _build_fails(tmp_path, capsys, key, rule, cause):
 
 def test_a_moment_ladder_that_does_not_converge_fails_the_odd_build(
         tmp_path, capsys, monkeypatch):
-    """No ladder settles at rtol 0 within one doubling; the odd build, whose
-    right-hand sides come from the ladder, exits 2 with the ladder's line."""
+    """No ladder settles at rtol 0.  The odd rule's m = 1 pairs hold 20
+    n x n arrays per level; a budget of 8 * 48^2 * 40 bytes admits the
+    levels of 24 and 48 points per panel axis and refuses the third for
+    any count between 10 and 40.  The odd build, whose right-hand sides
+    come from the ladder, exits 2 with the ladder's line."""
     monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", 0.0)
-    monkeypatch.setattr(oracle_mod, "_LADDER_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(oracle_mod, "_MEMORY_BUDGET", 8 * 48**2 * 40)
     _build_fails(tmp_path, capsys, ODD_M1, ODD_M1_RULE, r"moment ladder did not converge to "
-                 r"0\.0e\+00 after 1 doublings \(achieved \S+\)")
+                 r"0\.0e\+00 at 48 points per panel axis, the last level within the oracle's "
+                 r"memory budget of 0\.000686646 GiB \(achieved \S+\)")
 
 
 def test_a_ql_sweep_limit_fails_build_and_verify(tmp_path, capsys, monkeypatch):
@@ -1006,11 +1030,13 @@ def test_an_escaped_diagonal_zero_fails_the_odd_build(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("ql, message", [
-    (lambda d, q: (d, 0.0 * q), "nonpositive Gauss weight; eigensolve unreliable"),
+    (lambda d, q: (d, 0.0 * q), "nonpositive cubature weight"),
     (lambda d, q: (np.full_like(d, d[0]), q), "Gauss nodes not strictly increasing"),
 ])
 def test_a_gauss_rule_that_fails_its_checks_fails_the_build(tmp_path, capsys, monkeypatch,
                                                             ql, message):
+    """Gauss nodes out of order fail gauss_rule itself.  Weights of 0 pass
+    it, as a weight that underflows does, and the 2-D rule refuses them."""
     real = opq1d_mod._ql_implicit
     monkeypatch.setattr(opq1d_mod, "_ql_implicit",
                         lambda d, e, max_iter_total: ql(*real(d, e, max_iter_total)))

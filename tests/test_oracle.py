@@ -5,8 +5,10 @@ before its Chebyshev tables; the tests of its own properties (values,
 structural zeros, batches) stay here, and it checks the shipped tables."""
 
 import dataclasses
+import functools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -153,13 +155,39 @@ def test_refinement_ladder_contracts_until_roundoff(monkeypatch):
         assert nxt <= max(0.5 * prev, floor)
 
 
+def test_a_ladder_that_does_not_converge_stops_within_the_memory_budget(monkeypatch):
+    """At gamma = -1/2, beta = -0.9 the ladder never converges.  With a
+    budget of 64 MiB it runs the odd rule's m = 1 pairs to 384 points per
+    panel axis, each level admitted by its count of n x n arrays, refuses
+    the 768-point level and raises the not-converged error; its traced
+    peak stays within the budget.  A first, untraced run caches the 1-D
+    Gauss rules, O(n) each, so that tracemalloc does not trace every float
+    of their QL sweeps."""
+    budget = 64 * 2**20
+    monkeypatch.setattr(oracle_mod, "_MEMORY_BUDGET", budget)
+    monkeypatch.setattr(oracle_mod, "_unit_gauss_jacobi",
+                        functools.lru_cache(maxsize=None)(oracle_mod._unit_gauss_jacobi))
+    pairs = [(i, j) for j in range(6) for i in range(j + 1) if (i + j) % 2 == 0 and i + j <= 5]
+    with pytest.raises(ConstructionError):
+        oracle_mod.cos_basis_moments(0.5, -0.9, -0.5, pairs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError, match=r"^moment ladder did not converge to "
+                           r"1\.0e-13 at 384 points per panel axis, the last level within the "
+                           r"oracle's memory budget of 0\.0625 GiB \(achieved \S+\)$"):
+            oracle_mod.cos_basis_moments(0.5, -0.9, -0.5, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= budget, peak
+
+
 def test_ladder_moments_do_not_depend_on_the_batch(monkeypatch):
     """Within a panel each feature row lives from its first use to its last;
     a pair's moment must come out bit for bit as when it is alone."""
     pairs = [(i, d - i) for d in range(9) for i in range(d + 1)]
-    # two fixed levels, so every batch stops at the same depth
+    # every batch stops at the same depth, the two levels of _LADDER_MIN_LEVELS
     monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", math.inf)
-    monkeypatch.setattr(oracle_mod, "_LADDER_MAX_DOUBLINGS", 1)
 
     def ladder(batch):
         return oracle_mod.angular_moment_ladder(

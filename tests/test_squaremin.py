@@ -311,13 +311,15 @@ def test_the_ladder_raises_one_overflow_error_on_a_level_past_float_range():
         angular_moment_ladder(0.5, 0.5, -0.5, [(0, 0)], lambda theta, p: np.full_like(theta, 1e300))
 
 
-@pytest.mark.parametrize("g", [-0.5, 0.5])
-def test_an_odd_rule_past_the_ladder_kernel_overflow_builds_and_certifies(g):
+@pytest.mark.parametrize("a, g", [(146.0, -0.5), (146.0, 0.5), (191.0, -0.5), (167.0, 0.5)])
+def test_an_odd_rule_past_the_ladder_kernel_overflow_builds_and_certifies(a, g):
     """From alpha = beta = 145 the ladder's kernel powers overflow against
     Gauss-Jacobi weights near underflow, though the kernel is at most 1.
     The ladder forms those weight grids again from their logs, so the rule
-    at 146 builds and certifies its declared degree."""
-    rule = minimal_rule_odd(WeightSpec("square-W", 146.0, 146.0, g), 2)
+    at 146 builds and certifies its declared degree.  At 191 (gamma = -1/2)
+    and 167 (+1/2) weights of the ladder's Gauss-Jacobi rule underflow to 0
+    as well; gauss_rule keeps them, and those nodes add 0."""
+    rule = minimal_rule_odd(WeightSpec("square-W", a, a, g), 2)
     report = certify(rule, rule.degree)
     assert report.certified_degree == rule.degree == 9, report
 
