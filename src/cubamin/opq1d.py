@@ -13,10 +13,8 @@ cosine fold.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -31,7 +29,6 @@ __all__ = [
     "gauss_rule",
     "gauss_pairs",
     "fold_panel_angles",
-    "quasi_S",
     "diagonal_zero_set",
 ]
 
@@ -287,43 +284,6 @@ def fold_panel_angles(ell: int, theta) -> np.ndarray:
     return ((nu + odd) * math.pi + (1 - 2 * odd) * theta) / ell
 
 
-def quasi_S(alpha: float, beta: float, m: int, sign: str, t):
-    """Even degree-2m combination of shifted Jacobi polynomials in 2t^2-1.
-
-    sign '-' is the difference P_m^{(a,b+1)}(1) P_m^{(a+1,b)}(2t^2-1)
-    - P_m^{(a,b+1)}(2t^2-1) P_m^{(a+1,b)}(1), which vanishes at t = +-1;
-    sign '+' is the corresponding sum.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    t = np.asarray(t, dtype=float)
-    s = 2.0 * t * t - 1.0
-    c_b1, c_a1 = _endpoint_values(alpha, beta, m)
-    term1 = c_b1 * eval_jacobi_standard(alpha + 1.0, beta, m, s)
-    term2 = eval_jacobi_standard(alpha, beta + 1.0, m, s) * c_a1
-    return term1 - term2 if sign == "-" else term1 + term2
-
-
-@functools.lru_cache(maxsize=64)
-def _endpoint_values(alpha: float, beta: float, m: int) -> Tuple[float, float]:
-    """The constants P_m^{(a,b+1)}(1) and P_m^{(a+1,b)}(1) of quasi_S.  A
-    zero search calls quasi_S and its derivative about 45 times with the
-    same (alpha, beta, m) (43 to 49 at m = 3 to 12); cached, the constants
-    are evaluated at most once per search, to the same bits."""
-    return (float(eval_jacobi_standard(alpha, beta + 1.0, m, np.array(1.0))),
-            float(eval_jacobi_standard(alpha + 1.0, beta, m, np.array(1.0))))
-
-
-def _quasi_S_deriv(alpha: float, beta: float, m: int, sign: str, t):
-    t = np.asarray(t, dtype=float)
-    s = 2.0 * t * t - 1.0
-    c_b1, c_a1 = _endpoint_values(alpha, beta, m)
-    d1 = c_b1 * eval_jacobi_standard_deriv(alpha + 1.0, beta, m, s)
-    d2 = eval_jacobi_standard_deriv(alpha, beta + 1.0, m, s) * c_a1
-    inner = d1 - d2 if sign == "-" else d1 + d2
-    return inner * 4.0 * t
-
-
 def _refine_zeros(f, fprime, lo, hi, flo) -> np.ndarray:
     """Bisection of each bracket [lo, hi] with f(lo) = flo to width 1e-14,
     then 3 Newton polish steps.  The brackets run in lockstep, one call of
@@ -385,54 +345,63 @@ def _positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndarray:
     return np.array(zeros)
 
 
-def diagonal_zero_set(alpha: float, beta: float, m: int, sign: str) -> np.ndarray:
+def diagonal_zero_set(alpha: float, beta: float, m: int, gamma: float) -> np.ndarray:
     """Sorted 2m+1 abscissas feeding the odd-degree minimal square rules.
 
-    sign '-': diagonal abscissas xi (nodes (xi, xi)); the zeros of
-    t * [P_m^{(a,b+1)}(1) P_m^{(a+1,b)}(2t^2-1) + P_m^{(a,b+1)}(2t^2-1)
-    P_m^{(a+1,b)}(1)], all interior.
+    With s = 2t^2 - 1 and (a, b, k) = (alpha, beta, m) at gamma = -1/2 and
+    (beta, alpha, m + 1) at gamma = +1/2, the even degree-2k combination
 
-    sign '+': anti-diagonal abscissas eta (nodes (eta, -eta)); {0} plus the
-    interior zeros of D(t)/(1-t^2) where D is the order-(m+1) difference
-    combination with (alpha, beta) swapped; the forced zeros of D at t = +-1
-    are excluded.
+        S(t) = P_k^{(a,b+1)}(1) P_k^{(a+1,b)}(s) +- P_k^{(a,b+1)}(s) P_k^{(a+1,b)}(1)
 
-    Raises ConstructionError when the count is not exactly 2m+1.
+    takes the sum at -1/2 and the difference, which vanishes at t = +-1,
+    at +1/2.  Its two constants are evaluated once per search.
+
+    gamma = -1/2 gives the diagonal abscissas xi (nodes (xi, xi)), the zeros
+    of t S(t); +1/2 the anti-diagonal ones eta (nodes (eta, -eta)), {0} and
+    the interior zeros of S(t)/(1-t^2).  Raises ValueError for any other
+    gamma, and ConstructionError when the count is not exactly 2m+1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if sign == "-":
-        f = lambda t: quasi_S(alpha, beta, m, "+", t)
-        fp = lambda t: _quasi_S_deriv(alpha, beta, m, "+", t)
-        pos = _positive_zeros(f, fp, m, 64 * m)
-    elif sign == "+":
-        bs, as_ = beta, alpha  # swapped roles
+    if gamma == -0.5:
+        a, b, k, combine = alpha, beta, m, np.add
+    elif gamma == 0.5:
+        a, b, k, combine = beta, alpha, m + 1, np.subtract
+    else:
+        raise ValueError("gamma must be -1/2 or +1/2, not %r" % (gamma,))
+    c_b1 = float(eval_jacobi_standard(a, b + 1.0, k, np.array(1.0)))
+    c_a1 = float(eval_jacobi_standard(a + 1.0, b, k, np.array(1.0)))
 
-        def d_poly(t):
-            return quasi_S(bs, as_, m + 1, "-", t)
+    def S(t):
+        s = 2.0 * t * t - 1.0
+        return combine(c_b1 * eval_jacobi_standard(a + 1.0, b, k, s),
+                       eval_jacobi_standard(a, b + 1.0, k, s) * c_a1)
 
-        def d_poly_deriv(t):
-            return _quasi_S_deriv(bs, as_, m + 1, "-", t)
+    def S_deriv(t):
+        s = 2.0 * t * t - 1.0
+        return combine(c_b1 * eval_jacobi_standard_deriv(a + 1.0, b, k, s),
+                       eval_jacobi_standard_deriv(a, b + 1.0, k, s) * c_a1) * 4.0 * t
 
-        def g(t):
+    if gamma == -0.5:
+        pos = _positive_zeros(S, S_deriv, m, 64 * k)
+    else:
+        def quotient(t):
             t = np.asarray(t, dtype=float)
             den = 1.0 - t * t
             out = np.empty_like(t)
             near = den < 1e-8
             if np.any(~near):
-                out[~near] = np.asarray(d_poly(t[~near])) / den[~near]
+                out[~near] = S(t[~near]) / den[~near]
             if np.any(near):
-                # L'Hopital at t -> 1: D(t)/(1-t^2) -> -D'(1)/2
-                out[near] = -np.asarray(d_poly_deriv(t[near])) / (2.0 * t[near])
+                # L'Hopital at t -> 1: S(t)/(1-t^2) -> -S'(1)/2
+                out[near] = -S_deriv(t[near]) / (2.0 * t[near])
             return out
 
-        def gprime(t):
+        def quotient_deriv(t):
             h = 1e-7
-            return (g(t + h) - g(t - h)) / (2.0 * h)
+            return (quotient(t + h) - quotient(t - h)) / (2.0 * h)
 
-        pos = _positive_zeros(g, gprime, m, 64 * (m + 1))
-    else:
-        raise ValueError("sign must be '+' or '-'")
+        pos = _positive_zeros(quotient, quotient_deriv, m, 64 * k)
     if np.any(pos >= 1.0) or np.any(pos <= 0.0):
         raise ConstructionError("zero escaped the open interval (0, 1)")
     return np.concatenate([-pos[::-1], [0.0], pos])

@@ -156,12 +156,9 @@ def minimal_rule_odd(spec: WeightSpec, m: int) -> CubatureRule2D:
     """
     alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
 
-    if gamma == -0.5:
-        zeros, J, K, _ = gauss_pairs(alpha + 1.0, beta, m, gamma)
-        line = diagonal_zero_set(alpha, beta, m, "-")
-    else:
-        zeros, J, K, _ = gauss_pairs(alpha, beta + 1.0, m, gamma)
-        line = diagonal_zero_set(alpha, beta, m, "+")
+    pair_weight = (alpha + 1.0, beta) if gamma == -0.5 else (alpha, beta + 1.0)
+    zeros, J, K, _ = gauss_pairs(*pair_weight, m, gamma)
+    line = diagonal_zero_set(alpha, beta, m, gamma)
     classes = list(half_angle_orbit(zeros[J], zeros[K]))
     # the extra line nodes: the origin, then mirror pairs on the diagonal
     # (gamma = -1/2) or the anti-diagonal (gamma = +1/2)

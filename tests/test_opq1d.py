@@ -17,7 +17,6 @@ from cubamin.opq1d import (
     gauss_pairs,
     gauss_rule,
     jacobi_recurrence,
-    quasi_S,
 )
 from cubamin.rules import ConstructionError, WeightSpec
 from identities import eval_orthonormal, eval_orthonormal_deriv, reference_positive_zeros
@@ -136,9 +135,9 @@ def test_recurrence_validation():
         # values and the diagonal zero set a zero-count failure
         with pytest.raises(ValueError, match="finite"):
             eval_jacobi_standard(*bad, 2, [0.3])
-        for sign in ("-", "+"):
+        for gamma in (-0.5, 0.5):
             with pytest.raises(ValueError, match="finite"):
-                diagonal_zero_set(*bad, 2, sign)
+                diagonal_zero_set(*bad, 2, gamma)
 
 
 @pytest.mark.parametrize("value, accepted", [
@@ -238,49 +237,78 @@ def test_jacobi_standard_normalization_and_values():
     assert np.max(np.abs(d - fd)) < 1e-6
 
 
+def _line_combination(a, b, k, gamma, t):
+    """The even combination whose zeros diagonal_zero_set returns, written
+    out: with s = 2t^2 - 1, P_k^{(a,b+1)}(1) P_k^{(a+1,b)}(s) plus (gamma =
+    -1/2) or minus (gamma = +1/2) P_k^{(a,b+1)}(s) P_k^{(a+1,b)}(1)."""
+    s = 2.0 * np.asarray(t, dtype=float) ** 2 - 1.0
+    first = eval_jacobi_standard(a, b + 1.0, k, 1.0) * eval_jacobi_standard(a + 1.0, b, k, s)
+    second = eval_jacobi_standard(a, b + 1.0, k, s) * eval_jacobi_standard(a + 1.0, b, k, 1.0)
+    return first + second if gamma == -0.5 else first - second
+
+
 def test_quasi_combination_is_even_and_vanishes_at_one():
     ts = np.array([0.1, 0.45, 0.9])
     for (a, b) in [(-0.5, -0.5), (0.25, -0.4)]:
         for m in (1, 2, 4):
-            minus = quasi_S(a, b, m, "-", ts)
-            assert np.allclose(minus, quasi_S(a, b, m, "-", -ts), rtol=1e-13)
-            edge = float(quasi_S(a, b, m, "-", np.array(1.0)))
+            minus = _line_combination(a, b, m, 0.5, ts)
+            assert np.allclose(minus, _line_combination(a, b, m, 0.5, -ts), rtol=1e-13)
+            edge = float(_line_combination(a, b, m, 0.5, 1.0))
             assert abs(edge) < 1e-12 * max(1.0, float(np.max(np.abs(minus))))
 
 
 @pytest.mark.parametrize("ab", [(-0.5, -0.5), (0.0, 0.0), (0.5, -0.5)])
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_diagonal_zero_sets(ab, m):
-    """Both signs give 2m+1 interior points that kill the defining function."""
+    """Both gammas give 2m+1 interior points that kill the defining function."""
     a, b = ab
-    for sign in ("-", "+"):
-        zs = diagonal_zero_set(a, b, m, sign)
+    for gamma in (-0.5, 0.5):
+        zs = diagonal_zero_set(a, b, m, gamma)
         assert len(zs) == 2 * m + 1
         assert np.all(np.diff(zs) > 0)
         assert np.all(np.abs(zs) < 1.0)
         # symmetric set with zero in the middle
         assert np.allclose(zs, -zs[::-1], atol=1e-14)
         assert zs[m] == pytest.approx(0.0, abs=1e-14)
-    zs = diagonal_zero_set(a, b, m, "-")
-    res = zs * quasi_S(a, b, m, "+", zs)
+    zs = diagonal_zero_set(a, b, m, -0.5)
+    res = zs * _line_combination(a, b, m, -0.5, zs)
     assert np.max(np.abs(res)) < 1e-8
-    zs = diagonal_zero_set(a, b, m, "+")
+    zs = diagonal_zero_set(a, b, m, 0.5)
     nonzero = zs[np.abs(zs) > 1e-13]
-    res = quasi_S(b, a, m + 1, "-", nonzero)
+    res = _line_combination(b, a, m + 1, 0.5, nonzero)
     assert np.max(np.abs(res)) < 1e-8
 
 
-def test_diagonal_zero_set_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        diagonal_zero_set(0.0, 0.0, 2, "x")
-    with pytest.raises(ValueError):
-        quasi_S(0.0, 0.0, 2, "0", np.array(0.5))
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_diagonal_zero_set_rejects_a_gamma_off_the_two_lines(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        diagonal_zero_set(0.0, 0.0, 2, gamma)
 
 
+# sha256 of the newline-joined lines, each the space-joined float.hex() of a
+# zero set, of diagonal_zero_set over alpha, beta in ZERO_SET_PARAMETERS, m in
+# ZERO_SET_SIZES and gamma = -1/2, +1/2, in that nesting order; recorded
+# before the combination's constants moved out of a cached helper, so an
+# edit to the search or the combination that moves a last bit fails here
+ZERO_SET_PARAMETERS = (-0.9, 0.0, 1.7, 140.0)
+ZERO_SET_SIZES = (1, 2, 5, 12)
+ZERO_SET_SHA256 = "b33e07070f0dbc92b6accce08027b484de280692209fa1d9e2f27a5b619123a2"
 
-def _zero_set_or_error(alpha, beta, m, sign):
+
+def test_zero_sets_keep_their_bits():
+    h = hashlib.sha256()
+    for alpha in ZERO_SET_PARAMETERS:
+        for beta in ZERO_SET_PARAMETERS:
+            for m in ZERO_SET_SIZES:
+                for gamma in (-0.5, 0.5):
+                    zs = diagonal_zero_set(alpha, beta, m, gamma)
+                    h.update(" ".join(float(z).hex() for z in zs).encode() + b"\n")
+    assert h.hexdigest() == ZERO_SET_SHA256
+
+
+def _zero_set_or_error(alpha, beta, m, gamma):
     try:
-        return [float(z).hex() for z in diagonal_zero_set(alpha, beta, m, sign)]
+        return [float(z).hex() for z in diagonal_zero_set(alpha, beta, m, gamma)]
     except (RuntimeError, ArithmeticError, RuntimeWarning) as exc:
         return type(exc), str(exc)
 
@@ -290,21 +318,37 @@ def _zero_set_or_error(alpha, beta, m, sign):
     alpha=st.floats(-1.0, 4.0, exclude_min=True),
     beta=st.floats(-1.0, 4.0, exclude_min=True),
     m=st.integers(1, 10),
-    sign=st.sampled_from("+-"),
+    gamma=st.sampled_from([-0.5, 0.5]),
 )
-@example(alpha=-0.9, beta=140.0, m=2, sign="-")
-@example(alpha=1e4, beta=1e4, m=2, sign="-")
-@example(alpha=-0.5, beta=3000.0, m=2, sign="-")
-def test_lockstep_zero_search_matches_the_per_bracket_search(alpha, beta, m, sign):
+@example(alpha=-0.9, beta=140.0, m=2, gamma=-0.5)
+@example(alpha=1e4, beta=1e4, m=2, gamma=-0.5)
+@example(alpha=-0.5, beta=3000.0, m=2, gamma=-0.5)
+def test_lockstep_zero_search_matches_the_per_bracket_search(alpha, beta, m, gamma):
     """The lockstep refinement gives every abscissa the bits of the
     one-bracket-at-a-time search, and fails where it fails.  The examples
     lose two zeros inside one cell of the first grid; the finer grid finds
     the first two pairs, and loses the third too."""
-    got = _zero_set_or_error(alpha, beta, m, sign)
+    got = _zero_set_or_error(alpha, beta, m, gamma)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opq1d, "_positive_zeros", reference_positive_zeros)
-        want = _zero_set_or_error(alpha, beta, m, sign)
+        want = _zero_set_or_error(alpha, beta, m, gamma)
     assert got == want
+
+
+def _count_searched_calls(monkeypatch):
+    """Record the argument of every call of the function diagonal_zero_set
+    hands to the zero search."""
+    calls = []
+    real = opq1d._positive_zeros
+
+    def counted(f, fprime, m_expected, grid_n):
+        def f_counted(t):
+            calls.append(t)
+            return f(t)
+        return real(f_counted, fprime, m_expected, grid_n)
+
+    monkeypatch.setattr(opq1d, "_positive_zeros", counted)
+    return calls
 
 
 @pytest.mark.parametrize("alpha, beta, cells", [
@@ -318,31 +362,19 @@ def test_zero_search_runs_a_finer_grid_only_when_the_first_finds_too_few(
     first grid finds every zero runs once, so its zeros keep their bits; one
     that loses two zeros inside a cell runs once more on 16 times the cells
     and finds them.  Refinement calls take at most m points."""
-    sizes = []
-
-    def recorded(*args):
-        sizes.append(np.size(args[-1]))
-        return quasi_S(*args)
-
-    monkeypatch.setattr(opq1d, "quasi_S", recorded)
-    zeros = diagonal_zero_set(alpha, beta, 2, "-")
+    calls = _count_searched_calls(monkeypatch)
+    zeros = diagonal_zero_set(alpha, beta, 2, -0.5)
     assert len(zeros) == 5 and 0.0 < zeros[3] < zeros[4] < 1.0
-    assert [n - 1 for n in sizes if n > 2] == cells
+    assert [np.size(t) - 1 for t in calls if np.size(t) > 2] == cells
 
 
-@pytest.mark.parametrize("sign", ["-", "+"])
-def test_zero_search_evaluates_the_combination_a_few_dozen_times(monkeypatch, sign):
+@pytest.mark.parametrize("gamma", [-0.5, 0.5])
+def test_zero_search_evaluates_the_combination_a_few_dozen_times(monkeypatch, gamma):
     """All brackets share each bisection and Newton step: at m = 12 the
-    search calls quasi_S at most 60 times, where one bracket at a time
-    took about 45 calls per bracket."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return quasi_S(*args)
-
-    monkeypatch.setattr(opq1d, "quasi_S", counted)
-    assert len(diagonal_zero_set(0.5, 0.0, 12, sign)) == 25
+    search evaluates its function at most 60 times, where one bracket at a
+    time took about 45 calls per bracket."""
+    calls = _count_searched_calls(monkeypatch)
+    assert len(diagonal_zero_set(0.5, 0.0, 12, gamma)) == 25
     assert len(calls) <= 60
 
 # sha256 of nodes.tobytes() + weights.tobytes() of the m-point Gauss rule of
