@@ -262,7 +262,10 @@ def _write_file(path: str, write: Callable[[TextIO], None]) -> bool:
 def cmd_bound(args) -> int:
     if args.n < 1:
         return _fail("--n must be >= 1", EXIT_USAGE)
-    print(moller_bound(args.n))
+    try:
+        print(moller_bound(args.n))
+    except ValueError:  # more digits than int-to-text conversion allows
+        return _fail("--n is too large: its bound has too many digits to print", EXIT_USAGE)
     return EXIT_OK
 
 
@@ -313,9 +316,13 @@ def metadata_mismatch(meta: Dict[str, object], spec: WeightSpec) -> Optional[str
         return "param_n_or_m is %d, but must be >= 1" % size
     for key in ("degree", "node_count", "moller_bound"):
         if not (_is_int(meta[key]) and meta[key] == want[key]):
-            return "%s is %r, but a %s rule with param_n_or_m %d%s has %d" % (
+            try:
+                has = "%d" % want[key]
+            except ValueError:  # more digits than int-to-text conversion allows
+                has = "over 10^%d" % int((want[key].bit_length() - 1) * math.log10(2.0))
+            return "%s is %r, but a %s rule with param_n_or_m %d%s has %s" % (
                 key, meta[key], fam, size,
-                "" if want["ell"] is None else " and ell %d" % want["ell"], want[key])
+                "" if want["ell"] is None else " and ell %d" % want["ell"], has)
     return None
 
 

@@ -33,8 +33,9 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     every node splits over the ell^2 panel pairs with equal share
     lam_j lam_k / (2 ell^2), halved for j = k.  Preimages falling on a
     panel junction coincide as points and their shares add, which is how
-    the diagonal orbits drop to 2 ell (ell+1) distinct nodes; at ell = 1
-    this reproduces the even square rule exactly.
+    the diagonal orbits drop to 2 ell (ell+1) distinct nodes.  At ell = 1
+    this is the even square rule up to rounding, not bit for bit: a node
+    may differ in its last bits, and the sorted rows then in their order.
     """
     ell = spec.ell
     t, J, K, w = gauss_pairs(spec.alpha, spec.beta, m, spec.gamma)

@@ -60,6 +60,20 @@ def test_bound_rejects_nonpositive(capsys):
     assert err != ""
 
 
+# Python 3.10.7 on limits int-to-text conversion to 4300 digits by default
+_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="no int-to-text digit limit")
+
+
+@_DIGIT_LIMIT
+def test_bound_too_long_to_print_is_one_line(capsys):
+    """n = 10^3000 parses, but its bound has 6000 digits; printing it had
+    raised ValueError out of main."""
+    code, stdout, err = run(capsys, "bound", "--n", str(10**3000))
+    assert (code, stdout) == (1, "")
+    assert err == "cubamin: --n is too large: its bound has too many digits to print\n"
+
+
 @pytest.mark.parametrize("key", [
     "biangle --alpha 0.5 --beta 0 --gamma -0.5 --n 0",
     "square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 0",
@@ -705,6 +719,29 @@ def test_verify_rejects_metadata_that_disagree_with_the_family(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@_DIGIT_LIMIT
+@pytest.mark.parametrize("build, fields, message", [
+    ("square-even --alpha 0.5 --beta 0 --gamma -0.5 --m 2",
+     {"param_n_or_m": 10**3000, "degree": 4 * 10**3000 - 1},
+     "node_count is 12, but a square-even rule with param_n_or_m %d has over 10^6000"
+     % 10**3000),
+    ("composed --ell 2 --m 2 --alpha 0.5 --beta 0",
+     {"ell": 10**2200, "degree": 8 * 10**2200 - 1},
+     "node_count is 40, but a composed rule with param_n_or_m 2 and ell %d has over 10^4400"
+     % 10**2200),
+], ids=["even-m-1e3000", "composed-ell-1e2200"])
+def test_verify_names_an_expected_count_too_long_to_print(tmp_path, capsys, build, fields,
+                                                          message):
+    """A size or ell that parses, with a degree to match, asks for a node
+    count of more digits than Python converts to text; formatting it had
+    raised ValueError out of main.  The line gives its power of ten."""
+    path = tmp_path / "rule.json"
+    assert run(capsys, "build", *build.split(), "--out", str(path))[0] == 0
+    code, stdout, err = _edit_and_verify(path, capsys, lambda doc: doc.update(fields))
+    assert (code, stdout) == (1, "")
+    assert err == "cubamin: rule file metadata disagree: %s\n" % message
+
+
 @pytest.mark.parametrize("ell,m", [(2, 3), (5, 1)])
 def test_verify_reads_the_ell_of_a_composed_file_into_its_shape(tmp_path, capsys, ell, m):
     """A composed file whose ell is edited no longer matches its degree."""
@@ -858,7 +895,7 @@ def test_build_names_zeros_lost_between_grid_points(tmp_path, capsys, monkeypatc
     the build of a rule whose mass is finite."""
     real = opq1d_mod.diagonal_zero_set
     monkeypatch.setattr(squaremin_mod, "diagonal_zero_set",
-                        lambda alpha, beta, m, sign: real(-0.5, 3000.0, m, sign))
+                        lambda alpha, beta, m, gamma: real(-0.5, 3000.0, m, gamma))
     _build_fails(tmp_path, capsys, "square-odd --alpha -0.5 --beta 0 --gamma -0.5 --m 2",
                  "square-odd alpha=-0.5, beta=0.0, gamma=-0.5, m=2",
                  "expected 2 positive zeros, found 0 on a 2048-cell grid")
