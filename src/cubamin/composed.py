@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from .opq1d import fold_panel_angles, gauss_pairs
-from .rules import ConstructionError, CubatureRule2D, WeightSpec
-from .squaremin import merge_close_nodes
+from .rules import CubatureRule2D, WeightSpec
 
 __all__ = ["composed_rule"]
 
@@ -31,11 +30,12 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
 
     Each unordered Gauss-angle pair spawns four angular orbit nodes, and
     every node splits over the ell^2 panel pairs with equal share
-    lam_j lam_k / (2 ell^2), halved for j = k.  Preimages falling on a
-    panel junction coincide as points and their shares add, which is how
-    the diagonal orbits drop to 2 ell (ell+1) distinct nodes.  At ell = 1
-    this is the even square rule up to rounding, not bit for bit: a node
-    may differ in its last bits, and the sorted rows then in their order.
+    lam_j lam_k / (2 ell^2), halved for j = k.  Only a pair j = k has
+    preimages that coincide, on a panel junction; each such twin is one
+    point carrying both shares, so its orbit has 2 ell (ell+1) nodes by
+    construction, with no merge.  At ell = 1 this is the even square rule
+    up to rounding, not bit for bit: a node may differ in its last bits,
+    and the sorted rows then in their order.
     """
     ell = spec.ell
     t, J, K, w = gauss_pairs(spec.alpha, spec.beta, m, spec.gamma)
@@ -52,27 +52,28 @@ def composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
     )
     # quarter-circle preimages leave ~1e-17 dust; structurally these are
     # exact zeros and downstream parity cancellations need them exact.
-    # Panel-junction preimages repeat across adjacent panels, and the
-    # repeats carry real weight in the merge below.
     for c in (x1, x2):
         c[np.abs(c) < 1e-14] = 0.0
-    # every panel pair of every image, 4 * ell * ell points per pair; each
-    # pair's orbit is merged on its own, in one scan over all pairs
+    # Only a pair j = k (th = 0) folds an axis to 0 (images 0, 1) or pi
+    # (images 2, 3), image i on axis i % 2, and those preimages meet at panel
+    # junctions: at 0 panel 2 repeats 1, 4 repeats 3, ...; at pi 1 repeats
+    # 0, 3 repeats 2, ...  count[axis] is each preimage's number of shares:
+    # 0 for a repeat, 2 for the panel it repeats, which keeps the smaller
+    # cosine of the two (at pi they may differ in the last bit).
+    count = np.ones((2,) + x1.shape)
+    for image in range(4):
+        count[image % 2, J == K, image, 2 - image // 2::2] = 0.0
+    for c, k in zip((x1, x2), count):
+        twin = k[..., 1:] == 0.0
+        c[..., :-1][twin] = np.minimum(c[..., :-1], c[..., 1:])[twin]
+        k[..., :-1][twin] = 2.0
+    # every panel pair of every image that carries a share: 4 ell^2 points
+    # per strict pair and 2 ell (ell+1) per pair j = k; the shares are
+    # multiplied after the selection, as an inf share times 0 is nan
     X1, X2 = np.broadcast_arrays(x1[..., :, None], x2[..., None, :])
-    block = 4 * ell * ell
-    pts, wts, orbit = merge_close_nodes(
-        np.stack([X1, X2], axis=-1).reshape(-1, 2),
-        np.repeat(share, block),
-        np.repeat(np.arange(len(J)), block),
-    )
-    got = np.bincount(orbit, minlength=len(J))
-    want = np.where(J == K, 2 * ell * (ell + 1), block)
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = bad[0]
-        raise ConstructionError(
-            "orbit of pair (%d,%d) has %d points, expected %d"
-            % (J[i], K[i], got[i], want[i])
-        )
+    n_shares = count[0][..., :, None] * count[1][..., None, :]
+    keep = n_shares > 0.0
+    pts = np.stack([X1, X2], axis=-1)[keep]
+    wts = np.broadcast_to(share[:, None, None, None], keep.shape)[keep] * n_shares[keep]
     return CubatureRule2D(nodes=pts, weights=wts, spec=spec, param=m,
                           family="composed").sorted_rule()

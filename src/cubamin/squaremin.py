@@ -26,12 +26,7 @@ __all__ = [
     "minimal_rule_even",
     "minimal_rule_odd",
     "half_angle_orbit",
-    "merge_close_nodes",
 ]
-
-
-# per-axis distance within which two nodes are one point and their weights add
-_MERGE_TOL = 1e-12
 
 
 def moller_bound(n: int) -> int:
@@ -62,53 +57,6 @@ def half_angle_orbit(c_j, c_k) -> np.ndarray:
     t = np.where(same, c_j, 0.5 * (p - q))
     images = [(s, t), (t, s), (-s, -t), (-t, -s)]
     return np.stack([np.stack(im, axis=-1) for im in images], axis=-2)
-
-
-def merge_close_nodes(
-    points: Sequence[Tuple[float, float]], weights: Sequence[float], group: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points that coincide within a group, as one point carrying their
-    summed weight: the runs of the points sorted by group, then x, then y.
-    A point within _MERGE_TOL per axis of the first point of the current
-    run, and in its group, adds its weight to the run; any other point
-    starts a run.  Returns the run points, their summed weights and their
-    groups.
-
-    The runs are found with array code.  A run starts wherever a point is
-    not near the anchor (the first point) of the run before it; since that
-    anchor is set by the starts themselves, the starts are iterated to
-    their fixed point from the breaks between neighbours.  Each pass fixes
-    at least one more leading start, and the fixed point is unique: it is
-    the sequential scan's.  Run weights are summed left to right, one run
-    position at a time, so every sum is the scan's bit for bit.
-    """
-    pts = np.asarray(points, dtype=float).reshape(len(points), 2)
-    wts, group = np.asarray(weights, dtype=float), np.asarray(group)
-    order = np.lexsort((pts[:, 1], pts[:, 0], group))
-    x, y, g, w = pts[order, 0], pts[order, 1], group[order], wts[order]
-    idx = np.arange(len(x))
-
-    def near(k: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return ((g[k] == g[a]) & (np.abs(x[k] - x[a]) <= _MERGE_TOL)
-                & (np.abs(y[k] - y[a]) <= _MERGE_TOL))
-
-    start = np.ones(len(x), dtype=bool)
-    start[1:] = ~near(idx[1:], idx[:-1])
-    while True:
-        anchor = np.maximum.accumulate(np.where(start, idx, 0))
-        again = start.copy()
-        again[1:] = ~near(idx[1:], anchor[:-1])
-        if np.array_equal(again, start):
-            break
-        start = again
-
-    first = np.flatnonzero(start)
-    length = np.diff(np.append(first, len(x)))
-    total = w[first]
-    for pos in range(1, int(length.max(initial=1))):
-        runs = np.flatnonzero(length > pos)
-        total[runs] += w[first[runs] + pos]
-    return np.column_stack([x[first], y[first]]), total, g[first]
 
 
 def minimal_rule_even(spec: WeightSpec, m: int) -> CubatureRule2D:

@@ -18,6 +18,12 @@ scan that the plot's sorted scan must match.  reference_positive_zeros is the on
 search of the odd builder's diagonal abscissas, which the lockstep search
 in opq1d must match bit for bit.  in_omega is the membership test of the
 curved domain that the sample grids of criterion 5 are drawn with.
+merge_close_nodes is the tolerance merge that the composed builder's
+direct fold replaced, and reference_composed_rule that builder's merge
+route, which composed_rule must match bit for bit wherever it builds.
+radau_odd_rule gives the odd square rules' weights in closed form, from
+1-D Gauss rules alone, against which the moment-system solve of
+minimal_rule_odd is checked.
 
 The orthogonal-basis evaluators (eval_orthonormal and its derivative,
 divided_difference, eval_koornwinder on the curved domain and eval_Q_basis
@@ -27,17 +33,23 @@ the top-degree orthogonal polynomials, as the paper constructs them.
 """
 
 import math
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from cubamin.opq1d import (
     RecurrenceCoeffs,
+    diagonal_zero_set,
     fold_panel_angles,
+    gauss_pairs,
     gauss_rule,
     jacobi_recurrence,
 )
 from cubamin.rules import ConstructionError, CubatureRule2D, ExactnessReport, WeightSpec
+from cubamin.squaremin import half_angle_orbit
+
+# per-axis distance within which merge_close_nodes takes two nodes for one point
+_MERGE_TOL = 1e-12
 
 
 def chebyshev_moment_1d(i: int) -> float:
@@ -647,3 +659,143 @@ def reference_positive_zeros(f, fprime, m_expected: int, grid_n: int) -> np.ndar
             % (m_expected, len(zeros), cells)
         )
     return np.array(zeros)
+
+
+def merge_close_nodes(
+    points: Sequence[Tuple[float, float]], weights: Sequence[float], group: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points that coincide within a group, as one point carrying their
+    summed weight: the runs of the points sorted by group, then x, then y.
+    A point within _MERGE_TOL per axis of the first point of the current
+    run, and in its group, adds its weight to the run; any other point
+    starts a run.  Returns the run points, their summed weights and their
+    groups.
+
+    The runs are found with array code.  A run starts wherever a point is
+    not near the anchor (the first point) of the run before it; since that
+    anchor is set by the starts themselves, the starts are iterated to
+    their fixed point from the breaks between neighbours.  Each pass fixes
+    at least one more leading start, and the fixed point is unique: it is
+    the sequential scan's.  Run weights are summed left to right, one run
+    position at a time, so every sum is the scan's bit for bit.
+    """
+    pts = np.asarray(points, dtype=float).reshape(len(points), 2)
+    wts, group = np.asarray(weights, dtype=float), np.asarray(group)
+    order = np.lexsort((pts[:, 1], pts[:, 0], group))
+    x, y, g, w = pts[order, 0], pts[order, 1], group[order], wts[order]
+    idx = np.arange(len(x))
+
+    def near(k: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return ((g[k] == g[a]) & (np.abs(x[k] - x[a]) <= _MERGE_TOL)
+                & (np.abs(y[k] - y[a]) <= _MERGE_TOL))
+
+    start = np.ones(len(x), dtype=bool)
+    start[1:] = ~near(idx[1:], idx[:-1])
+    while True:
+        anchor = np.maximum.accumulate(np.where(start, idx, 0))
+        again = start.copy()
+        again[1:] = ~near(idx[1:], anchor[:-1])
+        if np.array_equal(again, start):
+            break
+        start = again
+
+    first = np.flatnonzero(start)
+    length = np.diff(np.append(first, len(x)))
+    total = w[first]
+    for pos in range(1, int(length.max(initial=1))):
+        runs = np.flatnonzero(length > pos)
+        total[runs] += w[first[runs] + pos]
+    return np.column_stack([x[first], y[first]]), total, g[first]
+
+
+def reference_composed_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
+    """The composed rule by the route its direct fold replaced: all 4 ell^2
+    panel points of each pair's four images, merged per orbit by
+    merge_close_nodes, with each orbit's count checked.  The merge anchors
+    a run at its first point in (orbit, x, y) order, so from ell = 23 on a
+    folded-pi twin whose cosine differs in the last bit falls out of its
+    run and the count check fails."""
+    ell = spec.ell
+    t, J, K, w = gauss_pairs(spec.alpha, spec.beta, m, spec.gamma)
+    share = w / (2.0 * ell * ell)
+    theta = np.arccos(t)
+    th = 0.5 * np.abs(theta[J] - theta[K])
+    ph = 0.5 * (theta[J] + theta[K])
+    first = np.column_stack([th, ph, math.pi - th, math.pi - ph])
+    second = np.column_stack([ph, th, math.pi - ph, math.pi - th])
+    x1, x2 = (
+        np.cos(np.moveaxis(fold_panel_angles(ell, a), 0, -1)) for a in (first, second)
+    )
+    for c in (x1, x2):
+        c[np.abs(c) < 1e-14] = 0.0
+    X1, X2 = np.broadcast_arrays(x1[..., :, None], x2[..., None, :])
+    block = 4 * ell * ell
+    pts, wts, orbit = merge_close_nodes(
+        np.stack([X1, X2], axis=-1).reshape(-1, 2),
+        np.repeat(share, block),
+        np.repeat(np.arange(len(J)), block),
+    )
+    got = np.bincount(orbit, minlength=len(J))
+    want = np.where(J == K, 2 * ell * (ell + 1), block)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = bad[0]
+        raise ConstructionError(
+            "orbit of pair (%d,%d) has %d points, expected %d"
+            % (J[i], K[i], got[i], want[i])
+        )
+    return CubatureRule2D(nodes=pts, weights=wts, spec=spec, param=m,
+                          family="composed").sorted_rule()
+
+
+def radau_odd_rule(spec: WeightSpec, m: int) -> CubatureRule2D:
+    """The odd minimal square rule with its weights in closed form, from 1-D
+    Gauss rules alone: no moment ladder and no least squares.
+
+    Koornwinder's map y = cos(theta1 -+ theta2) turns the rule into a tensor
+    Gauss-Radau rule for Jacobi(a, b), with its endpoint at y = +1 (gamma =
+    -1/2) or y = -1 (+1/2).  lam_R = lam / (1 -+ t) over the Gauss rule of
+    Jacobi(a + 1, b) on m points (Jacobi(a, b + 1) on m + 1) are its
+    interior weights, and rho = mu0 - sum lam_R its endpoint weight.  Each
+    node of a pair's half-angle orbit gets lam_R_j lam_R_k / 2, halved again
+    for j = k (gamma = -1/2), or lam_R_j lam_R_k (t_j - t_k)^2 / 8 (+1/2).
+    The line abscissas x of diagonal_zero_set give m + 1 values
+    y = 2x^2 - 1 (1 - 2x^2 at +1/2), and the y-node with Lagrange basis
+    polynomial L gets v = 2 rho int L w - rho^2 L(1) (gamma = -1/2) or
+    v = (rho/2) int L (1 + y)^2 w (+1/2), each integral on the Jacobi(a, b)
+    Gauss rule of m + 3 (m + 4) points.  The origin carries v, and the
+    two line nodes (x, +-x), (-x, -+x) carry v / 2 each.
+    """
+    a, b, minus = spec.alpha, spec.beta, spec.gamma == -0.5
+    shift, size, end = ((a + 1.0, b), m, 1.0) if minus else ((a, b + 1.0), m + 1, -1.0)
+    q = gauss_rule(jacobi_recurrence(*shift, size), size)
+    t, radau = q.nodes, q.weights / (1.0 - end * q.nodes)
+    J, K = np.triu_indices(size, k=0 if minus else 1)
+    if minus:
+        inner = 0.5 * radau[J] * radau[K] * np.where(J == K, 0.5, 1.0)
+    else:
+        inner = radau[J] * radau[K] * (t[J] - t[K]) ** 2 / 8.0
+    n = m + 3 if minus else m + 4
+    base = jacobi_recurrence(a, b, n)
+    rho = base.mu0 - float(np.sum(radau))
+    g = gauss_rule(base, n)
+    line = diagonal_zero_set(a, b, m, spec.gamma)
+    x = line[line >= 0.0]
+    y = 2.0 * x * x - 1.0 if minus else 1.0 - 2.0 * x * x
+
+    def lagrange(at: np.ndarray) -> np.ndarray:
+        return np.array([np.prod([(at - y[k]) / (y[i] - y[k]) for k in range(len(y)) if k != i],
+                                 axis=0) for i in range(len(y))])
+
+    if minus:
+        v = 2.0 * rho * (lagrange(g.nodes) @ g.weights) - rho * rho * lagrange(np.ones(1))[:, 0]
+    else:
+        v = 0.5 * rho * (lagrange(g.nodes) @ (g.weights * (1.0 + g.nodes) ** 2))
+    nodes, weights = [half_angle_orbit(t[J], t[K]).reshape(-1, 2)], [np.repeat(inner, 4)]
+    for xi, vi in zip(x, v):
+        pts = [[0.0, 0.0]] if xi == 0.0 else [[xi, xi if minus else -xi],
+                                              [-xi, -xi if minus else xi]]
+        nodes.append(np.array(pts))
+        weights.append(np.full(len(pts), vi / len(pts)))
+    return CubatureRule2D(nodes=np.vstack(nodes), weights=np.concatenate(weights), spec=spec,
+                          param=m, family="square-odd").sorted_rule()

@@ -176,6 +176,21 @@ def test_composed_build_counts(tmp_path, capsys):
     assert doc["degree"] == 15
 
 
+def test_a_composed_rule_of_fold_degree_23_builds_and_certifies(tmp_path, capsys):
+    """From ell = 23 on, the tolerance merge that the fold replaced split a
+    folded-pi twin whose cosines differ in the last bit, and every composed
+    build exited 2 (`orbit of pair (0,0) has 1127 points, expected 1104`)."""
+    out = tmp_path / "c23.json"
+    code, stdout, err = run(capsys, "build", "composed", "--alpha", "0.5", "--beta", "-0.5",
+                            "--ell", "23", "--m", "2", "--out", str(out))
+    assert (code, err) == (0, ""), err
+    assert stdout == "wrote %s: composed, 4324 nodes, degree 183\n" % out
+    assert json.loads(out.read_text())["node_count"] == 4324 == moller_bound(92)
+    code, stdout, err = run(capsys, "verify", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.startswith("declared 183, certified 183 through degree 183, "), stdout
+
+
 def test_build_rejects_bad_gamma(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, err = run(capsys, "build", "square-even", "--alpha", "-0.5",
@@ -1118,18 +1133,16 @@ def test_an_odd_weight_below_the_solves_resolution_reads_as_such(tmp_path, capsy
      "square-even rule has 8 nodes, expected 12"),
     (squaremin_mod, "half_angle_orbit", ODD_M1, ODD_M1_RULE,
      "square-odd rule has 6 nodes, expected 7"),
-    (composed_mod, "merge_close_nodes", "composed --ell 2 --m 1 --alpha -0.5 --beta -0.5",
-     "composed ell=2, m=1, alpha=-0.5, beta=-0.5", r"orbit of pair \(0,0\) has 11 points, "
-     "expected 12"),
+    (composed_mod, "gauss_pairs", "composed --ell 2 --m 2 --alpha -0.5 --beta -0.5",
+     "composed ell=2, m=2, alpha=-0.5, beta=-0.5", "composed rule has 28 nodes, expected 40"),
     (biangle_mod, "gauss_pairs", "biangle --alpha 0.5 --beta 0 --gamma 0.5 --n 3",
      "biangle alpha=0.5, beta=0.0, gamma=0.5, n=3", "biangle rule has 5 nodes, expected 6"),
 ])
 def test_a_rule_one_node_short_fails_the_build(tmp_path, capsys, monkeypatch,
                                                module, name, key, rule, message):
     """Every rule checks its node count: a set of Gauss pairs or of orbit
-    images that loses a row fails the build with the rule's count, and a
-    composed orbit merge that loses a point with the orbit's.  The Gauss
-    pairs lose a pair, from J, K and the weights; their nodes stay."""
+    images that loses a row fails the build with the rule's count.  The
+    Gauss pairs lose a pair, from J, K and the weights; their nodes stay."""
     real = getattr(module, name)
 
     def short(*args):

@@ -1,11 +1,11 @@
 """Folded-weight family: angle preimages, orbit sizes, composed rules."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-import cubamin.composed as composed
 from cubamin.composed import composed_rule
 from cubamin.opq1d import jacobi_recurrence
 from cubamin.oracle import certify, reference_gram
@@ -17,6 +17,7 @@ from identities import (
     monomials_from_gram,
     orbit_sets,
     preimage_angles,
+    reference_composed_rule,
     w_ell_value,
 )
 
@@ -189,16 +190,34 @@ def test_numpy_integer_ell_is_accepted():
     assert composed_rule(spec, 1).node_count == 2 * 4 + 2 * 2
 
 
-def test_a_malformed_orbit_names_its_pair(monkeypatch):
-    """Nudging one panel-junction preimage of the diagonal pair (1,1) off
-    its twin splits a merged point; the per-orbit count check names it."""
-    exact = composed.fold_panel_angles
+# the weights of the bit-for-bit check against the merge route
+MERGE_ROUTE_WEIGHTS = [(-0.5, -0.5), (0.5, 0.0), (-0.5, 0.5), (0.0, -0.5), (1.7, 0.3), (-0.9, 4.0)]
 
-    def nudged(ell, theta):
-        out = exact(ell, theta)
-        out[0, 3, 2] += 1e-6  # pair 3 of m = 3 is (1,1); image 2 is pi - th
-        return out
 
-    monkeypatch.setattr(composed, "fold_panel_angles", nudged)
-    with pytest.raises(ConstructionError, match=r"orbit of pair \(1,1\) has \d+ points, expected 12"):
-        composed_rule(WeightSpec("square-W", -0.5, -0.5, ell=2), 3)
+@pytest.mark.parametrize("alpha, beta", MERGE_ROUTE_WEIGHTS)
+def test_the_direct_fold_is_the_merge_route_bit_for_bit(alpha, beta):
+    """The fold places the shares of each junction twin on one point; the
+    tolerance merge it replaced (identities.reference_composed_rule) gives
+    the same nodes and weights bit for bit wherever that merge builds: ell
+    <= 7 at m in {1, 2, 3, 5, 8}, and ell = 22, the largest ell it builds,
+    at m in {1, 2}."""
+    cases = list(itertools.product(range(1, 8), (1, 2, 3, 5, 8))) + [(22, 1), (22, 2)]
+    for ell, m in cases:
+        spec = WeightSpec("square-W", alpha, beta, ell=ell)
+        rule, ref = composed_rule(spec, m), reference_composed_rule(spec, m)
+        assert rule.nodes.tobytes() == ref.nodes.tobytes(), (ell, m)
+        assert rule.weights.tobytes() == ref.weights.tobytes(), (ell, m)
+
+
+def test_a_composed_rule_past_the_merge_builds_and_certifies():
+    """At ell = 31 a folded-pi twin's cosine differs from the other's in the
+    last bit and ell points sort between them, so the merge route splits
+    the twin and fails its orbit count (it did from ell = 23 on).  The fold
+    pairs the twins by panel: 1984 nodes, certified through degree 123."""
+    spec = WeightSpec("square-W", -0.5, -0.5, ell=31)
+    with pytest.raises(ConstructionError, match=r"^orbit of pair \(0,0\) has 2077 points, "
+                       r"expected 1984$"):
+        reference_composed_rule(spec, 1)
+    rule = composed_rule(spec, 1)
+    assert rule.node_count == 1984 == moller_bound(62)
+    assert certify(rule, rule.degree).certified_degree == rule.degree == 123

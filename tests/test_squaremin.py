@@ -1,7 +1,9 @@
 """Minimal square rules: node budget, symmetry orbits, frozen small cases."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +16,17 @@ from cubamin.oracle import angular_moment_ladder, certify, reference_gram
 from cubamin.rules import ConstructionError, WeightSpec
 from cubamin.squaremin import (
     half_angle_orbit,
-    merge_close_nodes,
     minimal_rule_even,
     minimal_rule_odd,
     moller_bound,
 )
-from identities import eval_Q_basis, fold_to_biangle, weight_W
+from identities import (
+    eval_Q_basis,
+    fold_to_biangle,
+    merge_close_nodes,
+    radau_odd_rule,
+    weight_W,
+)
 
 PI2 = math.pi * math.pi
 
@@ -242,7 +249,8 @@ def _square_rules_of_the_grid_and_the_readme():
 
 def test_no_two_nodes_of_a_square_rule_lie_within_the_merge_tolerance():
     """The builders end in a sort, not a merge: no two nodes of a built rule
-    lie within 1e-12 per axis, so merging its rows returns them bit for bit."""
+    lie within 1e-12 per axis, so the tolerance merge the composed builder
+    once ran returns its rows bit for bit."""
     count = 0
     for rule in _square_rules_of_the_grid_and_the_readme():
         nodes, weights, _ = merge_close_nodes(rule.nodes, rule.weights, [0] * rule.node_count)
@@ -349,6 +357,34 @@ def test_odd_m1_rule_matches_closed_form(key):
         assert rule.nodes[row, 0] == pytest.approx(ex1, abs=1e-14)
         assert rule.nodes[row, 1] == pytest.approx(ex2, abs=1e-14)
         assert rule.weights[row] == pytest.approx(ew, rel=1e-13)
+
+
+def _odd_rules_of_the_grid_and_the_golden_file():
+    """(alpha, beta, gamma, m) of every odd rule of the criterion-3 grid,
+    then of every square-odd key of bench/golden.json."""
+    cases = list(itertools.product((-0.5, 0.0, 0.5), (-0.5, 0.0, 0.5), (-0.5, 0.5), range(1, 6)))
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+    for key in golden:
+        flags = key.split()
+        if flags[0] == "square-odd":
+            v = dict(zip(flags[1::2], flags[2::2]))
+            case = (float(v["--alpha"]), float(v["--beta"]), float(v["--gamma"]), int(v["--m"]))
+            if case not in cases:
+                cases.append(case)
+    return cases
+
+
+@pytest.mark.parametrize("a, b, g, m", _odd_rules_of_the_grid_and_the_golden_file())
+def test_odd_rule_weights_match_the_closed_form_gauss_radau_weights(a, b, g, m):
+    """The moment-system solve of minimal_rule_odd against the closed-form
+    weights of identities.radau_odd_rule, a route that shares neither the
+    moment ladder nor the least squares: the same nodes bit for bit, and
+    every weight within 1e-9 relative (2.2e-10 at worst here)."""
+    spec = WeightSpec("square-W", a, b, g)
+    rule, closed = minimal_rule_odd(spec, m), radau_odd_rule(spec, m)
+    assert rule.nodes.tobytes() == closed.nodes.tobytes()
+    gap = float(np.max(np.abs(rule.weights / closed.weights - 1.0)))
+    assert gap <= 1e-9, gap
 
 
 @pytest.mark.parametrize("m", [2, 4])
