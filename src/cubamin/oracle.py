@@ -17,7 +17,7 @@ sides.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,27 +70,17 @@ def _unit_gauss_jacobi(p_exp: float, q_exp: float, n: int):
         return a, w, np.log(q.weights) - (p_exp + q_exp + 1.0) * math.log(2.0)
 
 
-def _panel_theta(a: np.ndarray, b: np.ndarray, left: bool):
-    """Map the collapsed unit square onto one half of the (u,v) triangle."""
-    A, B = np.meshgrid(a, b, indexing="ij")
-    v = 0.5 * math.pi * A * B
-    u = 0.5 * math.pi * A if left else math.pi - 0.5 * math.pi * A
-    return A, B, u, v
-
-
 def angular_moment_ladder(
     alpha: float,
     beta: float,
     gamma: float,
     pairs: Sequence[Tuple[int, int]],
-    row: Callable[[np.ndarray, int], np.ndarray],
 ) -> List[np.ndarray]:
-    """Batched integrals over [0,pi]^2 of f_i(theta1) f_j(theta2)
+    """Batched integrals over [0,pi]^2 of cos(i theta1) cos(j theta2)
     K(theta1,theta2), one per pair (i, j), where
     K = |cos t1 - cos t2|^{2a+1} |cos t1 + cos t2|^{2b+1}
     (sin t1 sin t2)^{2g+1}.
 
-    row(theta, p) evaluates the smooth feature f_p on a grid of angles.
     Since K is symmetric the result equals the full-square integral (the
     fold only needs the symmetric part, which is formed internally).
     The ladder starts at _LADDER_N0 points per panel axis and doubles them
@@ -98,7 +88,7 @@ def angular_moment_ladder(
     entry, after at least _LADDER_MIN_LEVELS levels.  Returns every ladder
     level (for convergence diagnostics); the final entry is the converged
     batch.  A level holds at most 16 n x n float arrays of panel grids
-    and temporaries (12 to 15 under tracemalloc) and two per feature row
+    and temporaries (12 to 15 under tracemalloc) and two per cosine row
     the pair schedule keeps alive; one whose 8 n^2 bytes per array pass
     _MEMORY_BUDGET is not run, and a ConstructionError names the
     agreement and points per axis reached.
@@ -135,8 +125,11 @@ def angular_moment_ladder(
         # is not finite is formed again from logs, and a total that is not
         # finite is checked below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the collapsed unit square (A, B) onto each half of the (u, v) triangle
+            A, B = np.meshgrid(a_nodes, b_nodes, indexing="ij")
+            v = 0.5 * math.pi * A * B
             for left in (True, False):
-                A, B, u, v = _panel_theta(a_nodes, b_nodes, left)
+                u = 0.5 * math.pi * A if left else math.pi - 0.5 * math.pi * A
                 t1 = u + v
                 t2 = u - v
                 # smooth quotients: 2 sin u sin v = sm_sin * a^2 b,
@@ -155,7 +148,7 @@ def angular_moment_ladder(
                     if gamma == 0.5:
                         logs += 2.0 * np.log(np.abs(np.sin(t1) * np.sin(t2)))
                     wmat = np.exp(logs)
-                # each feature row is evaluated once per panel, at its first
+                # each cosine row is evaluated once per panel, at its first
                 # use, and dropped after its last; one weighted sum per pair
                 # rather than (f1 * wmat) @ f2.T, since a matrix product sums
                 # in another order and the odd-rule right-hand sides taken
@@ -166,7 +159,7 @@ def angular_moment_ladder(
                     i, j = pairs[idx]
                     for p in (i, j):
                         if p not in f1:
-                            f1[p], f2[p] = row(t1, p), row(t2, p)
+                            f1[p], f2[p] = np.cos(p * t1), np.cos(p * t2)
                     total[idx] += float(np.sum(wmat * (f1[i] * f2[j] + f2[i] * f1[j])))
                     for p in {i, j}:
                         if last_use[p] == pos:
@@ -198,9 +191,7 @@ def cos_basis_moments(
 ) -> np.ndarray:
     """Integrals of cos(i t1) cos(j t2) (symmetrized) against the angular
     kernel; the right-hand sides of the odd-rule moment systems."""
-    return angular_moment_ladder(
-        alpha, beta, gamma, pairs, lambda theta, p: np.cos(p * theta)
-    )[-1]
+    return angular_moment_ladder(alpha, beta, gamma, pairs)[-1]
 
 
 def _chebyshev_rows(c: np.ndarray, degree: int) -> np.ndarray:

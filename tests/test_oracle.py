@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import cubamin.oracle as oracle_mod
 from cubamin.biangle import gauss_cubature_biangle
 from cubamin.composed import composed_rule
-from cubamin.opq1d import fold_panel_angles
 from cubamin.oracle import (
     DomainError,
     ExactnessReport,
@@ -145,8 +144,9 @@ def test_moments_batch_agrees_with_single_calls():
 def test_refinement_ladder_contracts_until_roundoff(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_LADDER_N0", 4)
     monkeypatch.setattr(oracle_mod, "_LADDER_MIN_LEVELS", 5)
-    levels = oracle_mod.angular_moment_ladder(0.5, -0.5, -0.5, [(2, 2)],
-                                              lambda t, p: np.cos(t) ** p)
+    # T_2(x1) T_0(x2): a moment well away from 0, unlike T_2 T_2 at this
+    # weight, so the roundoff floor below is relative to a value
+    levels = oracle_mod.angular_moment_ladder(0.5, -0.5, -0.5, [(2, 0)])
     vals = [float(level[0]) for level in levels]
     floor = 1e-13 * abs(vals[-1])
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
@@ -183,15 +183,14 @@ def test_a_ladder_that_does_not_converge_stops_within_the_memory_budget(monkeypa
 
 
 def test_ladder_moments_do_not_depend_on_the_batch(monkeypatch):
-    """Within a panel each feature row lives from its first use to its last;
+    """Within a panel each cosine row lives from its first use to its last;
     a pair's moment must come out bit for bit as when it is alone."""
     pairs = [(i, d - i) for d in range(9) for i in range(d + 1)]
     # every batch stops at the same depth, the two levels of _LADDER_MIN_LEVELS
     monkeypatch.setattr(oracle_mod, "_LADDER_RTOL", math.inf)
 
     def ladder(batch):
-        return oracle_mod.angular_moment_ladder(
-            0.5, 0.0, 0.5, batch, lambda t, p: np.cos(t) ** p)[-1]
+        return oracle_mod.angular_moment_ladder(0.5, 0.0, 0.5, batch)[-1]
 
     together = ladder(pairs)
     for k, pair in enumerate(pairs):
@@ -521,37 +520,23 @@ def _even_pairs(degree):
     return [(i, d - i) for d in range(0, degree + 1, 2) for i in range(d + 1)]
 
 
-def _cos_power_row(t, p):
-    return np.cos(t) ** p
-
-
-def _chebyshev_row(t, p):
-    return np.cos(p * t)
-
-
-def _panel_row(ell):
-    return lambda t, p: np.mean(np.cos(p * fold_panel_angles(ell, t)), axis=0)
-
-
-# (spec, ladder parameters, feature row, degree): the criterion-3 grid, two
-# points further out, and three folds; at x = cos(t), T_p(x) = cos(p t)
+# (alpha, beta, gamma, degree): the criterion-3 grid and two points further
+# out; at x = cos(t), T_p(x) = cos(p t).  The composed folds (ell > 1) are
+# checked against the grid route by
+# test_the_closed_form_square_table_matches_the_grid_route.
 _CROSS_CHECK = (
-    [(WeightSpec("square-W", a, b, g), (a, b, g), _chebyshev_row, 25)
-     for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
-    + [(WeightSpec("square-W", a, b, g), (a, b, g), _chebyshev_row, 41)
-       for (a, b, g) in ((2.3, 0.7, -0.5), (-0.5, 0.5, 0.5))]
-    + [(WeightSpec("square-W", 0.5, 0.0, -0.5, ell), (0.5, 0.0, -0.5), _panel_row(ell), 25)
-       for ell in (2, 3, 4)]
+    [(a, b, g, 25) for a in (-0.5, 0.0, 0.5) for b in (-0.5, 0.0, 0.5) for g in (-0.5, 0.5)]
+    + [(2.3, 0.7, -0.5, 41), (-0.5, 0.5, 0.5, 41)]
 )
 
 
 def test_exact_engine_agrees_with_the_angular_ladder():
     """The closed-form square tables and the angular ladder integrate the
     same kernel by independent routes; they agree to roundoff."""
-    for spec, params, row, degree in _CROSS_CHECK:
+    for *params, degree in _CROSS_CHECK:
         pairs = _even_pairs(degree)
-        ladder = oracle_mod.angular_moment_ladder(*params, pairs, row)[-1]
-        exact = reference_gram(spec, degree)
+        ladder = oracle_mod.angular_moment_ladder(*params, pairs)[-1]
+        exact = reference_gram(WeightSpec("square-W", *params), degree)
         err = max(abs(exact[p] - v) for p, v in zip(pairs, ladder)) / exact[0, 0]
         assert err <= 1e-13, (params, degree, err)
 
@@ -588,15 +573,17 @@ def _polynomial_weight_moments(alpha, beta, gamma, degree):
 def test_both_moment_routes_match_known_answers(a, b, g):
     """At half-integer alpha, beta the square weight is a polynomial times
     prod (1 - x_k^2)^gamma: exact Beta sums audit the exact engine's
-    Chebyshev table, mapped onto monomials by the exact change of basis,
-    through degree 95 and the angular ladder through degree 33."""
+    Chebyshev table through degree 95 and the angular ladder's through
+    degree 33, each mapped onto monomials by the exact change of basis."""
     ref = _polynomial_weight_moments(a, b, g, 95)
     mass = ref[(0, 0)]
     exact = monomials_from_gram(reference_gram(WeightSpec("square-W", a, b, g), 95), False)
     assert max(abs(exact[p] - v) for p, v in ref.items()) <= 1e-13 * mass
     pairs = _even_pairs(33)
-    ladder = oracle_mod.angular_moment_ladder(a, b, g, pairs, _cos_power_row)[-1]
-    assert max(abs(v - ref[p]) for p, v in zip(pairs, ladder)) <= 1e-13 * mass
+    table = np.zeros((34, 34))  # odd i + j integrates to 0
+    table[tuple(np.transpose(pairs))] = oracle_mod.angular_moment_ladder(a, b, g, pairs)[-1]
+    ladder = monomials_from_gram(table, False)
+    assert max(abs(ladder[p] - ref[p]) for p in pairs) <= 1e-13 * mass
 
 
 @st.composite

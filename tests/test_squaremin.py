@@ -310,13 +310,22 @@ def test_odd_rule_raises_the_ladder_weight_mass_overflow():
         minimal_rule_odd(WeightSpec("square-W", 300.0, 0.0, -0.5), 3)
 
 
-def test_the_ladder_raises_one_overflow_error_on_a_level_past_float_range():
+def test_the_ladder_raises_one_overflow_error_on_a_level_past_float_range(monkeypatch):
     """A level whose sums leave float range raises one OverflowError naming
-    the weight, rather than warning and doubling NaN levels."""
+    the weight, rather than warning and doubling NaN levels.  Gauss-Jacobi
+    weights scaled by 1e300 overflow their outer product, and their logs
+    scaled alike overflow the exp of the log route too."""
+    real = oracle._unit_gauss_jacobi
+
+    def scaled(p_exp, q_exp, n):
+        a, w, log_w = real(p_exp, q_exp, n)
+        return a, w * 1e300, log_w + math.log(1e300)
+
+    monkeypatch.setattr(oracle, "_unit_gauss_jacobi", scaled)
     with pytest.raises(OverflowError, match=r"^moment ladder of the square weight "
                        r"alpha=0\.5, beta=0\.5, gamma=-0\.5 exceeds float range at 24 points "
                        r"per panel axis$"):
-        angular_moment_ladder(0.5, 0.5, -0.5, [(0, 0)], lambda theta, p: np.full_like(theta, 1e300))
+        angular_moment_ladder(0.5, 0.5, -0.5, [(0, 0)])
 
 
 @pytest.mark.parametrize("a, g", [(146.0, -0.5), (146.0, 0.5), (191.0, -0.5), (167.0, 0.5)])
