@@ -65,7 +65,8 @@ class RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class QuadratureRule1D:
-    """Gauss rule: strictly increasing nodes in (-1,1), weights >= 0."""
+    """Nodes and weights of a 1-D quadrature rule; gauss_rule builds them
+    and checks that the nodes strictly increase."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -257,7 +258,9 @@ def gauss_pairs(alpha: float, beta: float, n: int, gamma: float):
     Returns the rule's nodes, the index arrays J and K, and each pair's
     weight in half the tensor measure: lam_j lam_k, and lam_j^2 / 2 on the
     diagonal.  Every explicit 2-D family pushes these pairs through its own
-    point map."""
+    point map.  Raises ValueError for a gamma other than -1/2 or +1/2."""
+    if gamma not in (-0.5, 0.5):
+        raise ValueError("gamma must be -1/2 or +1/2, not %r" % (gamma,))
     size = n + 1 if gamma == 0.5 else n
     q = gauss_rule(jacobi_recurrence(alpha, beta, size), size)
     J, K = np.triu_indices(size, k=1 if gamma == 0.5 else 0)

@@ -94,6 +94,8 @@ class CubatureRule2D:
     family: str
 
     def __post_init__(self):
+        if isinstance(self.param, bool) or not isinstance(self.param, numbers.Integral):
+            raise ValueError("param must be an integer, got %r" % (self.param,))
         if self.param < 1:
             raise ValueError("param must be >= 1, got %r" % (self.param,))
         # raises on an unknown family
@@ -103,11 +105,15 @@ class CubatureRule2D:
             raise ValueError("%s rule needs a %s spec%s, got %r" % (
                 self.family, weight, "".join(" with %s = %r" % kv for kv in fixed.items()),
                 self.spec))
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
+        nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(
             self, "weights", np.asarray(self.weights, dtype=float)
         )
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValueError("nodes must have shape (N, 2), got %r" % (nodes.shape,))
+        if self.weights.ndim != 1:
+            raise ValueError("weights must have shape (N,), got %r" % (self.weights.shape,))
         if len(self.weights) != len(nodes):
             raise ValueError("node/weight length mismatch")
         if len(nodes) != count:

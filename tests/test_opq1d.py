@@ -113,6 +113,15 @@ def test_gauss_pairs_are_the_n_n_plus_1_over_2_pairs_of_koornwinder(ab, n):
     assert math.isclose(gauss_pairs(*ab, n, -0.5)[3].sum(), mu0 * mu0 / 2, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("build", [gauss_pairs, diagonal_zero_set])
+@pytest.mark.parametrize("gamma", [0.3, 0.0, -1.0])
+def test_the_gamma_lines_refuse_any_other_gamma(build, gamma):
+    """Only gamma = -1/2 and +1/2 have Koornwinder's pairs and diagonal
+    nodes; gauss_pairs once read any other gamma as -1/2."""
+    with pytest.raises(ValueError, match=r"^gamma must be -1/2 or \+1/2, not %r$" % gamma):
+        build(0.0, 0.0, 3, gamma)
+
+
 def test_gauss_rule_insufficient_data():
     rc = jacobi_recurrence(0.0, 0.0, 3)
     with pytest.raises(ValueError):

@@ -423,6 +423,24 @@ def test_rules_refuse_a_family_or_size_without_a_shape():
         dataclasses.replace(rule, param=3)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nodes", lambda r: np.column_stack([r.nodes, r.weights]),
+     r"^nodes must have shape \(N, 2\), got \(12, 3\)$"),
+    ("nodes", lambda r: r.nodes[:, :1], r"^nodes must have shape \(N, 2\), got \(12, 1\)$"),
+    ("nodes", lambda r: r.nodes.ravel(), r"^nodes must have shape \(N, 2\), got \(24,\)$"),
+    ("weights", lambda r: r.weights[:, None], r"^weights must have shape \(N,\), got \(12, 1\)$"),
+    ("param", lambda r: 2.0, r"^param must be an integer, got 2\.0$"),
+    ("param", lambda r: True, r"^param must be an integer, got True$"),
+], ids=["three-columns", "one-column", "flat", "weight-column", "float-param", "bool-param"])
+def test_rules_refuse_malformed_arrays_and_a_param_that_is_not_an_integer(field, value, message):
+    """Nodes of another shape than (N, 2) once passed construction (a
+    third column was ignored) or failed inside certify with a numpy error,
+    as did weights of shape (N, 1) and a float param; True was read as 1."""
+    rule = minimal_rule_even(WeightSpec("square-W", alpha=0.5, beta=0.0, gamma=-0.5), 2)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(rule, **{field: value(rule)})
+
+
 _BIANGLE = WeightSpec("biangle-gamma", alpha=0.5, beta=0.0, gamma=-0.5)
 _SQUARE = WeightSpec("square-W", alpha=0.5, beta=0.0, gamma=-0.5)
 
