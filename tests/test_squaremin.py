@@ -343,11 +343,11 @@ def test_an_odd_rule_past_the_ladder_kernel_overflow_builds_and_certifies(a, g):
 
 
 def test_the_odd_build_holds_few_cosine_rows_at_once():
-    """The odd builds set the peak RSS of the certify benchmark, and most of
-    their memory is the moment ladder's cosine rows, each alive from its
-    first use to its last.  After a warm-up build, the traced peak of the
-    m = 10 build stays under 4 MiB (about 2.6 MiB); a ladder that kept
-    every row of a panel alive peaks near 9.7 MiB."""
+    """The odd builds set the peak RSS of the certify benchmark.  Their
+    moment ladder holds each cosine row from its first use to its last, so
+    after a warm-up build the traced peak of the m = 10 build stays under
+    4 MiB (about 2.6 MiB); a ladder that kept every row of a panel alive
+    peaks near 7 MiB."""
     spec = WeightSpec("square-W", 0.5, 0.0, 0.5)
     minimal_rule_odd(spec, 10)
     tracemalloc.start()
