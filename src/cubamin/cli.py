@@ -24,7 +24,7 @@ import numpy as np
 from .biangle import gauss_cubature_biangle
 from .composed import composed_rule
 from .oracle import DEFAULT_REL_TOL, DomainError, certify
-from .rules import RULE_WEIGHTS, ConstructionError, CubatureRule2D, WeightSpec, rule_shape
+from .rules import RULE_FAMILIES, ConstructionError, CubatureRule2D, WeightSpec, rule_shape
 from .squaremin import minimal_rule_even, minimal_rule_odd, moller_bound
 
 EXIT_OK = 0
@@ -109,25 +109,32 @@ def rule_to_csv(nodes: np.ndarray, weights: np.ndarray, fh: TextIO) -> None:
     _write_rows(fh, nodes, weights, ",", "\n", "\n")
 
 
+def _carries_ell(family) -> bool:
+    """Whether a rule file of family records its ell: only a family with an
+    --ell flag does.  Any value, a string or not, may be asked about."""
+    return (isinstance(family, str) and family in _FAMILIES
+            and "ell" in _FAMILIES[family][1].split())
+
+
 def family_spec(family: str, alpha: float, beta: float, gamma: float, ell) -> WeightSpec:
     """The weight spec of a rule family; ell None, as files record it off the
-    composed family, is 1.  Raises ValueError on invalid parameters."""
-    return WeightSpec(RULE_WEIGHTS[family][0], alpha, beta, gamma, 1 if ell is None else ell)
+    families that carry one, is 1.  Raises ValueError on invalid parameters."""
+    return WeightSpec(RULE_FAMILIES[family][0], alpha, beta, gamma, 1 if ell is None else ell)
 
 
 def rule_metadata(family: str, spec: WeightSpec, param: int) -> Dict[str, object]:
     """File metadata of the rule of family at param on the weight of spec.
-    The degree and node count are rule_shape's; only a composed file carries
-    an ell.  The bound field is the node-count lower bound for the degree,
-    for the reader's side-by-side comparison; Gauss rules on the curved
-    domain undercut it."""
+    The degree and node count are rule_shape's; only a file of a family with
+    an --ell flag carries an ell.  The bound field is the node-count lower
+    bound for the degree, for the reader's side-by-side comparison; Gauss
+    rules on the curved domain undercut it."""
     degree, count = rule_shape(family, param, spec.ell)
     return {
         "family": family,
         "alpha": spec.alpha,
         "beta": spec.beta,
         "gamma": spec.gamma,
-        "ell": spec.ell if family == "composed" else None,
+        "ell": spec.ell if _carries_ell(family) else None,
         "param_n_or_m": param,
         "degree": degree,
         "node_count": count,
@@ -179,8 +186,9 @@ def parse_rule_file(
             if obj[k] is not None and not (_is_number(obj[k]) and math.isfinite(obj[k])):
                 raise ValueError("%s must be a finite number or null" % k)
         ell = obj["ell"]
-        if not (_is_int(ell) or ell is None and obj["family"] != "composed"):
-            raise ValueError("ell must be an integer (null only off the composed family)")
+        if not (_is_int(ell) or ell is None and not _carries_ell(obj["family"])):
+            raise ValueError("ell must be an integer (null only off the %s family)"
+                             % " or ".join(filter(_carries_ell, _FAMILIES)))
         rows = obj["nodes"]
         # type() rather than isinstance: JSON true/false parse to bool
         if not (
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--" + flag, type=int if flag in ("n", "m", "ell") else float,
                             required=True)
         # the spec fields the family fixes take no flag
-        sp.set_defaults(**RULE_WEIGHTS[name][2])
+        sp.set_defaults(**RULE_FAMILIES[name][1])
         sp.add_argument("--out", default=None, help="output path (default rule.FORMAT)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -296,22 +304,21 @@ def cmd_build(args) -> int:
                        else rule_to_json(rule_metadata(rule.family, rule.spec, rule.param),
                                          rule.nodes, rule.weights, fh)):
         return EXIT_USAGE
-    print(
-        "wrote %s: %s, %d nodes, degree %d"
-        % (out, rule.family, rule.node_count, rule.degree)
-    )
+    print("wrote %s: %s, %d nodes, degree %d"
+          % (out, rule.family, rule.node_count, rule.degree))
     return EXIT_OK
 
 
 def metadata_mismatch(meta: Dict[str, object], spec: WeightSpec) -> Optional[str]:
     """Why the file's ell, degree, node_count or moller_bound disagree with
     rule_metadata of its family and param_n_or_m on spec, the weight its
-    fields give, or None.  Only the composed family carries an ell, so a
-    file cannot ask for the work of a weight its rule was not built for."""
+    fields give, or None.  Only a family with an --ell flag carries an ell,
+    so a file cannot ask for the work of a weight its rule was not built for."""
     fam, size = meta["family"], meta["param_n_or_m"]
     want = rule_metadata(fam, spec, max(size, 1))  # ell does not depend on the size
     if meta["ell"] != want["ell"]:
-        return "ell is %r, but only a composed rule file carries one" % (meta["ell"],)
+        return "ell is %r, but only a %s rule file carries one" % (
+            meta["ell"], " or ".join(filter(_carries_ell, _FAMILIES)))
     if size < 1:
         return "param_n_or_m is %d, but must be >= 1" % size
     for key in ("degree", "node_count", "moller_bound"):
@@ -389,16 +396,9 @@ def cmd_verify(args) -> int:
         ) + "\n"
         if not _write_file(args.report, lambda fh: fh.write(payload)):
             return EXIT_USAGE
-    print(
-        "declared %d, certified %d through degree %d, worst rel err %.3e: %s"
-        % (
-            declared,
-            report.certified_degree,
-            report.max_degree_tested,
-            report.worst_rel_error,
-            "OK" if ok else "FAIL",
-        )
-    )
+    print("declared %d, certified %d through degree %d, worst rel err %.3e: %s"
+          % (declared, report.certified_degree, report.max_degree_tested,
+             report.worst_rel_error, "OK" if ok else "FAIL"))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -425,33 +425,27 @@ def _min_node_gap(nodes: np.ndarray) -> float:
     return math.sqrt(best) if best < math.inf else 0.0
 
 
-def render_svg(
-    nodes: np.ndarray, family: Optional[str], size: int
-) -> str:
+def render_svg(nodes: np.ndarray, family: Optional[str], size: int) -> str:
     """Scatter of the nodes inside the domain outline.
 
-    A known family draws its domain in RULE_WEIGHTS.  Otherwise (a CSV
-    file, or an unknown family) it falls back on the bounding box: any node
-    outside the unit square implies the curved domain.  Raises
-    OverflowError when a node's pixel position is beyond float range.
+    A known family draws the domain of its weight in RULE_FAMILIES, the
+    curved one for biangle-gamma.  Otherwise (a CSV file, or an unknown
+    family) it falls back on the bounding box: any node outside the unit
+    square implies the curved domain.  Raises OverflowError when a node's
+    pixel position is beyond float range.
     """
-    curved = (RULE_WEIGHTS[family][1] == "biangle" if family in RULE_WEIGHTS
+    curved = (RULE_FAMILIES[family][0] == "biangle-gamma" if family in RULE_FAMILIES
               else bool(np.any(np.abs(nodes[:, 0]) > 1.0 + 1e-12)))
     if curved:
         xlo, xhi, ylo, yhi = -2.0, 2.0, -1.0, 1.0
     else:
         xlo, xhi, ylo, yhi = -1.0, 1.0, -1.0, 1.0
     margin = 0.05 * size
-    scale = min(
-        (size - 2 * margin) / (xhi - xlo), (size - 2 * margin) / (yhi - ylo)
-    )
+    scale = min((size - 2 * margin) / (xhi - xlo), (size - 2 * margin) / (yhi - ylo))
     cx, cy = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)
 
     def px(x: float, y: float) -> Tuple[float, float]:
-        return (
-            0.5 * size + (x - cx) * scale,
-            0.5 * size - (y - cy) * scale,
-        )
+        return 0.5 * size + (x - cx) * scale, 0.5 * size - (y - cy) * scale
 
     def pt(x: float, y: float) -> str:
         return "%.4f %.4f" % px(x, y)
@@ -462,12 +456,10 @@ def render_svg(
     else:
         radius = 0.02 * size
 
-    parts: List[str] = []
-    parts.append(
+    parts: List[str] = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="0 0 %d %d">' % (size, size, size, size)
-    )
-    parts.append('<rect width="%d" height="%d" fill="#ffffff"/>' % (size, size))
+        'viewBox="0 0 %d %d">' % (size, size, size, size),
+        '<rect width="%d" height="%d" fill="#ffffff"/>' % (size, size)]
     if curved:
         # straight edges meet at the bottom vertex; the top arc x2 = x1^2/4
         # is exactly the quadratic Bezier with control point at that vertex
@@ -477,21 +469,14 @@ def render_svg(
             pt(-2, 1), pt(0, -1), pt(2, 1),
         )
     else:
-        d = "M %s L %s L %s L %s Z" % (
-            pt(-1, -1), pt(1, -1), pt(1, 1), pt(-1, 1)
-        )
-    parts.append(
-        '<path d="%s" fill="none" stroke="#000000" stroke-width="1"/>' % d
-    )
+        d = "M %s L %s L %s L %s Z" % (pt(-1, -1), pt(1, -1), pt(1, 1), pt(-1, 1))
+    parts.append('<path d="%s" fill="none" stroke="#000000" stroke-width="1"/>' % d)
     for x, y in nodes:
         u, v = px(float(x), float(y))
         if not (math.isfinite(u) and math.isfinite(v)):
             raise OverflowError("node (%r, %r) lies beyond the plot's float range"
                                 % (float(x), float(y)))
-        parts.append(
-            '<circle cx="%.4f" cy="%.4f" r="%.4f" fill="#000000"/>'
-            % (u, v, radius)
-        )
+        parts.append('<circle cx="%.4f" cy="%.4f" r="%.4f" fill="#000000"/>' % (u, v, radius))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

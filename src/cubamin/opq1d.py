@@ -130,8 +130,10 @@ def jacobi_recurrence(alpha: float, beta: float, m: int) -> RecurrenceCoeffs:
 
 
 def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
-    """Jacobi polynomial with P_n^{(alpha,beta)}(1) = binom(n+alpha, n)."""
+    """Jacobi polynomial with P_n^{(alpha,beta)}(1) = binom(n+alpha, n), n >= 0."""
     check_jacobi_parameters(alpha, beta)
+    if n < 0:
+        raise ValueError("Jacobi polynomial degree must be >= 0, got %r" % (n,))
     t = np.asarray(t, dtype=float)
     if n == 0:
         return np.ones_like(t)
@@ -154,6 +156,9 @@ def eval_jacobi_standard(alpha: float, beta: float, n: int, t):
 
 def eval_jacobi_standard_deriv(alpha: float, beta: float, n: int, t):
     """d/dt P_n^{(alpha,beta)}(t) = (n+alpha+beta+1)/2 * P_{n-1}^{(alpha+1,beta+1)}(t)."""
+    check_jacobi_parameters(alpha, beta)
+    if n < 0:
+        raise ValueError("Jacobi polynomial degree must be >= 0, got %r" % (n,))
     t = np.asarray(t, dtype=float)
     if n == 0:
         return np.zeros_like(t)

@@ -88,11 +88,11 @@ def angular_moment_ladder(
     entry, after at least _LADDER_MIN_LEVELS levels.  Returns every ladder
     level (for convergence diagnostics); the final entry is the converged
     batch.  A level holds at most 16 n x n float arrays of panel grids
-    and temporaries (12 to 15 under tracemalloc) and two per cosine row
+    and temporaries (12 to 13 under tracemalloc) and two per cosine row
     the pair schedule keeps alive; one whose 8 n^2 bytes per array pass
     _MEMORY_BUDGET is not run, and a ConstructionError names the
     agreement and points per axis reached.
-    A panel's weight grid that leaves float range (from alpha = beta =
+    A weight grid that leaves float range (from alpha = beta =
     145, where a kernel power overflows against weights near underflow)
     is formed again as exp of its summed logs.  Raises OverflowError,
     naming the weight, when a level still leaves float range.
@@ -125,29 +125,37 @@ def angular_moment_ladder(
         # is not finite is formed again from logs, and a total that is not
         # finite is checked below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the collapsed unit square (A, B) onto each half of the (u, v) triangle
+            # the collapsed unit square (A, B) onto each half of the (u, v)
+            # triangle; the grids that do not depend on the half are formed
+            # once per level, and at gamma = -1/2 so is the weight grid
             A, B = np.meshgrid(a_nodes, b_nodes, indexing="ij")
             v = 0.5 * math.pi * A * B
-            for left in (True, False):
-                u = 0.5 * math.pi * A if left else math.pi - 0.5 * math.pi * A
-                t1 = u + v
-                t2 = u - v
-                # smooth quotients: 2 sin u sin v = sm_sin * a^2 b,
-                #                   2 |cos u| cos v = sm_cos * (1-a)
-                sm_sin = 2.0 * (0.5 * math.pi) ** 2 * np.sinc(A / 2.0) * np.sinc(A * B / 2.0)
-                sm_cos = math.pi * np.sinc((1.0 - A) / 2.0) * np.cos(v)
-                core = 2.0 * (0.5 * math.pi) ** 2 * sm_sin**ea * sm_cos**eb
-                if gamma == 0.5:
-                    core = core * (np.sin(t1) * np.sin(t2)) ** 2
-                wmat = np.outer(a_w, b_w) * core
+            # smooth quotients: 2 sin u sin v = sm_sin * a^2 b,
+            #                   2 |cos u| cos v = sm_cos * (1-a)
+            sm_sin = 2.0 * (0.5 * math.pi) ** 2 * np.sinc(A / 2.0) * np.sinc(A * B / 2.0)
+            sm_cos = math.pi * np.sinc((1.0 - A) / 2.0) * np.cos(v)
+            core = 2.0 * (0.5 * math.pi) ** 2 * sm_sin**ea * sm_cos**eb
+
+            def weight_grid(sines):
+                # the Gauss weights times core, and times sines^2 (sines =
+                # sin t1 sin t2) at gamma = +1/2; only a grid that is not
+                # finite is formed again, so every level that passed before
+                # keeps its bits
+                wmat = np.outer(a_w, b_w) * (core if sines is None else core * sines**2)
                 if not np.all(np.isfinite(wmat)):
-                    # only a grid that is not finite takes this route, so
-                    # every level that passed before keeps its bits
                     logs = (math.log(2.0 * (0.5 * math.pi) ** 2) + ea * np.log(sm_sin)
                             + eb * np.log(sm_cos) + np.add.outer(a_log, b_log))
-                    if gamma == 0.5:
-                        logs += 2.0 * np.log(np.abs(np.sin(t1) * np.sin(t2)))
+                    if sines is not None:
+                        logs += 2.0 * np.log(np.abs(sines))
                     wmat = np.exp(logs)
+                return wmat
+
+            wmat = weight_grid(None) if gamma == -0.5 else None
+            for left in (True, False):
+                u = 0.5 * math.pi * A if left else math.pi - 0.5 * math.pi * A
+                t1, t2 = u + v, u - v
+                if gamma == 0.5:
+                    wmat = weight_grid(np.sin(t1) * np.sin(t2))
                 # each cosine row is evaluated once per panel, at its first
                 # use, and dropped after its last; one weighted sum per pair
                 # rather than (f1 * wmat) @ f2.T, since a matrix product sums

@@ -10,15 +10,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = ["WeightSpec", "CubatureRule2D", "ExactnessReport", "ConstructionError",
-           "RULE_WEIGHTS", "check_jacobi_parameters", "rule_shape"]
+           "RULE_FAMILIES", "check_jacobi_parameters", "rule_shape"]
 
-# the weight each rule family is built on: its WeightSpec family, the domain
-# of that weight, and the spec fields the family fixes, with their values
-RULE_WEIGHTS = {
-    "biangle": ("biangle-gamma", "biangle", {}),
-    "square-even": ("square-W", "square", {"ell": 1}),
-    "square-odd": ("square-W", "square", {"ell": 1}),
-    "composed": ("square-W", "square", {"gamma": -0.5}),
+# each rule family in one row: the WeightSpec family of its weight, the
+# spec fields it fixes, with their values, and its (degree, node count) at
+# size n (biangle) or m, and ell
+RULE_FAMILIES = {
+    "biangle": ("biangle-gamma", {}, lambda n, ell: (2 * n - 1, n * (n + 1) // 2)),
+    "square-even": ("square-W", {"ell": 1}, lambda m, ell: (4 * m - 1, 2 * m * (m + 1))),
+    "square-odd": ("square-W", {"ell": 1}, lambda m, ell: (4 * m + 1, 2 * (m + 1) ** 2 - 1)),
+    "composed": ("square-W", {"gamma": -0.5},
+                 lambda m, ell: (4 * ell * m - 1, 2 * ell * ell * m * m + 2 * ell * m)),
 }
 
 
@@ -35,15 +37,9 @@ def check_jacobi_parameters(alpha: float, beta: float) -> None:
 def rule_shape(family: str, size: int, ell: int = 1) -> Tuple[int, int]:
     """Degree and node count of the rule of a family at size n (biangle)
     or m, and ell for the composed family."""
-    if family == "biangle":
-        return 2 * size - 1, size * (size + 1) // 2
-    if family == "square-even":
-        return 4 * size - 1, 2 * size * (size + 1)
-    if family == "square-odd":
-        return 4 * size + 1, 2 * (size + 1) ** 2 - 1
-    if family == "composed":
-        return 4 * ell * size - 1, 2 * ell * ell * size * size + 2 * ell * size
-    raise ValueError("unknown rule family %r" % (family,))
+    if not (isinstance(family, str) and family in RULE_FAMILIES):
+        raise ValueError("unknown rule family %r" % (family,))
+    return RULE_FAMILIES[family][2](size, ell)
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class WeightSpec:
 @dataclass(frozen=True)
 class CubatureRule2D:
     """Nodes and positive weights of a 2D rule; its degree and node count are
-    its family's at param, and its spec is its family's weight in RULE_WEIGHTS."""
+    its family's at param, and its spec is its family's weight in RULE_FAMILIES."""
 
     nodes: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,)
@@ -100,7 +96,7 @@ class CubatureRule2D:
             raise ValueError("param must be >= 1, got %r" % (self.param,))
         # raises on an unknown family
         count = rule_shape(self.family, self.param, self.spec.ell)[1]
-        weight, _, fixed = RULE_WEIGHTS[self.family]
+        weight, fixed, _ = RULE_FAMILIES[self.family]
         if self.spec.family != weight or any(getattr(self.spec, k) != v for k, v in fixed.items()):
             raise ValueError("%s rule needs a %s spec%s, got %r" % (
                 self.family, weight, "".join(" with %s = %r" % kv for kv in fixed.items()),
@@ -130,7 +126,8 @@ class CubatureRule2D:
 
     @property
     def domain(self) -> str:
-        return RULE_WEIGHTS[self.family][1]
+        """'biangle', the curved domain of the biangle-gamma weight, or 'square'."""
+        return "biangle" if self.spec.family == "biangle-gamma" else "square"
 
     @property
     def node_count(self) -> int:

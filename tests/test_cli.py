@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import ast
 import contextlib
 import copy
 import filecmp
@@ -27,7 +28,7 @@ import cubamin.opq1d as opq1d_mod
 import cubamin.oracle as oracle_mod
 import cubamin.squaremin as squaremin_mod
 from cubamin.cli import main, parse_rule_file
-from cubamin.rules import ConstructionError
+from cubamin.rules import RULE_FAMILIES, ConstructionError
 from cubamin.squaremin import moller_bound
 from identities import reference_min_node_gap
 
@@ -701,6 +702,39 @@ def test_verify_honours_the_ell_of_every_family(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert "ell is a parameter of the square-W family only" in err
 
+
+
+def test_each_family_row_states_every_field_of_its_weight_once(capsys):
+    """cli._FAMILIES, rules.RULE_FAMILIES and build --help name the same
+    families.  A family's build flags, less its one size flag, and the spec
+    fields its RULE_FAMILIES row fixes are alpha, beta and gamma, and ell
+    exactly when its weight is square-W (the one weight with an ell); no
+    field is both."""
+    code, stdout, _ = run(capsys, "build", "--help")
+    assert code == 0
+    assert re.findall(r"^    (\S+)", stdout, re.M) == list(cli._FAMILIES) == list(RULE_FAMILIES)
+    for name, (_, flags, _) in cli._FAMILIES.items():
+        weight, fixed, _ = RULE_FAMILIES[name]
+        free = set(flags.split())
+        assert len(free & {"n", "m"}) == 1, name
+        free -= {"n", "m"}
+        assert not free & set(fixed), name
+        want = {"alpha", "beta", "gamma"} | ({"ell"} if weight == "square-W" else set())
+        assert free | set(fixed) == want, name
+
+
+def test_the_cli_names_no_family_outside_its_table():
+    """Which family carries an ell is read from its _FAMILIES flags, so no
+    string constant of cli.py outside the _FAMILIES literal is a family
+    name."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_FAMILIES"])
+    inside = {id(node) for node in ast.walk(table)}
+    named = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in RULE_FAMILIES and id(node) not in inside]
+    assert named == []
 
 def _golden_m10(tmp_path, capsys):
     path = tmp_path / "m10.json"

@@ -172,6 +172,21 @@ def test_every_caller_of_the_jacobi_parameter_rule_agrees(value, accepted, first
                 call()
 
 
+
+@pytest.mark.parametrize("evaluate", [eval_jacobi_standard, eval_jacobi_standard_deriv])
+def test_the_jacobi_evaluators_refuse_a_negative_degree_and_bad_parameters(evaluate):
+    """A degree below 0 once fell through to P_1 (0.625 for n = -1 at
+    (0.5, 0), t = 0.3), and the derivative took alpha = -1.5, since it
+    checked only the shifted parameters of P_{n-1}^{(alpha+1, beta+1)}."""
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="^Jacobi polynomial degree must be >= 0, got %d$" % n):
+            evaluate(0.5, 0.0, n, 0.3)
+    for ab in ((-1.5, 0.0), (0.0, -1.0), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="^Jacobi parameters must be finite and exceed -1$"):
+            evaluate(*ab, 2, 0.3)
+        with pytest.raises(ValueError, match="^Jacobi parameters must be finite and exceed -1$"):
+            evaluate(*ab, 0, 0.3)
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=10),

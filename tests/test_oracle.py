@@ -6,6 +6,7 @@ structural zeros, batches) stay here, and it checks the shipped tables."""
 
 import dataclasses
 import functools
+import hashlib
 import math
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from cubamin.oracle import (
     certify,
     reference_gram,
 )
-from cubamin.rules import ConstructionError, WeightSpec
+from cubamin.rules import ConstructionError, WeightSpec, rule_shape
 from cubamin.squaremin import minimal_rule_even, minimal_rule_odd
 from identities import (
     biangle_moments,
@@ -196,6 +197,56 @@ def test_ladder_moments_do_not_depend_on_the_batch(monkeypatch):
     for k, pair in enumerate(pairs):
         assert together[k] == ladder([pair])[0]
 
+
+
+# (alpha, beta, gamma, m) -> the number of levels of the odd rule's ladder at
+# m, and the sha256 of their bytes, recorded when each panel still formed
+# every grid of the level; alpha = beta = 146 takes the log route
+_LADDER_LEVEL_SHA256 = {
+    (0.5, 0.0, -0.5, 1): (2, "f433f957f7281f0899de70dfb5655f8e9f48001a8e451af717da1a1c2b63559b"),
+    (0.5, 0.0, -0.5, 3): (2, "d886b5d01d6d94d5fc13726e555cb27133d93cb7f13b610c9acd062c1fce214b"),
+    (0.5, 0.0, -0.5, 8): (3, "f83ae3d2a4175962244756344a2a6a9b74d47d4c7f7426b1d66db2080831035f"),
+    (0.5, 0.0, 0.5, 1): (2, "446134fe6ecc8c6d6dd06df2bf132dce28c6d3a1a29b2b68329878aaf0eff917"),
+    (0.5, 0.0, 0.5, 3): (2, "a340a542e6129d46db69a4057c31b405e5c16d1cc8fe1ec2e6bf7603ca50f910"),
+    (0.5, 0.0, 0.5, 8): (3, "688fdc4d36d63e6b14107a8e898b4a22e38af5b903e4704dc35e23eb9a6e5493"),
+    (-0.5, 0.5, -0.5, 1): (2, "e3acaaccb3cb111fd177aa242f66622b49cbc3cec00f3403f77e82719a7248ec"),
+    (-0.5, 0.5, -0.5, 3): (2, "5c03d2d9528cce72cc2d6a11ce4b5be9399e8dbaef5228918cba05ad3f468079"),
+    (-0.5, 0.5, -0.5, 8): (3, "38233bf583fd5594d73dcc676a41680542637f653d9ccaead3575c7583389a25"),
+    (-0.5, 0.5, 0.5, 1): (2, "21805c707f8913c3c55c7dbe705b0e3cb680647211c54ed6de26579e3c9251bd"),
+    (-0.5, 0.5, 0.5, 3): (2, "3f683466d518432985b73efc2fee3cf725e881d0235b3f054f618bae04eb3151"),
+    (-0.5, 0.5, 0.5, 8): (3, "e755b02da3756792e011f4f0e28368c7cc68941210dc24fb2f5cc207fa099363"),
+    (1.7, 0.3, -0.5, 1): (3, "210ff81a4de10c458ff1d8cb5f8a55b611faa4ea2cd0a378ae50daadfb04d08a"),
+    (1.7, 0.3, -0.5, 3): (3, "71581d1bf7d949e43ef78dc99b4142cbce120abe873ec7285a0049e14836baff"),
+    (1.7, 0.3, -0.5, 8): (3, "c01e4f4c5a6b0257a99229b6b3bdd6fcf455a04e380dacf2e3d6b2da77fe7fb6"),
+    (1.7, 0.3, 0.5, 1): (2, "d7dc814f0566fe45367883c75939feb3aa2739449e50155e4eec6f5243a24fda"),
+    (1.7, 0.3, 0.5, 3): (2, "13d1c34e20b763daa18cd356f5cac3ffd4ac7ceb344193a409c995ed9e84ce1a"),
+    (1.7, 0.3, 0.5, 8): (3, "580c842aec045644d057f0ffc7d5c12dc18589902189dbfc169b8821e81a21de"),
+    (146.0, 146.0, -0.5, 1): (4, "775706351dd10214dbbbad5dd2efb5e6dcf00fbc27889c4e6e46b46813c08675"),
+    (146.0, 146.0, -0.5, 3): (4, "ca6f476482e6dae8460e0b2690c1d7070e9c38cdcbd536f3cb3f40f8cc3c9780"),
+    (146.0, 146.0, -0.5, 8): (4, "8d004492ff2f93b6d94385d7edf36ef6cae07276d0e21567a8ab33ffa541f299"),
+    (146.0, 146.0, 0.5, 1): (3, "860e2f36354087f73fda81b4bb6d5bef219ab60ae425b4abb591cfeb7780e0fb"),
+    (146.0, 146.0, 0.5, 3): (4, "9aeb34ecfd268905c3997d1789dea6ad1909b837612239c7dfe684902eb695ab"),
+    (146.0, 146.0, 0.5, 8): (4, "ddd4dbeff9f0570ee6e7e633196f6d5477bf2771a7e6aba53783970ea6443395"),
+    (0.0, -0.5, -0.5, 1): (2, "a9b057fda53960ccc2656382a4515de1b665ce990de9d3ab1b416705f767634c"),
+    (0.0, -0.5, -0.5, 3): (2, "4376aefd4707d6c00cbd0380d2acc9dc7401220c3396d24670047bda25334b4e"),
+    (0.0, -0.5, -0.5, 8): (3, "1798f88ae0aaf7a786f19ce19abd7eaf12d6238a83f78558a99f4a0e14312c8d"),
+    (0.0, -0.5, 0.5, 1): (2, "c0a217b618fc8ac7b899f9cf838354d7c7fb0785cd5fd854e89aeb04e2a59326"),
+    (0.0, -0.5, 0.5, 3): (2, "fc174e2d8f434262450eb0fbbf1a0fc88397d3dd7108fb1a68e9674d51240a13"),
+    (0.0, -0.5, 0.5, 8): (3, "5db6fd2fd08c31df9f8aa9d9d479e7be8f5549dfedc7ca945e40868f45232ee9"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_LADDER_LEVEL_SHA256), ids=str)
+def test_the_ladder_levels_keep_their_bits(key):
+    """The grids that do not depend on the panel (and the weight grid at
+    gamma = -1/2) are formed once per level; every level keeps its bits."""
+    a, b, g, m = key
+    deg = 4 * m + 1
+    pairs = [(i, j) for j in range(deg + 1) for i in range(j + 1)
+             if (i + j) % 2 == 0 and i + j <= deg]
+    levels = oracle_mod.angular_moment_ladder(a, b, g, pairs)
+    digest = hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest()
+    assert (len(levels), digest) == _LADDER_LEVEL_SHA256[key]
 
 @pytest.mark.parametrize("params", [(-0.5, -0.5, -0.5), (0.5, -0.5, 0.5),
                                     (0.0, 0.0, -0.5), (-0.5, 0.5, 0.5)])
@@ -410,11 +461,17 @@ def test_rules_reject_non_finite_values():
 def test_rules_refuse_a_family_or_size_without_a_shape():
     """The declared degree and node count are the family's at param, so a
     rule of no family, of size 0, or of another count is refused at
-    construction."""
+    construction.  An unhashable family is unknown too: a ValueError, not
+    the KeyError or TypeError of a table lookup."""
     rule = minimal_rule_even(WeightSpec("square-W", alpha=-0.5, beta=-0.5, gamma=-0.5), 2)
     assert rule.degree == 7
     with pytest.raises(ValueError, match="unknown rule family 'square'"):
         dataclasses.replace(rule, family="square")
+    for family in (["composed"], None):
+        with pytest.raises(ValueError, match=r"^unknown rule family %s$" % re.escape(repr(family))):
+            rule_shape(family, 1)
+        with pytest.raises(ValueError, match=r"^unknown rule family %s$" % re.escape(repr(family))):
+            dataclasses.replace(rule, family=family)
     with pytest.raises(ValueError, match="param must be >= 1, got 0"):
         dataclasses.replace(rule, param=0)
     with pytest.raises(ConstructionError, match="^square-even rule has 11 nodes, expected 12$"):
